@@ -126,6 +126,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
 
     x: (batch, in_ch, length), weight: (out_ch, in_ch, kernel), bias: (out_ch).
     With kernel 3 and padding 1 the length is preserved.
+
+    Lowered to one matrix product (im2col): every output position's input
+    window becomes a row of ``cols`` (batch * out_len, in_ch * kernel), so
+    the forward pass and both gradients are single BLAS calls.
     """
     if x.data.ndim != 3:
         raise DimensionError(f"conv1d expects (batch, channels, length), got {x.data.shape}")
@@ -139,20 +143,24 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
     out_len = length + 2 * padding - kernel + 1
     windows = sliding_window_view(padded, kernel, axis=2)  # (batch, in_ch, out_len, kernel)
-    data = np.einsum("bilk,oik->bol", windows, weight.data) + bias.data[None, :, None]
+    cols = windows.transpose(0, 2, 1, 3).reshape(batch * out_len, in_ch * kernel)
+    w2 = weight.data.reshape(out_ch, in_ch * kernel)
+    data = (cols @ w2.T).reshape(batch, out_len, out_ch).transpose(0, 2, 1)
+    data = data + bias.data[None, :, None]
     out = Tensor.result_of(data, (x, weight, bias), "conv1d")
     if out.requires_grad:
-        def _backward():
-            g = out.grad  # (batch, out_ch, out_len)
-            bias.accumulate_grad(g.sum(axis=(0, 2)))
-            weight.accumulate_grad(np.einsum("bol,bilk->oik", g, windows))
+        def _backward(grad):  # grad: (batch, out_ch, out_len)
+            bias.accumulate_grad(grad.sum(axis=(0, 2)))
+            g2 = grad.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
+            weight.accumulate_grad((g2.T @ cols).reshape(out_ch, in_ch, kernel))
             if x.requires_grad:
-                grad_padded = np.zeros_like(padded)
+                # col2im: each kernel tap's column block adds back at its shift
+                dcols = (g2 @ w2).reshape(batch, out_len, in_ch, kernel)
+                grad_padded = np.zeros((batch, out_len + kernel - 1, in_ch))
                 for k in range(kernel):
-                    grad_padded[:, :, k:k + out_len] += np.einsum(
-                        "bol,oi->bil", g, weight.data[:, :, k]
-                    )
-                x.accumulate_grad(grad_padded[:, :, padding:padding + length])
+                    grad_padded[:, k:k + out_len] += dcols[:, :, :, k]
+                x.accumulate_grad(
+                    grad_padded[:, padding:padding + length].transpose(0, 2, 1))
         out._backward = _backward
     return out
 
@@ -174,9 +182,9 @@ def maxpool1d(x: Tensor) -> Tensor:
     data = np.take_along_axis(paired, winners[..., None], axis=3)[..., 0]
     out = Tensor.result_of(data, (x,), "maxpool1d")
     if out.requires_grad:
-        def _backward():
+        def _backward(grad):
             buf = np.zeros_like(paired)
-            np.put_along_axis(buf, winners[..., None], out.grad[..., None], axis=3)
+            np.put_along_axis(buf, winners[..., None], grad[..., None], axis=3)
             full = np.zeros_like(x.data)
             full[:, :, : 2 * out_len] = buf.reshape(batch, channels, 2 * out_len)
             x.accumulate_grad(full)
@@ -194,8 +202,8 @@ def relu(x: Tensor) -> Tensor:
     x_t = x if isinstance(x, Tensor) else Tensor(x)
     out = Tensor.result_of(np.maximum(x_t.data, 0.0), (x_t,), "relu")
     if out.requires_grad:
-        def _backward():
-            x_t.accumulate_grad(out.grad * (x_t.data > 0.0))
+        def _backward(grad):
+            x_t.accumulate_grad(grad * (x_t.data > 0.0))
         out._backward = _backward
     return out
 
@@ -223,10 +231,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     loss = -log_probs[np.arange(batch), labels].mean()
     out = Tensor.result_of(loss, (logits,), "cross_entropy")
     if out.requires_grad:
-        def _backward():
+        def _backward(grad):
             probs = np.exp(log_probs)
             probs[np.arange(batch), labels] -= 1.0
-            logits.accumulate_grad(out.grad * probs / batch)
+            logits.accumulate_grad(grad * probs / batch)
         out._backward = _backward
     return out
 

@@ -25,14 +25,17 @@ from .tensor import (
     coefficient_of_variation_sq,
     gather,
     matmul,
-    scatter_rows,
     softmax,
     softplus,
     standard_normal_sample,
-    take_rows,
     normal_cdf,
 )
-from .layers import Dense, Module, relu
+from .layers import Dense, Module
+
+# Floor added to the learned noise scale (Shazeer et al. 2017).  softplus
+# underflows to exactly 0 for very negative inputs, which would turn the
+# load probability's margin / scale into 0/0.
+NOISE_STD_FLOOR = 1e-2
 
 
 @dataclass
@@ -60,15 +63,16 @@ class MoEConfig:
 
 
 class Expert(Module):
-    """One expert: a dense hidden layer with ReLU, then a linear class head."""
+    """One expert: a dense hidden layer with ReLU, then a linear class head.
+
+    Holds parameters only; :func:`moe_forward` evaluates every expert of a
+    layer inside one graph node.
+    """
 
     def __init__(self, config: MoEConfig, rng: RngState):
         super().__init__()
         self.hidden = Dense(config.input_dim, config.expert_hidden, rng)
         self.out = Dense(config.expert_hidden, config.n_classes, rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.out(relu(self.hidden(x)))
 
 
 class Router(Module):
@@ -121,10 +125,16 @@ def top_k_mask(values: Tensor, k: int) -> Tensor:
     data = np.where(keep, values.data, -np.inf)
     out = Tensor.result_of(data, (values,), "top_k_mask")
     if out.requires_grad:
-        def _backward():
-            values.accumulate_grad(out.grad * keep)
+        def _backward(grad):
+            values.accumulate_grad(grad * keep)
         out._backward = _backward
     return out
+
+
+def noise_scale(router: Router, x: Tensor) -> Tensor:
+    """Learned, input-dependent noise standard deviation per (sample, expert):
+    softplus(x @ w_noise) plus :data:`NOISE_STD_FLOOR`."""
+    return softplus(matmul(x, router.w_noise)) + NOISE_STD_FLOOR
 
 
 def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
@@ -132,16 +142,15 @@ def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
     """Compute sparse gate weights for a batch of feature vectors.
 
     Scores are x @ w_gate; when the noise path is on, each score is
-    perturbed by a Gaussian whose standard deviation is the softplus of
-    x @ w_noise (learned, input-dependent).  The perturbed scores are top-k
-    masked and softmaxed.  With noise off this is a pure function of
-    (router, x).
+    perturbed by a Gaussian whose standard deviation is :func:`noise_scale`
+    (learned, input-dependent).  The perturbed scores are top-k masked and
+    softmaxed.  With noise off this is a pure function of (router, x).
     """
     clean = matmul(x, router.w_gate)
     if noise_enabled:
         if rng is None:
             raise ConfigError("noisy gating needs an RngState when noise is enabled")
-        std = softplus(matmul(x, router.w_noise))
+        std = noise_scale(router, x)
         eps = standard_normal_sample(rng, clean.data.shape)
         noisy = clean + eps * std
     else:
@@ -163,22 +172,50 @@ def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
 def moe_forward(experts: list[Expert], decision: GateDecision, x: Tensor) -> Tensor:
     """Gate-weighted sum of expert outputs, evaluating only selected experts.
 
-    Each expert sees just the rows that routed to it; the weighted partial
-    outputs are scattered back and summed, which agrees with the dense
-    sum over all experts (zero-gated terms included) to float precision.
+    One ``expert_mixture`` graph node over x, the gates and every expert's
+    four parameters.  Each expert sees just the rows that routed to it
+    (nonzero gate), which agrees with the dense sum over all experts
+    (zero-gated terms included) to float precision.  An expert that
+    receives no rows gets no gradient, as if it were not in the layer.
     """
     gates = decision.gates
-    batch = x.data.shape[0]
-    n_classes = experts[0].out.out_dim
-    total = Tensor(np.zeros((batch, n_classes)))
-    for i, expert in enumerate(experts):
-        rows = np.nonzero(gates.data[:, i])[0]
+    weights = gates.data
+    mixed = np.zeros((x.data.shape[0], experts[0].out.out_dim))
+    routed = []  # per evaluated expert: what its backward pass reads
+    for i, column in enumerate((weights != 0).T):
+        rows = np.flatnonzero(column)
         if rows.size == 0:
             continue
-        sub = take_rows(x, rows)
-        weights = gather(gates, rows, np.full(rows.shape, i)).reshape(rows.size, 1)
-        total = total + scatter_rows(expert(sub) * weights, rows, batch)
-    return total
+        hidden_layer, out_layer = experts[i].hidden, experts[i].out
+        sub = x.data[rows]
+        hidden = np.maximum(sub @ hidden_layer.weight.data.T + hidden_layer.bias.data, 0.0)
+        y = hidden @ out_layer.weight.data.T + out_layer.bias.data
+        mixed[rows] += weights[rows, i, None] * y
+        routed.append((i, rows, sub, hidden, y,
+                       hidden_layer.weight.data, out_layer.weight.data))
+    params = [p for expert in experts
+              for p in (expert.hidden.weight, expert.hidden.bias,
+                        expert.out.weight, expert.out.bias)]
+    out = Tensor.result_of(mixed, (x, gates, *params), "expert_mixture")
+    if out.requires_grad:
+        def _backward(grad):
+            dx = np.zeros_like(x.data)
+            dgates = np.zeros_like(weights)
+            for i, rows, sub, hidden, y, w_hidden, w_out in routed:
+                hidden_layer, out_layer = experts[i].hidden, experts[i].out
+                g_rows = grad[rows]
+                dgates[rows, i] = (g_rows * y).sum(axis=1)
+                dy = weights[rows, i, None] * g_rows
+                out_layer.bias.accumulate_grad(dy.sum(axis=0))
+                out_layer.weight.accumulate_grad(dy.T @ hidden)
+                dh = (dy @ w_out) * (hidden > 0.0)
+                hidden_layer.bias.accumulate_grad(dh.sum(axis=0))
+                hidden_layer.weight.accumulate_grad(dh.T @ sub)
+                dx[rows] += dh @ w_hidden
+            x.accumulate_grad(dx)
+            gates.accumulate_grad(dgates)
+        out._backward = _backward
+    return out
 
 
 def importance_loss(gates: Tensor, w_importance: float = 1.0) -> Tensor:

@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,8 +153,9 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
     """Read and type a flow CSV.
 
     Unknown columns are ignored; a missing schema column is a hard error.
-    Rows with an unparseable numeric cell or an unknown label are skipped
-    with a logged warning and show up in the result's skipped list.
+    Rows with an unparseable or infinite numeric cell (``inf``, or a value
+    such as ``1e400`` that overflows) or an unknown label are skipped with a
+    logged warning and show up in the result's skipped list.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -176,10 +178,15 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
                     values[feature] = None
                 elif feature in numeric:
                     try:
-                        values[feature] = float(cell)
+                        value = float(cell)
                     except ValueError:
                         problem = f"unparseable numeric cell {feature}={cell!r}"
                         break
+                    if math.isinf(value):
+                        problem = f"non-finite numeric cell {feature}={cell!r}"
+                        break
+                    # any spelling of NaN (e.g. "-nan") is a missing cell
+                    values[feature] = None if math.isnan(value) else value
                 else:
                     values[feature] = cell
             if problem is None:

@@ -66,7 +66,12 @@ class Tensor:
     @classmethod
     def result_of(cls, data, parents, op: str = "") -> "Tensor":
         """Create an op output. The caller attaches ``_backward`` afterwards
-        iff the result requires grad (checked via ``requires_grad``)."""
+        iff the result requires grad (checked via ``requires_grad``).
+
+        ``_backward(grad)`` receives the output's gradient as its argument
+        and must not capture the output itself: graphs then hold no
+        reference cycles and are freed as soon as the last name drops them.
+        """
         out = cls(data)
         out.requires_grad = any(p.requires_grad for p in parents)
         if out.requires_grad:
@@ -109,7 +114,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def _topo_order(self) -> list:
         """Iterative post-order over the graph: parents before children."""
@@ -139,9 +144,9 @@ class Tensor:
         other = _as_tensor(other)
         out = Tensor.result_of(self.data + other.data, (self, other), "+")
         if out.requires_grad:
-            def _backward():
-                self.accumulate_grad(out.grad)
-                other.accumulate_grad(out.grad)
+            def _backward(grad):
+                self.accumulate_grad(grad)
+                other.accumulate_grad(grad)
             out._backward = _backward
         return out
 
@@ -151,9 +156,9 @@ class Tensor:
         other = _as_tensor(other)
         out = Tensor.result_of(self.data * other.data, (self, other), "*")
         if out.requires_grad:
-            def _backward():
-                self.accumulate_grad(out.grad * other.data)
-                other.accumulate_grad(out.grad * self.data)
+            def _backward(grad):
+                self.accumulate_grad(grad * other.data)
+                other.accumulate_grad(grad * self.data)
             out._backward = _backward
         return out
 
@@ -162,8 +167,8 @@ class Tensor:
     def __neg__(self):
         out = Tensor.result_of(-self.data, (self,), "neg")
         if out.requires_grad:
-            def _backward():
-                self.accumulate_grad(-out.grad)
+            def _backward(grad):
+                self.accumulate_grad(-grad)
             out._backward = _backward
         return out
 
@@ -171,9 +176,9 @@ class Tensor:
         other = _as_tensor(other)
         out = Tensor.result_of(self.data - other.data, (self, other), "-")
         if out.requires_grad:
-            def _backward():
-                self.accumulate_grad(out.grad)
-                other.accumulate_grad(-out.grad)
+            def _backward(grad):
+                self.accumulate_grad(grad)
+                other.accumulate_grad(-grad)
             out._backward = _backward
         return out
 
@@ -184,9 +189,9 @@ class Tensor:
         other = _as_tensor(other)
         out = Tensor.result_of(self.data / other.data, (self, other), "/")
         if out.requires_grad:
-            def _backward():
-                self.accumulate_grad(out.grad / other.data)
-                other.accumulate_grad(-out.grad * self.data / (other.data * other.data))
+            def _backward(grad):
+                self.accumulate_grad(grad / other.data)
+                other.accumulate_grad(-grad * self.data / (other.data * other.data))
             out._backward = _backward
         return out
 
@@ -198,8 +203,8 @@ class Tensor:
             raise TypeError("only scalar exponents are supported")
         out = Tensor.result_of(self.data ** exponent, (self,), f"**{exponent}")
         if out.requires_grad:
-            def _backward():
-                self.accumulate_grad(out.grad * exponent * self.data ** (exponent - 1))
+            def _backward(grad):
+                self.accumulate_grad(grad * exponent * self.data ** (exponent - 1))
             out._backward = _backward
         return out
 
@@ -214,8 +219,8 @@ class Tensor:
         original = self.data.shape
         out = Tensor.result_of(self.data.reshape(shape), (self,), "reshape")
         if out.requires_grad:
-            def _backward():
-                self.accumulate_grad(out.grad.reshape(original))
+            def _backward(grad):
+                self.accumulate_grad(grad.reshape(original))
             out._backward = _backward
         return out
 
@@ -225,8 +230,8 @@ class Tensor:
             raise DimensionError(f"transpose expects a matrix, got shape {self.data.shape}")
         out = Tensor.result_of(self.data.T, (self,), "T")
         if out.requires_grad:
-            def _backward():
-                self.accumulate_grad(out.grad.T)
+            def _backward(grad):
+                self.accumulate_grad(grad.T)
             out._backward = _backward
         return out
 
@@ -236,11 +241,10 @@ class Tensor:
         out = Tensor.result_of(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
         if out.requires_grad:
             shape = self.data.shape
-            def _backward():
-                g = out.grad
+            def _backward(grad):
                 if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self.accumulate_grad(np.broadcast_to(g, shape))
+                    grad = np.expand_dims(grad, axis)
+                self.accumulate_grad(np.broadcast_to(grad, shape))
             out._backward = _backward
         return out
 
@@ -259,10 +263,11 @@ class Tensor:
 
 def exp(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    out = Tensor.result_of(np.exp(t.data), (t,), "exp")
+    data = np.exp(t.data)
+    out = Tensor.result_of(data, (t,), "exp")
     if out.requires_grad:
-        def _backward():
-            t.accumulate_grad(out.grad * out.data)
+        def _backward(grad):
+            t.accumulate_grad(grad * data)
         out._backward = _backward
     return out
 
@@ -271,18 +276,19 @@ def log(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     out = Tensor.result_of(np.log(t.data), (t,), "log")
     if out.requires_grad:
-        def _backward():
-            t.accumulate_grad(out.grad / t.data)
+        def _backward(grad):
+            t.accumulate_grad(grad / t.data)
         out._backward = _backward
     return out
 
 
 def sqrt(t: Tensor) -> Tensor:
     t = _as_tensor(t)
-    out = Tensor.result_of(np.sqrt(t.data), (t,), "sqrt")
+    data = np.sqrt(t.data)
+    out = Tensor.result_of(data, (t,), "sqrt")
     if out.requires_grad:
-        def _backward():
-            t.accumulate_grad(out.grad * 0.5 / out.data)
+        def _backward(grad):
+            t.accumulate_grad(grad * 0.5 / data)
         out._backward = _backward
     return out
 
@@ -292,8 +298,8 @@ def softplus(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     out = Tensor.result_of(np.logaddexp(0.0, t.data), (t,), "softplus")
     if out.requires_grad:
-        def _backward():
-            t.accumulate_grad(out.grad * expit(t.data))
+        def _backward(grad):
+            t.accumulate_grad(grad * expit(t.data))
         out._backward = _backward
     return out
 
@@ -306,9 +312,9 @@ def normal_cdf(t: Tensor) -> Tensor:
     t = _as_tensor(t)
     out = Tensor.result_of(ndtr(t.data), (t,), "normal_cdf")
     if out.requires_grad:
-        def _backward():
+        def _backward(grad):
             density = _INV_SQRT_2PI * np.exp(-0.5 * t.data * t.data)
-            t.accumulate_grad(out.grad * density)
+            t.accumulate_grad(grad * density)
         out._backward = _backward
     return out
 
@@ -325,9 +331,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     out = Tensor.result_of(a.data @ b.data, (a, b), "matmul")
     if out.requires_grad:
-        def _backward():
-            a.accumulate_grad(out.grad @ b.data.T)
-            b.accumulate_grad(a.data.T @ out.grad)
+        def _backward(grad):
+            a.accumulate_grad(grad @ b.data.T)
+            b.accumulate_grad(a.data.T @ grad)
         out._backward = _backward
     return out
 
@@ -349,10 +355,9 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     probs = exps / exps.sum(axis=axis, keepdims=True)
     out = Tensor.result_of(probs, (t,), "softmax")
     if out.requires_grad:
-        def _backward():
-            g = out.grad
-            inner = (g * probs).sum(axis=axis, keepdims=True)
-            t.accumulate_grad(probs * (g - inner))
+        def _backward(grad):
+            inner = (grad * probs).sum(axis=axis, keepdims=True)
+            t.accumulate_grad(probs * (grad - inner))
         out._backward = _backward
     return out
 
@@ -374,20 +379,6 @@ def coefficient_of_variation_sq(t: Tensor, eps: float = CV_EPSILON) -> Tensor:
 # -- indexed access ----------------------------------------------------------
 
 
-def take_rows(t: Tensor, index) -> Tensor:
-    """Select rows along axis 0; gradients scatter-add back."""
-    t = _as_tensor(t)
-    index = np.asarray(index, dtype=np.intp)
-    out = Tensor.result_of(t.data[index], (t,), "take_rows")
-    if out.requires_grad:
-        def _backward():
-            buf = np.zeros_like(t.data)
-            np.add.at(buf, index, out.grad)
-            t.accumulate_grad(buf)
-        out._backward = _backward
-    return out
-
-
 def gather(t: Tensor, rows, cols) -> Tensor:
     """Fancy-indexed read t[rows, cols]; duplicates accumulate on backward."""
     t = _as_tensor(t)
@@ -395,24 +386,10 @@ def gather(t: Tensor, rows, cols) -> Tensor:
     cols = np.asarray(cols, dtype=np.intp)
     out = Tensor.result_of(t.data[rows, cols], (t,), "gather")
     if out.requires_grad:
-        def _backward():
+        def _backward(grad):
             buf = np.zeros_like(t.data)
-            np.add.at(buf, (rows, cols), out.grad)
+            np.add.at(buf, (rows, cols), grad)
             t.accumulate_grad(buf)
-        out._backward = _backward
-    return out
-
-
-def scatter_rows(values: Tensor, index, n_rows: int) -> Tensor:
-    """Place `values` rows into a zero (n_rows, d) tensor at `index`."""
-    values = _as_tensor(values)
-    index = np.asarray(index, dtype=np.intp)
-    data = np.zeros((n_rows,) + values.data.shape[1:], dtype=np.float64)
-    np.add.at(data, index, values.data)
-    out = Tensor.result_of(data, (values,), "scatter_rows")
-    if out.requires_grad:
-        def _backward():
-            values.accumulate_grad(out.grad[index])
         out._backward = _backward
     return out
 

@@ -19,9 +19,10 @@ from .errors import ConfigError, TrainingDivergedError
 from .layers import Module, cross_entropy
 from .metrics import EvalReport
 from .model import ModelConfig, build_model
-from .moe import GateDecision, importance_loss, load_loss, load_probability, noisy_gate
+from .moe import (GateDecision, importance_loss, load_loss, load_probability, noise_scale,
+                  noisy_gate)
 from .pipeline import EncodedDataset
-from .tensor import RngState, Tensor, coefficient_of_variation_sq, matmul, softplus
+from .tensor import RngState, Tensor, coefficient_of_variation_sq
 
 log = logging.getLogger("flowmoe.training")
 
@@ -259,7 +260,7 @@ def expert_utilization(model: Module, dataset: EncodedDataset,
         if cfg.top_k < n:
             # apply the selection-probability formula to the clean scores,
             # with the learned noise scales standing in for the live noise
-            std = softplus(matmul(features, model.head.router.w_noise))
+            std = noise_scale(model.head.router, features)
             probe = GateDecision(
                 clean_logits=decision.clean_logits, noise_std=std,
                 noisy_logits=decision.noisy_logits, gates=decision.gates,

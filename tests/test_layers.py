@@ -53,6 +53,38 @@ class TestConv1d:
 
         check_gradients(build, [x, w, b])
 
+    def test_gradient_last_cell_shape(self, rng):
+        # the backbone's last cell sees (batch, 64, 1): only the middle kernel
+        # tap touches real input, the outer two read padding
+        x = rng.normal((2, 64, 1))
+        w = rng.normal((4, 64, 3))
+        b = rng.normal((4,))
+        probe = rng.normal((2, 4, 1))
+
+        def build():
+            tx = Tensor(x, requires_grad=True)
+            tw = Tensor(w, requires_grad=True)
+            tb = Tensor(b, requires_grad=True)
+            return (conv1d(tx, tw, tb) * Tensor(probe)).sum(), [tx, tw, tb]
+
+        check_gradients(build, [x, w, b])
+
+    @pytest.mark.parametrize("kernel, padding", [(3, 1), (3, 0), (5, 2), (1, 0)])
+    def test_matches_loop_reference(self, rng, kernel, padding):
+        x = rng.normal((3, 4, 7))
+        w = rng.normal((5, 4, kernel))
+        b = rng.normal((5,))
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+        out_len = padded.shape[2] - kernel + 1
+        expected = np.empty((3, 5, out_len))
+        for batch in range(3):
+            for o in range(5):
+                for pos in range(out_len):
+                    expected[batch, o, pos] = b[o] + np.sum(
+                        w[o] * padded[batch, :, pos:pos + kernel])
+        out = conv1d(Tensor(x), Tensor(w), Tensor(b), padding)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+
 
 class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from flowmoe.errors import ConfigError
 from flowmoe.moe import (
+    NOISE_STD_FLOOR,
     Expert,
     GateDecision,
     MoEConfig,
@@ -144,6 +145,21 @@ class TestNoisyGate:
         assert router.w_noise.grad is not None
         assert np.any(router.w_noise.grad != 0.0)
 
+    def test_noise_scale_floor_keeps_load_finite(self):
+        # softplus(x @ w_noise) underflows to exactly 0 here; with the zero
+        # initial w_gate every margin is 0 as well, so without the floor the
+        # load probability would be 0/0
+        router = Router(tiny_config())
+        router.w_noise.data = np.full((6, 4), -1000.0)
+        x = Tensor(1.0 + np.abs(RngState(4).normal((3, 6))), requires_grad=True)
+        decision = noisy_gate(router, x, 2, True, RngState(5))
+        np.testing.assert_allclose(decision.noise_std.data, NOISE_STD_FLOOR)
+        load_p = load_probability(decision, 2)
+        assert np.all(np.isfinite(load_p.data))
+        load_loss(load_p).backward()
+        assert np.all(np.isfinite(router.w_gate.grad))
+        assert np.all(np.isfinite(x.grad))
+
     def test_gradient_noise_off(self, rng):
         w_g = rng.normal((4, 3))
         x = rng.normal((2, 4))
@@ -206,6 +222,41 @@ class TestMoEForward:
         head.experts[sentinel].out.bias.data[:] = np.nan  # would poison if evaluated
         out = moe_forward(head.experts, decision, x)
         assert np.all(np.isfinite(out.data))
+
+    @pytest.mark.parametrize("n_experts, top_k, idle", [(4, 2, 3), (3, 3, None)])
+    def test_gradient(self, rng, n_experts, top_k, idle):
+        head = MoEHead(tiny_config(n_experts=n_experts, top_k=top_k), rng)
+        params = [p for expert in head.experts for p in expert.parameters()]
+        x = rng.normal((5, 6))
+        logits = spaced_logits(rng, (5, n_experts))
+        if idle is not None:
+            logits[:, idle] = -100.0  # ranked last in every row: never routed
+        probe = rng.normal((5, 5))
+        no_noise = np.zeros_like(logits)
+
+        def build():
+            for p in params:
+                p.zero_grad()
+            tx = Tensor(x, requires_grad=True)
+            decision = make_decision(logits, no_noise, no_noise, top_k)
+            out = moe_forward(head.experts, decision, tx)
+            return (out * Tensor(probe)).sum(), [tx, decision.clean_logits, *params]
+
+        loss, _ = build()
+        loss.backward()
+        for i, expert in enumerate(head.experts):
+            routed = i != idle
+            assert all((p.grad is not None) == routed for p in expert.parameters())
+        check_gradients(build, [x, logits] + [p.data for p in params])
+
+    def test_one_graph_node(self, rng):
+        head = MoEHead(tiny_config(), rng)
+        x = Tensor(rng.normal((3, 6)), requires_grad=True)
+        decision = noisy_gate(head.router, x, 2, True, RngState(1))
+        out = moe_forward(head.experts, decision, x)
+        assert out._op == "expert_mixture"
+        assert out._parents[:2] == (x, decision.gates)
+        assert len(out._parents) == 2 + 4 * len(head.experts)
 
 
 class TestImportanceLoss:

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,28 @@ class TestParse:
         assert line == 5  # header + rows 1..3, the bad row is file line 5
         assert "TotBytes" in reason
         assert any("TotBytes" in message for message in caplog.messages)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400", "-1e400"])
+    def test_non_finite_numeric_cell_skips_row(self, tmp_path, flow_rows, schema, caplog,
+                                               cell):
+        flow_rows[3]["TotBytes"] = cell
+        path = write_flow_csv(tmp_path / "inf_cell.csv", flow_rows)
+        with caplog.at_level(logging.WARNING):
+            result = parse_flow_csv(path, schema)
+        assert len(result.records) == len(flow_rows) - 1
+        assert [line for line, _ in result.skipped] == [5]
+        assert "TotBytes" in result.skipped[0][1]
+        assert any("line 5" in message for message in caplog.messages)
+        assert all(math.isfinite(value) for record in result.records
+                   for value in record.values.values() if isinstance(value, float))
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "-nan", "+NAN"])
+    def test_nan_spellings_are_missing(self, tmp_path, flow_rows, schema, cell):
+        flow_rows[2]["Dur"] = cell
+        path = write_flow_csv(tmp_path / "nan_cell.csv", flow_rows)
+        result = parse_flow_csv(path, schema)
+        assert result.skipped == []
+        assert result.records[2].values["Dur"] is None
 
     def test_unknown_label_skips_row(self, tmp_path, flow_rows, schema):
         flow_rows[0][LABEL_COLUMN] = "Quantum flood"

@@ -14,12 +14,10 @@ from flowmoe.tensor import (
     gather,
     matmul,
     normal_cdf,
-    scatter_rows,
     softmax,
     softplus,
     sqrt,
     standard_normal_sample,
-    take_rows,
 )
 
 from conftest import spaced_logits
@@ -249,16 +247,6 @@ class TestSampling:
 
 
 class TestIndexedOps:
-    def test_take_rows_gradient(self, rng):
-        x = rng.normal((5, 3))
-        idx = np.array([0, 2, 2, 4])
-
-        def build():
-            t = Tensor(x, requires_grad=True)
-            return (take_rows(t, idx) * 2.0).sum(), [t]
-
-        check_gradients(build, [x])
-
     def test_gather_gradient_with_duplicates(self, rng):
         x = rng.normal((4, 6))
         rows = np.array([0, 0, 1, 3])
@@ -269,12 +257,3 @@ class TestIndexedOps:
             return (gather(t, rows, cols) ** 2).sum(), [t]
 
         check_gradients(build, [x])
-
-    def test_scatter_rows_roundtrip(self, rng):
-        values = rng.normal((3, 2))
-
-        def build():
-            t = Tensor(values, requires_grad=True)
-            return scatter_rows(t, np.array([4, 0, 2]), 6).sum(), [t]
-
-        check_gradients(build, [values])

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from flowmoe.training import (
     fit,
     history_to_json,
     model_config_for,
+    predict,
     total_loss,
     train,
 )
@@ -302,10 +304,39 @@ class TestUtilization:
         assert summary["importance_cv_sq"] == pytest.approx(0.0, abs=1e-20)
         assert summary["load_cv_sq"] == pytest.approx(0.0, abs=1e-20)
 
+    def test_noise_scale_floor_keeps_load_finite(self, rng):
+        config = ModelConfig(variant="cnn_moe", cnn_filters=(4, 4, 4, 8),
+                             n_experts=4, top_k=2, expert_hidden=4)
+        model = build_model(config, rng)
+        # softplus underflows to 0 on every row with a positive feature, and
+        # the zero gate weights tie every clean score
+        model.head.router.w_noise.data[:] = -1e4
+        summary = expert_utilization(model, make_blobs(60, seed=2))
+        assert all(math.isfinite(v) for v in summary["load_estimate"])
+        assert math.isfinite(summary["load_cv_sq"])
+
     def test_requires_expert_head(self, rng):
         model = build_model(ModelConfig(variant="dense"), rng)
         with pytest.raises(ConfigError):
             expert_utilization(model, make_blobs(10, seed=0))
+
+
+class TestGraphLifetime:
+    def test_step_and_predict_leave_no_cyclic_garbage(self):
+        # autodiff graphs hold no reference cycles, so reference counting
+        # alone frees them
+        train_set, _ = tiny_blob_split(n=96)
+        config = TrainConfig(seed=1, max_epochs=1, **{k: v for k, v in TINY.items()
+                                                      if k != "max_epochs"})
+        model = build_model(model_config_for(config), RngState(1))
+        gc.collect()
+        gc.disable()
+        try:
+            train(model, train_set, config)
+            predict(model, train_set.x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestHistory:
