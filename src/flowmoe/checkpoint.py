@@ -17,6 +17,10 @@ Byte layout (all integers little-endian):
                       8*prod(dims) float64 data
     end-32  32    SHA-256 of every preceding byte
 
+Everything but the tensor blocks is the envelope of :mod:`flowmoe.container`,
+shared with the dataset cache.  A malformed file raises
+``CheckpointIntegrityError``, another format version ``CheckpointVersionError``.
+
 The tensor blocks carry the full ``state_dict`` (parameters and batch-norm
 running statistics), so ``load(save(model))`` reproduces eval-mode outputs
 bit-exactly.  Nothing time-dependent is written: two identically seeded runs
@@ -25,15 +29,13 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
-import io
-import json
+import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import CheckpointIntegrityError, CheckpointVersionError
 from .layers import Module
 from .model import ModelConfig, build_model
@@ -57,77 +59,61 @@ class LoadedCheckpoint:
 def save_checkpoint(path, model: Module, train_config: TrainConfig,
                     pipeline_stats: PipelineStats | None = None,
                     metadata: dict | None = None) -> None:
-    header = json.dumps({
+    header = {
         "model_config": model.config.to_dict(),
         "train_config": train_config.to_dict(),
         "pipeline_stats": pipeline_stats.to_dict() if pipeline_stats else None,
         "metadata": metadata or {},
-    }, sort_keys=True).encode()
-    buffer = io.BytesIO()
-    buffer.write(MAGIC)
-    buffer.write(struct.pack("<I", FORMAT_VERSION))
-    buffer.write(struct.pack("<I", len(header)))
-    buffer.write(header)
-    state = model.state_dict()
-    buffer.write(struct.pack("<I", len(state)))
+    }
+    container.write(path, MAGIC, FORMAT_VERSION, header, _tensor_blocks(model.state_dict()))
+
+
+def _tensor_blocks(state: dict[str, np.ndarray]):
+    yield struct.pack("<I", len(state))
     for name in sorted(state):
         array = np.ascontiguousarray(state[name], dtype=np.float64)
         encoded = name.encode()
-        buffer.write(struct.pack("<H", len(encoded)))
-        buffer.write(encoded)
-        buffer.write(struct.pack("<B", array.ndim))
-        for dim in array.shape:
-            buffer.write(struct.pack("<I", dim))
-        buffer.write(array.tobytes())
-    payload = buffer.getvalue()
-    Path(path).write_bytes(payload + hashlib.sha256(payload).digest())
+        yield struct.pack(f"<H{len(encoded)}sB{array.ndim}I",
+                          len(encoded), encoded, array.ndim, *array.shape)
+        yield array
+
+
+def _read_tensor_blocks(body: memoryview) -> dict[str, np.ndarray]:
+    offset = 0
+
+    def take(size: int) -> memoryview:
+        nonlocal offset
+        if offset + size > len(body):
+            raise CheckpointIntegrityError("checkpoint tensor blocks run past the file's end")
+        offset += size
+        return body[offset - size:offset]
+
+    state: dict[str, np.ndarray] = {}
+    for _ in range(*struct.unpack("<I", take(4))):
+        name = bytes(take(*struct.unpack("<H", take(2)))).decode()
+        rank, = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        state[name] = data.reshape(shape).copy()
+    if offset != len(body):
+        raise CheckpointIntegrityError(f"{len(body) - offset} bytes follow the last tensor")
+    return state
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC) + 40 or blob[:len(MAGIC)] != MAGIC:
-        raise CheckpointIntegrityError(f"{path} is not a flowmoe checkpoint")
-    payload, checksum = blob[:-32], blob[-32:]
-    if hashlib.sha256(payload).digest() != checksum:
-        raise CheckpointIntegrityError(
-            f"checksum mismatch in {path}; the file is truncated or corrupt"
-        )
-    version, = struct.unpack_from("<I", payload, 8)
-    if version != FORMAT_VERSION:
-        raise CheckpointVersionError(
-            f"checkpoint format version {version} is not supported "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    header_len, = struct.unpack_from("<I", payload, 12)
-    header = json.loads(payload[16:16 + header_len].decode())
-    offset = 16 + header_len
-    count, = struct.unpack_from("<I", payload, offset)
-    offset += 4
-    state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name_len, = struct.unpack_from("<H", payload, offset)
-        offset += 2
-        name = payload[offset:offset + name_len].decode()
-        offset += name_len
-        rank, = struct.unpack_from("<B", payload, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{rank}I", payload, offset) if rank else ()
-        offset += 4 * rank
-        n_values = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        array = np.frombuffer(payload, dtype="<f8", count=n_values, offset=offset)
-        state[name] = array.reshape(shape).copy()
-        offset += 8 * n_values
-    model_config = ModelConfig.from_dict(header["model_config"])
-    train_config = TrainConfig.from_dict(header["train_config"])
-    stats = PipelineStats.from_dict(header["pipeline_stats"]) \
-        if header["pipeline_stats"] else None
+    header, body = container.read(path, MAGIC, FORMAT_VERSION,
+                                  CheckpointIntegrityError, CheckpointVersionError)
+    try:
+        state = _read_tensor_blocks(body)
+        model_config = ModelConfig.from_dict(header["model_config"])
+        train_config = TrainConfig.from_dict(header["train_config"])
+        stats = PipelineStats.from_dict(header["pipeline_stats"]) \
+            if header["pipeline_stats"] else None
+        metadata = header["metadata"]
+    except (KeyError, TypeError, UnicodeDecodeError) as exc:
+        raise CheckpointIntegrityError(f"{path} is malformed: {exc!r}") from exc
     model = build_model(model_config, RngState(0))
     model.load_state_dict(state)
     model.eval()
-    return LoadedCheckpoint(
-        model=model,
-        model_config=model_config,
-        train_config=train_config,
-        pipeline_stats=stats,
-        metadata=header["metadata"],
-    )
+    return LoadedCheckpoint(model=model, model_config=model_config,
+                            train_config=train_config, pipeline_stats=stats, metadata=metadata)

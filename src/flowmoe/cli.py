@@ -20,8 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ablation import DEFAULT_CLI_GRID, NAMED_VARIANTS, ablation_config, \
-    run_ablation, run_expert_grid
+from .ablation import DEFAULT_CLI_GRID, NAMED_VARIANTS, ablation_config, run_ablation
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (
     CacheIntegrityError,
@@ -58,6 +57,13 @@ log = logging.getLogger("flowmoe.cli")
 CACHE_FILENAME = "dataset.cache"
 STATS_FILENAME = "pipeline_stats.json"
 SUMMARY_FILENAME = "preprocess_summary.json"
+
+# Allowed values of the options that take one, whether set by flag or config file.
+_CHOICES = {
+    "imputation": IMPUTATION_PROTOCOLS,
+    "report_format": ("text", "json", "both"),
+    "ablate": NAMED_VARIANTS,
+}
 
 
 @dataclass
@@ -136,10 +142,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if flag_value is not None:
             merged[name] = flag_value
     config = RunConfig(**merged)
-    if config.imputation not in IMPUTATION_PROTOCOLS:
-        raise ConfigError(
-            f"--imputation must be one of {IMPUTATION_PROTOCOLS}, got {config.imputation!r}"
-        )
+    for name, allowed in _CHOICES.items():
+        value = getattr(config, name)
+        if value is not None and value not in allowed:
+            raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
     return config
 
 
@@ -182,8 +188,9 @@ def _parse_grid(text: str):
     return tuple(pairs)
 
 
-def _load_splits(config: RunConfig, run_dir: Path | None):
-    """Encoded (train, test, stats) from a cache file or directly from CSV."""
+def _load_splits(config: RunConfig, run_dir: Path):
+    """Encoded (train, test, stats) from a cache file, or from the CSV, whose
+    cache is then written into ``run_dir``."""
     if config.cache:
         train, test, header = load_dataset_cache(config.cache)
         stats = PipelineStats.from_dict(header["stats"])
@@ -195,28 +202,19 @@ def _load_splits(config: RunConfig, run_dir: Path | None):
         config.dataset, schema, protocol=config.imputation,
         train_fraction=config.train_fraction, seed=config.seed,
     )
-    if run_dir is not None:
-        fingerprint = dataset_fingerprint(
-            config.dataset, schema, config.imputation, config.train_fraction, config.seed)
-        save_dataset_cache(run_dir / CACHE_FILENAME, prepared, fingerprint)
+    fingerprint = dataset_fingerprint(
+        config.dataset, schema, config.imputation, config.train_fraction, config.seed)
+    save_dataset_cache(run_dir / CACHE_FILENAME, prepared, fingerprint)
     names = prepared.stats.schema.class_names
     return (EncodedDataset.from_samples(prepared.train, names),
             EncodedDataset.from_samples(prepared.test, names),
             prepared.stats)
 
 
-def _write_report(report, path: Path, config: RunConfig, title: str) -> None:
-    if config.report_format in ("text", "both"):
-        print(title)
-        print(report.format_table())
-    path.write_text(report.to_json())
-    if config.report_format in ("json", "both"):
-        print(f"report written to {path}")
-
-
-def _checkpoint_metadata(config: TrainConfig, history) -> dict:
+def _save_run(run_dir: Path, model, config: TrainConfig, history, stats) -> None:
+    """Write one trained model's checkpoint and history into ``run_dir``."""
     final = history[-1] if history else {}
-    return {
+    metadata = {
         "epochs_run": len(history),
         "final_losses": {k: final.get(k) for k in
                          ("total", "cross_entropy", "importance", "load")},
@@ -225,6 +223,8 @@ def _checkpoint_metadata(config: TrainConfig, history) -> dict:
         "optimizer": config.optimizer,
         "learning_rate": config.learning_rate,
     }
+    save_checkpoint(run_dir / "model.ckpt", model, config, stats, metadata)
+    (run_dir / "history.json").write_text(history_to_json(history, config))
 
 
 # -- commands ------------------------------------------------------------
@@ -264,29 +264,36 @@ def cmd_preprocess(config: RunConfig) -> int:
     return 0
 
 
-def cmd_train(config: RunConfig) -> int:
+def _run_variants(config: RunConfig, variants) -> int:
+    """Train and evaluate each variant into its own subdirectory of one run
+    directory (checkpoint, history, report), printing one summary row each."""
     run_dir = _make_run_dir(config)
     train_set, test_set, stats = _load_splits(config, run_dir)
     base = config.train_config()
+    print(f"{'variant':<24} {'accuracy':>10} {'weighted F1':>12}")
+    for variant in variants:
+        result = run_ablation(base, variant, train_set, test_set)
+        sub = run_dir / result.variant
+        sub.mkdir()
+        _save_run(sub, result.model, result.config, result.history, stats)
+        (sub / "report.json").write_text(result.report.to_json())
+        print(f"{result.variant:<24} {result.report.accuracy:>10.5f} "
+              f"{result.report.weighted_f1:>12.5f}")
+    return 0
+
+
+def cmd_train(config: RunConfig) -> int:
     if config.expert_grid:
         pairs = _parse_grid(config.expert_grid)
         log.info("running expert grid over %s", pairs)
-        results = run_expert_grid(base, pairs, train_set, test_set)
-        for result in results:
-            sub = run_dir / result.variant
-            sub.mkdir()
-            save_checkpoint(sub / "model.ckpt", result.model, result.config, stats,
-                            _checkpoint_metadata(result.config, result.history))
-            (sub / "history.json").write_text(history_to_json(result.history, result.config))
-            _write_report(result.report, sub / "report.json", config,
-                          f"== {result.variant} ==")
-        return 0
+        return _run_variants(config, pairs)
+    run_dir = _make_run_dir(config)
+    train_set, _, stats = _load_splits(config, run_dir)
+    base = config.train_config()
     if config.ablate:
         base = ablation_config(base, config.ablate)
     model, history = fit(train_set, base)
-    save_checkpoint(run_dir / "model.ckpt", model, base, stats,
-                    _checkpoint_metadata(base, history))
-    (run_dir / "history.json").write_text(history_to_json(history, base))
+    _save_run(run_dir, model, base, history, stats)
     print(f"trained {base.max_epochs} epoch(s); checkpoint at {run_dir / 'model.ckpt'}")
     return 0
 
@@ -295,6 +302,8 @@ def _evaluation_data(config: RunConfig):
     """Dataset for evaluate/gating-report: cache test split, or a CSV encoded
     with the checkpoint's frozen statistics (labels never consulted for
     imputation)."""
+    if not config.checkpoint:
+        raise ConfigError("--checkpoint is required")
     loaded = load_checkpoint(config.checkpoint)
     if config.cache:
         _, test, header = load_dataset_cache(config.cache)
@@ -319,44 +328,31 @@ def _evaluation_data(config: RunConfig):
                                  use_labels=False)
         samples = encode(records, stats)
         return loaded, EncodedDataset.from_samples(samples, stats.schema.class_names)
-    raise ConfigError("evaluate requires --cache or --dataset")
+    raise ConfigError("--cache or --dataset is required")
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    if not config.checkpoint:
-        raise ConfigError("evaluate requires --checkpoint")
     loaded, data = _evaluation_data(config)
     report = evaluate(loaded.model, data, batch_size=config.batch_size)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_report(report, out / "evaluation_report.json", config, "== evaluation ==")
+    path = Path(config.out) / "evaluation_report.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if config.report_format in ("text", "both"):
+        print("== evaluation ==")
+        print(report.format_table())
+    path.write_text(report.to_json())
+    if config.report_format in ("json", "both"):
+        print(f"report written to {path}")
     return 0
 
 
 def cmd_ablate(config: RunConfig) -> int:
-    run_dir = _make_run_dir(config)
-    train_set, test_set, stats = _load_splits(config, run_dir)
-    base = config.train_config()
     variants: list = [config.ablate] if config.ablate else list(NAMED_VARIANTS)
     if config.expert_grid:
         variants.extend(_parse_grid(config.expert_grid))
-    print(f"{'variant':<24} {'accuracy':>10} {'weighted F1':>12}")
-    for variant in variants:
-        result = run_ablation(base, variant, train_set, test_set)
-        sub = run_dir / result.variant
-        sub.mkdir()
-        save_checkpoint(sub / "model.ckpt", result.model, result.config, stats,
-                        _checkpoint_metadata(result.config, result.history))
-        (sub / "history.json").write_text(history_to_json(result.history, result.config))
-        (sub / "report.json").write_text(result.report.to_json())
-        print(f"{result.variant:<24} {result.report.accuracy:>10.5f} "
-              f"{result.report.weighted_f1:>12.5f}")
-    return 0
+    return _run_variants(config, variants)
 
 
 def cmd_gating_report(config: RunConfig) -> int:
-    if not config.checkpoint:
-        raise ConfigError("gating-report requires --checkpoint")
     loaded, data = _evaluation_data(config)
     summary = expert_utilization(loaded.model, data, batch_size=config.batch_size)
     out = Path(config.out)
@@ -382,10 +378,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache", help="encoded dataset cache from 'preprocess'")
     sub.add_argument("--label-column", dest="label_column")
     sub.add_argument("--out", help="output directory")
-    sub.add_argument("--imputation", choices=list(IMPUTATION_PROTOCOLS))
+    sub.add_argument("--imputation", choices=_CHOICES["imputation"])
     sub.add_argument("--train-fraction", dest="train_fraction", type=float)
     sub.add_argument("--report-format", dest="report_format",
-                     choices=["text", "json", "both"])
+                     choices=_CHOICES["report_format"])
     sub.add_argument("--seed", type=int)
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batch-size", dest="batch_size", type=int)
@@ -393,7 +389,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--experts", type=int)
     sub.add_argument("--top-k", dest="top_k", type=int)
     sub.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sub.add_argument("--ablate", choices=list(NAMED_VARIANTS))
+    sub.add_argument("--ablate", choices=_CHOICES["ablate"])
     sub.add_argument("--expert-grid", dest="expert_grid", nargs="?", const="default",
                      help="comma-separated n:k pairs, or bare for the default sweep")
     sub.add_argument("--checkpoint", help="model checkpoint path")

@@ -44,13 +44,8 @@ class Module:
                         yield f"{name}.{i}", item
 
     def parameters(self) -> list[Tensor]:
-        params = []
-        for value in self.__dict__.values():
-            if isinstance(value, Tensor) and value.requires_grad:
-                params.append(value)
-        for _, child in self._children():
-            params.extend(child.parameters())
-        return params
+        values = (getattr(owner, attr) for owner, attr in self._named_slots().values())
+        return [value for value in values if isinstance(value, Tensor)]
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -71,14 +66,9 @@ class Module:
     def state_dict(self, prefix: str = "") -> dict[str, np.ndarray]:
         """Named copies of all parameters and buffers, checkpoint-ready."""
         state: dict[str, np.ndarray] = {}
-        for name, value in self.__dict__.items():
-            key = prefix + name
-            if isinstance(value, Tensor) and value.requires_grad:
-                state[key] = value.data.copy()
-            elif isinstance(value, np.ndarray):
-                state[key] = value.copy()
-        for name, child in self._children():
-            state.update(child.state_dict(prefix + name + "."))
+        for name, (owner, attr) in self._named_slots(prefix).items():
+            value = getattr(owner, attr)
+            state[name] = (value.data if isinstance(value, Tensor) else value).copy()
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
@@ -103,11 +93,13 @@ class Module:
                 setattr(holder, attr, value.copy())
 
     def _named_slots(self, prefix: str = "") -> dict:
+        """Dotted name -> (owner, attribute) for every parameter (grad-tracked
+        tensor) and buffer (ndarray): own attributes in ``__dict__`` order,
+        then each child's."""
         slots = {}
         for name, value in self.__dict__.items():
-            if isinstance(value, Tensor) and value.requires_grad:
-                slots[prefix + name] = (self, name)
-            elif isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray) or \
+                    (isinstance(value, Tensor) and value.requires_grad):
                 slots[prefix + name] = (self, name)
         for name, child in self._children():
             slots.update(child._named_slots(prefix + name + "."))

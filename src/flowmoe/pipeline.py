@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import logging
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import CacheIntegrityError, ConfigError, SchemaError, StratificationError
 from .tensor import RngState
 
@@ -372,10 +371,6 @@ class PipelineStats:
             fitted_on=raw["fitted_on"],
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "PipelineStats":
-        return cls.from_dict(json.loads(text))
-
 
 def fit_pipeline_stats(records, schema: FlowSchema,
                        imputation: ImputationTable) -> PipelineStats:
@@ -599,7 +594,7 @@ def save_dataset_cache(path, prepared: PreparedData, fingerprint: str = "") -> N
     """Versioned binary cache of the encoded train/test splits."""
     train = EncodedDataset.from_samples(prepared.train, prepared.stats.schema.class_names)
     test = EncodedDataset.from_samples(prepared.test, prepared.stats.schema.class_names)
-    header = json.dumps({
+    header = {
         "schema_hash": prepared.stats.schema_hash,
         "fingerprint": fingerprint,
         "class_names": list(prepared.stats.schema.class_names),
@@ -608,44 +603,32 @@ def save_dataset_cache(path, prepared: PreparedData, fingerprint: str = "") -> N
         "sample_shape": list(prepared.stats.schema.target_shape),
         "summary": prepared.summary,
         "stats": prepared.stats.to_dict(),
-    }, sort_keys=True).encode()
-    buffer = io.BytesIO()
-    buffer.write(_CACHE_MAGIC)
-    buffer.write(struct.pack("<I", _CACHE_VERSION))
-    buffer.write(struct.pack("<I", len(header)))
-    buffer.write(header)
-    for dataset in (train, test):
-        buffer.write(np.ascontiguousarray(dataset.x, dtype=np.float64).tobytes())
-        buffer.write(np.ascontiguousarray(dataset.y, dtype=np.int64).tobytes())
-    payload = buffer.getvalue()
-    checksum = hashlib.sha256(payload).digest()
-    Path(path).write_bytes(payload + checksum)
+    }
+    container.write(path, _CACHE_MAGIC, _CACHE_VERSION, header, (
+        np.ascontiguousarray(array, dtype=dtype)
+        for dataset in (train, test)
+        for array, dtype in ((dataset.x, np.float64), (dataset.y, np.int64))))
 
 
 def load_dataset_cache(path):
     """Load a cache file; returns (train, test, header dict)."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 48 or blob[:8] != _CACHE_MAGIC:
-        raise CacheIntegrityError(f"{path} is not a flowmoe dataset cache")
-    payload, checksum = blob[:-32], blob[-32:]
-    if hashlib.sha256(payload).digest() != checksum:
-        raise CacheIntegrityError(f"checksum mismatch in {path}; file is corrupt")
-    version, = struct.unpack_from("<I", payload, 8)
-    if version != _CACHE_VERSION:
-        raise CacheIntegrityError(
-            f"cache version {version} unsupported (expected {_CACHE_VERSION})"
-        )
-    header_len, = struct.unpack_from("<I", payload, 12)
-    header = json.loads(payload[16:16 + header_len].decode())
-    rows, cols = header["sample_shape"]
-    offset = 16 + header_len
-    datasets = []
-    for count in (header["n_train"], header["n_test"]):
-        x_bytes = count * rows * cols * 8
-        x = np.frombuffer(payload, dtype=np.float64, count=count * rows * cols,
-                          offset=offset).reshape(count, rows, cols).copy()
-        offset += x_bytes
-        y = np.frombuffer(payload, dtype=np.int64, count=count, offset=offset).copy()
-        offset += count * 8
-        datasets.append(EncodedDataset(x=x, y=y, class_names=tuple(header["class_names"])))
+    header, body = container.read(path, _CACHE_MAGIC, _CACHE_VERSION,
+                                  CacheIntegrityError, CacheIntegrityError)
+    try:
+        n_train, n_test = header["n_train"], header["n_test"]
+        rows, cols = header["sample_shape"]
+        class_names = tuple(header["class_names"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CacheIntegrityError(f"{path}: malformed cache header ({exc!r})") from exc
+    if not all(isinstance(v, int) and v >= 0 for v in (n_train, n_test, rows, cols)) \
+            or (n_train + n_test) * (rows * cols + 1) * 8 != len(body):
+        raise CacheIntegrityError(f"{path}: a {len(body)}-byte body does not hold "
+                                  f"{n_train} + {n_test} samples of {rows}x{cols}")
+    datasets, offset = [], 0
+    for count in (n_train, n_test):
+        x = np.frombuffer(body, np.float64, count * rows * cols, offset)
+        y = np.frombuffer(body, np.int64, count, offset + x.nbytes)
+        offset += x.nbytes + y.nbytes
+        datasets.append(EncodedDataset(x=x.reshape(count, rows, cols).copy(), y=y.copy(),
+                                       class_names=class_names))
     return datasets[0], datasets[1], header

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .errors import ConfigError, TrainingDivergedError
 from .layers import Module, cross_entropy
 from .metrics import EvalReport
 from .model import ModelConfig, build_model
-from .moe import (GateDecision, importance_loss, load_loss, load_probability, noise_scale,
-                  noisy_gate)
+from .moe import importance_loss, load_loss, load_probability, noise_scale, noisy_gate
 from .pipeline import EncodedDataset
 from .tensor import RngState, Tensor, coefficient_of_variation_sq
 
@@ -260,12 +259,7 @@ def expert_utilization(model: Module, dataset: EncodedDataset,
         if cfg.top_k < n:
             # apply the selection-probability formula to the clean scores,
             # with the learned noise scales standing in for the live noise
-            std = noise_scale(model.head.router, features)
-            probe = GateDecision(
-                clean_logits=decision.clean_logits, noise_std=std,
-                noisy_logits=decision.noisy_logits, gates=decision.gates,
-                selected_indices=decision.selected_indices, top_k=cfg.top_k,
-            )
+            probe = replace(decision, noise_std=noise_scale(model.head.router, features))
             load += load_probability(probe, cfg.top_k).data.sum(axis=0)
         else:
             load += np.full(n, float(x.data.shape[0]))

@@ -1,0 +1,130 @@
+"""The checksummed envelope shared by checkpoints and the dataset cache.
+
+Every damaged file except the truncated one carries a valid, recomputed
+SHA-256 trailer, so the named error must come from the header and body
+checks rather than from the checksum.
+"""
+
+import hashlib
+import json
+import struct
+
+import pytest
+
+from flowmoe.checkpoint import load_checkpoint, save_checkpoint
+from flowmoe.cli import main
+from flowmoe.errors import (
+    CacheIntegrityError,
+    CheckpointIntegrityError,
+    CheckpointVersionError,
+)
+from flowmoe.model import build_model
+from flowmoe.pipeline import load_dataset_cache, prepare_dataset, save_dataset_cache
+from flowmoe.tensor import RngState
+from flowmoe.training import TrainConfig, model_config_for
+
+from csv_fixture import fixture_rows, write_flow_csv
+
+
+def _write_checkpoint(tmp_path):
+    config = TrainConfig(n_experts=4, top_k=2, cnn_filters=(4, 4, 4, 8), expert_hidden=4)
+    model = build_model(model_config_for(config), RngState(0))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, config)
+    return path
+
+
+def _write_cache(tmp_path):
+    csv = write_flow_csv(tmp_path / "flows.csv", fixture_rows(120))
+    path = tmp_path / "data.cache"
+    save_dataset_cache(path, prepare_dataset(csv, seed=4), "fp")
+    return path
+
+
+# format -> (writer, loader, error for a corrupt file, error for another version)
+FORMATS = {
+    "checkpoint": (_write_checkpoint, load_checkpoint,
+                   CheckpointIntegrityError, CheckpointVersionError),
+    "cache": (_write_cache, load_dataset_cache, CacheIntegrityError, CacheIntegrityError),
+}
+
+
+def _split(blob):
+    """(magic, version, header bytes, body) of an envelope, checksum dropped."""
+    magic, version, header_len = struct.unpack_from("<8sII", blob)
+    header = blob[16:16 + header_len]
+    return magic, version, header, blob[16 + header_len:-32]
+
+
+def _seal(magic, version, header, body, header_len=None):
+    length = len(header) if header_len is None else header_len
+    payload = struct.pack("<8sII", magic, version, length) + header + body
+    return payload + hashlib.sha256(payload).digest()
+
+
+def _truncated(blob):
+    return blob[:-7]
+
+
+def _bumped_version(blob):
+    magic, version, header, body = _split(blob)
+    return _seal(magic, version + 1, header, body)
+
+
+def _non_json_header(blob):
+    magic, version, header, body = _split(blob)
+    return _seal(magic, version, b"\xff" + header[1:], body)
+
+
+def _non_object_header(blob):
+    magic, version, _, body = _split(blob)
+    return _seal(magic, version, json.dumps([1, 2]).encode(), body)
+
+
+def _header_past_payload(blob):
+    magic, version, header, body = _split(blob)
+    return _seal(magic, version, header, body, header_len=len(header) + len(body) + 1)
+
+
+def _short_body(blob):
+    magic, version, header, body = _split(blob)
+    return _seal(magic, version, header, body[:-8])
+
+
+def _long_body(blob):
+    magic, version, header, body = _split(blob)
+    return _seal(magic, version, header, body + bytes(8))
+
+
+DAMAGE = {
+    "truncated": _truncated,
+    "bumped_version": _bumped_version,
+    "non_json_header": _non_json_header,
+    "non_object_header": _non_object_header,
+    "header_past_payload": _header_past_payload,
+    "body_shorter_than_declared": _short_body,
+    "body_longer_than_declared": _long_body,
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_damaged_file_raises_named_error(tmp_path, fmt, damage):
+    write, load, corrupt_error, version_error = FORMATS[fmt]
+    path = write(tmp_path)
+    load(path)  # the undamaged file loads
+    path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    expected = version_error if damage == "bumped_version" else corrupt_error
+    with pytest.raises(expected):
+        load(path)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cli_exits_4_on_short_body(tmp_path, fmt):
+    cache = _write_cache(tmp_path)
+    checkpoint = _write_checkpoint(tmp_path)
+    damaged = cache if fmt == "cache" else checkpoint
+    damaged.write_bytes(_short_body(damaged.read_bytes()))
+    code = main(["evaluate", "--checkpoint", str(checkpoint), "--cache", str(cache),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 4

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmoe.errors import CacheIntegrityError, SchemaError, StratificationError
+from flowmoe.errors import SchemaError, StratificationError
 from flowmoe.pipeline import (
     FEATURE_ORDER,
     NUMERIC_FEATURES,
@@ -360,16 +360,6 @@ class TestCache:
             train.x, EncodedDataset.from_samples(prepared.train).x)
         np.testing.assert_array_equal(
             test.y, EncodedDataset.from_samples(prepared.test).y)
-
-    def test_truncated_cache_rejected(self, tmp_path):
-        path = write_flow_csv(tmp_path / "big.csv", fixture_rows(120))
-        prepared = prepare_dataset(path, seed=4)
-        cache = tmp_path / "data.cache"
-        save_dataset_cache(cache, prepared, "fp")
-        blob = cache.read_bytes()
-        cache.write_bytes(blob[:-7])
-        with pytest.raises(CacheIntegrityError):
-            load_dataset_cache(cache)
 
     def test_fingerprint_tracks_inputs(self, flow_csv, tmp_path):
         schema = FlowSchema()
