@@ -11,7 +11,6 @@ from pathlib import Path
 
 from flowmoe import (
     CLASS_NAMES,
-    EncodedDataset,
     FlowSchema,
     TrainConfig,
     evaluate,
@@ -77,8 +76,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print("train/test:", prepared.summary["train_rows"], "/",
           prepared.summary["test_rows"])
 
-    train_set = EncodedDataset.from_samples(prepared.train)
-    test_set = EncodedDataset.from_samples(prepared.test)
+    train_set, test_set = prepared.train, prepared.test
 
     config = TrainConfig(batch_size=16, max_epochs=8, n_experts=8, top_k=2,
                          seed=0)

@@ -78,7 +78,6 @@ from .moe import (
 from .pipeline import (
     CLASS_NAMES,
     EncodedDataset,
-    EncodedSample,
     FlowRecord,
     FlowSchema,
     ImputationTable,

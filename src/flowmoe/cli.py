@@ -32,7 +32,6 @@ from .errors import (
 )
 from .pipeline import (
     DEFAULT_LABEL_COLUMN,
-    EncodedDataset,
     FlowSchema,
     IMPUTATION_PROTOCOLS,
     PipelineStats,
@@ -205,10 +204,7 @@ def _load_splits(config: RunConfig, run_dir: Path):
     fingerprint = dataset_fingerprint(
         config.dataset, schema, config.imputation, config.train_fraction, config.seed)
     save_dataset_cache(run_dir / CACHE_FILENAME, prepared, fingerprint)
-    names = prepared.stats.schema.class_names
-    return (EncodedDataset.from_samples(prepared.train, names),
-            EncodedDataset.from_samples(prepared.test, names),
-            prepared.stats)
+    return prepared.train, prepared.test, prepared.stats
 
 
 def _save_run(run_dir: Path, model, config: TrainConfig, history, stats) -> None:
@@ -326,8 +322,7 @@ def _evaluation_data(config: RunConfig):
         parsed = parse_flow_csv(config.dataset, stats.schema)
         records = apply_imputers(parsed.records, stats.imputation, stats.schema,
                                  use_labels=False)
-        samples = encode(records, stats)
-        return loaded, EncodedDataset.from_samples(samples, stats.schema.class_names)
+        return loaded, encode(records, stats)
     raise ConfigError("--cache or --dataset is required")
 
 

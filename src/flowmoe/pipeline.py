@@ -402,14 +402,18 @@ def fit_pipeline_stats(records, schema: FlowSchema,
 
 
 @dataclass
-class EncodedSample:
-    """One model-ready sample: a 6x13 matrix plus its class index."""
+class EncodedDataset:
+    """Model-ready samples: 6x13 matrices with their class indices."""
 
-    features: np.ndarray
-    label: int | None
+    x: np.ndarray        # (n, 6, 13)
+    y: np.ndarray        # (n,)
+    class_names: tuple
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
 
-def encode(records, stats: PipelineStats) -> list:
+def encode(records, stats: PipelineStats) -> EncodedDataset:
     """Scale, one-hot, concatenate to 78 values, and reshape to 6x13.
 
     Numeric features map to (x - min) / (max - min) with zero-width training
@@ -426,58 +430,34 @@ def encode(records, stats: PipelineStats) -> list:
             f"encoded width {total} != schema width {schema.total_width}; "
             f"per-feature widths: {widths}"
         )
-    rows, cols = schema.target_shape
     numeric = set(schema.numeric_features)
-    samples = []
-    for rec in records:
-        parts = np.empty(total, dtype=np.float64)
-        cursor = 0
-        for feat in schema.feature_order:
-            value = rec.values[feat]
-            if feat in numeric:
-                if value is None:
-                    raise SchemaError(
-                        f"numeric feature {feat} is missing; run imputation before encode"
-                    )
-                lo, hi = stats.numeric_min[feat], stats.numeric_max[feat]
-                parts[cursor] = 0.0 if hi == lo else (value - lo) / (hi - lo)
-                cursor += 1
-            else:
-                width = widths[feat]
-                block = np.zeros(width)
-                if value is not None and value in stats.vocab[feat]:
-                    index = stats.vocab[feat].index(value)
-                    if index > 0:  # the first level is dropped
-                        block[index - 1] = 1.0
-                parts[cursor:cursor + width] = block
-                cursor += width
-        samples.append(EncodedSample(features=parts.reshape(rows, cols), label=rec.label))
-    return samples
+    flat = np.zeros((len(records), total))
+    cursor = 0
+    for feat in schema.feature_order:
+        column = [rec.values[feat] for rec in records]
+        if feat in numeric:
+            if None in column:
+                raise SchemaError(
+                    f"numeric feature {feat} is missing; run imputation before encode"
+                )
+            lo, hi = stats.numeric_min[feat], stats.numeric_max[feat]
+            if hi != lo:
+                flat[:, cursor] = (np.asarray(column, dtype=np.float64) - lo) / (hi - lo)
+        else:
+            # the first level is dropped, so vocab[i] sets slot i - 1
+            slots = {value: i for i, value in enumerate(stats.vocab[feat][1:])}
+            slot = np.asarray([slots.get(value, -1) for value in column], dtype=np.int64)
+            hit = np.nonzero(slot >= 0)[0]
+            flat[hit, cursor + slot[hit]] = 1.0
+        cursor += widths[feat]
+    return EncodedDataset(
+        x=flat.reshape(len(records), *schema.target_shape),
+        y=np.asarray([rec.label for rec in records], dtype=np.int64),
+        class_names=tuple(schema.class_names),
+    )
 
 
-@dataclass
-class EncodedDataset:
-    """Stacked samples ready for batching."""
-
-    x: np.ndarray        # (n, 6, 13)
-    y: np.ndarray        # (n,)
-    class_names: tuple
-
-    @classmethod
-    def from_samples(cls, samples, class_names=CLASS_NAMES) -> "EncodedDataset":
-        if not samples:
-            return cls(x=np.zeros((0, 6, 13)), y=np.zeros(0, dtype=np.int64),
-                       class_names=tuple(class_names))
-        x = np.stack([s.features for s in samples])
-        y = np.asarray([s.label for s in samples], dtype=np.int64)
-        return cls(x=x, y=y, class_names=tuple(class_names))
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-
-def stratified_split(items, train_fraction: float = 0.6, seed: int = 0,
-                     labels=None):
+def stratified_split(items, train_fraction: float = 0.6, seed: int = 0):
     """Deterministic per-class split preserving class proportions.
 
     Each class contributes floor(fraction * count) items to the training
@@ -487,9 +467,7 @@ def stratified_split(items, train_fraction: float = 0.6, seed: int = 0,
     if not (0.0 < train_fraction < 1.0):
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     items = list(items)
-    if labels is None:
-        labels = [item.label for item in items]
-    labels = np.asarray(labels)
+    labels = np.asarray([item.label for item in items])
     rng = RngState(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -510,8 +488,8 @@ def stratified_split(items, train_fraction: float = 0.6, seed: int = 0,
 
 @dataclass
 class PreparedData:
-    train: list
-    test: list
+    train: EncodedDataset
+    test: EncodedDataset
     stats: PipelineStats
     summary: dict
 
@@ -592,34 +570,41 @@ def dataset_fingerprint(csv_path, schema: FlowSchema, protocol: str,
 
 def save_dataset_cache(path, prepared: PreparedData, fingerprint: str = "") -> None:
     """Versioned binary cache of the encoded train/test splits."""
-    train = EncodedDataset.from_samples(prepared.train, prepared.stats.schema.class_names)
-    test = EncodedDataset.from_samples(prepared.test, prepared.stats.schema.class_names)
     header = {
         "schema_hash": prepared.stats.schema_hash,
         "fingerprint": fingerprint,
         "class_names": list(prepared.stats.schema.class_names),
-        "n_train": len(train),
-        "n_test": len(test),
+        "n_train": len(prepared.train),
+        "n_test": len(prepared.test),
         "sample_shape": list(prepared.stats.schema.target_shape),
         "summary": prepared.summary,
         "stats": prepared.stats.to_dict(),
     }
     container.write(path, _CACHE_MAGIC, _CACHE_VERSION, header, (
         np.ascontiguousarray(array, dtype=dtype)
-        for dataset in (train, test)
+        for dataset in (prepared.train, prepared.test)
         for array, dtype in ((dataset.x, np.float64), (dataset.y, np.int64))))
 
 
 def load_dataset_cache(path):
-    """Load a cache file; returns (train, test, header dict)."""
+    """Load a cache file; returns (train, test, header dict).
+
+    Besides the sizes, the header's ``stats`` must parse into PipelineStats
+    and its ``schema_hash`` and ``fingerprint`` must be strings, so callers
+    can read those keys unchecked.
+    """
     header, body = container.read(path, _CACHE_MAGIC, _CACHE_VERSION,
                                   CacheIntegrityError, CacheIntegrityError)
     try:
         n_train, n_test = header["n_train"], header["n_test"]
         rows, cols = header["sample_shape"]
         class_names = tuple(header["class_names"])
-    except (KeyError, TypeError, ValueError) as exc:
+        PipelineStats.from_dict(header["stats"])
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise CacheIntegrityError(f"{path}: malformed cache header ({exc!r})") from exc
+    if not all(isinstance(header.get(key), str) for key in ("schema_hash", "fingerprint")):
+        raise CacheIntegrityError(f"{path}: cache header lacks a string schema_hash "
+                                  "or fingerprint")
     if not all(isinstance(v, int) and v >= 0 for v in (n_train, n_test, rows, cols)) \
             or (n_train + n_test) * (rows * cols + 1) * 8 != len(body):
         raise CacheIntegrityError(f"{path}: a {len(body)}-byte body does not hold "

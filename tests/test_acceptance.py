@@ -347,14 +347,14 @@ def test_c07_pipeline_shape_contract(tmp_path):
     records = apply_imputers(records, table, schema, use_labels=True)
     stats = fit_pipeline_stats(records, schema, table)
     assert sum(stats.encoded_widths().values()) == 78
-    samples = encode(records, stats)
-    for sample in samples:
-        assert sample.features.shape == (6, 13)
-        flat = sample.features.reshape(-1)
+    data = encode(records, stats)
+    for i in range(len(data)):
+        assert data.x[i].shape == (6, 13)
+        flat = data.x[i].reshape(-1)
         assert flat.shape == (78,)
         for r in range(6):
             for c in range(13):
-                assert sample.features[r, c] == flat[13 * r + c]
+                assert data.x[i][r, c] == flat[13 * r + c]
     # dropping one category from the training vocabulary must fail loudly
     drifted = [dict(row) for row in rows]
     for row in drifted:
@@ -414,8 +414,8 @@ def test_c09_benchmark_reproduction(tmp_path):
     train_records = apply_imputers(train_records, table, schema, use_labels=True)
     test_records = apply_imputers(test_records, table, schema, use_labels=False)
     stats = fit_pipeline_stats(train_records, schema, table)
-    train_set = EncodedDataset.from_samples(encode(train_records, stats))
-    test_set = EncodedDataset.from_samples(encode(test_records, stats))
+    train_set = encode(train_records, stats)
+    test_set = encode(test_records, stats)
     config = TrainConfig(max_epochs=epochs, seed=9)
     model, _ = fit(train_set, config)
     report = evaluate(model, test_set)

@@ -128,3 +128,36 @@ def test_cli_exits_4_on_short_body(tmp_path, fmt):
     code = main(["evaluate", "--checkpoint", str(checkpoint), "--cache", str(cache),
                  "--out", str(tmp_path / "eval")])
     assert code == 4
+
+
+def _edit_cache_header(path, edit):
+    """Rewrite the cache header through ``edit`` and reseal it with a valid checksum."""
+    magic, version, header, body = _split(path.read_bytes())
+    fields = json.loads(header)
+    edit(fields)
+    path.write_bytes(_seal(magic, version, json.dumps(fields, sort_keys=True).encode(), body))
+
+
+HEADER_EDITS = {
+    "stats_missing": lambda h: h.pop("stats"),
+    "stats_unparseable": lambda h: h.update(stats={"schema": 1}),
+    "schema_hash_missing": lambda h: h.pop("schema_hash"),
+    "schema_hash_not_a_string": lambda h: h.update(schema_hash=7),
+    "fingerprint_missing": lambda h: h.pop("fingerprint"),
+}
+
+
+@pytest.mark.parametrize("edit", HEADER_EDITS)
+def test_cache_header_keys_are_checked_on_load(tmp_path, edit):
+    path = _write_cache(tmp_path)
+    _edit_cache_header(path, HEADER_EDITS[edit])
+    with pytest.raises(CacheIntegrityError):
+        load_dataset_cache(path)
+
+
+def test_cli_train_exits_4_on_cache_without_stats(tmp_path):
+    cache = _write_cache(tmp_path)
+    _edit_cache_header(cache, HEADER_EDITS["stats_missing"])
+    code = main(["train", "--cache", str(cache), "--out", str(tmp_path / "runs"),
+                 "--epochs", "1", "--experts", "4", "--top-k", "2", "--batch-size", "32"])
+    assert code == 4

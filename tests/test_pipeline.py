@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmoe.cli import main
 from flowmoe.errors import SchemaError, StratificationError
 from flowmoe.pipeline import (
     FEATURE_ORDER,
     NUMERIC_FEATURES,
-    EncodedDataset,
-    EncodedSample,
+    FlowRecord,
     FlowSchema,
     apply_imputers,
     dataset_fingerprint,
@@ -189,16 +190,14 @@ class TestEncode:
         stats.numeric_min["Dur"] = 0.0
         stats.numeric_max["Dur"] = 10.0
         records[0].values["Dur"] = 5.0
-        sample = encode(records[:1], stats)[0]
-        flat = sample.features.reshape(-1)
+        flat = encode(records[:1], stats).x[0].reshape(-1)
         assert flat[FEATURE_ORDER.index("Dur")] == pytest.approx(0.5)
 
     def test_zero_width_range_maps_to_zero(self, tmp_path, schema):
         records, stats = self._stats(tmp_path, fixture_rows(), schema)
         stats.numeric_min["Seq"] = 7.0
         stats.numeric_max["Seq"] = 7.0
-        sample = encode(records[:1], stats)[0]
-        assert sample.features.reshape(-1)[0] == 0.0
+        assert encode(records[:1], stats).x[0].reshape(-1)[0] == 0.0
 
     def test_width_and_reshape_contract(self, tmp_path, schema):
         records, stats = self._stats(tmp_path, fixture_rows(), schema)
@@ -209,17 +208,26 @@ class TestEncode:
         assert widths["Cause"] == 2
         assert widths["State"] == 10
         assert sum(widths.values()) == 78
-        samples = encode(records, stats)
-        assert all(s.features.shape == (6, 13) for s in samples)
+        data = encode(records, stats)
+        assert data.x.shape == (len(records), 6, 13)
+        assert data.y.dtype == np.int64
+        assert data.y.tolist() == [rec.label for rec in records]
+
+    def test_zero_records(self, tmp_path, schema):
+        _, stats = self._stats(tmp_path, fixture_rows(), schema)
+        data = encode([], stats)
+        assert data.x.shape == (0, 6, 13)
+        assert data.y.dtype == np.int64 and data.y.shape == (0,)
+        assert data.class_names == schema.class_names
 
     def test_row_major_reshape(self, tmp_path, schema):
         records, stats = self._stats(tmp_path, fixture_rows(), schema)
-        sample = encode(records[:1], stats)[0]
+        features = encode(records[:1], stats).x[0]
         # rebuild the flat vector independently and check (r, c) = flat[13r + c]
-        flat = sample.features.reshape(-1)
+        flat = features.reshape(-1)
         for r in range(6):
             for c in range(13):
-                assert sample.features[r, c] == flat[13 * r + c]
+                assert features[r, c] == flat[13 * r + c]
         # the first row starts with the scaled numerics in schema order
         assert flat.shape == (78,)
 
@@ -228,10 +236,10 @@ class TestEncode:
         proto_vocab = stats.vocab["Proto"]
         assert proto_vocab == VOCABS["Proto"]  # first-seen order
         offset = FEATURE_ORDER.index("Proto")  # numerics before Proto are 1 wide
-        first = encode([records[0]], stats)[0].features.reshape(-1)
+        first = encode([records[0]], stats).x[0].reshape(-1)
         block = first[offset:offset + 7]
         np.testing.assert_array_equal(block, np.zeros(7))  # first level dropped
-        second = encode([records[1]], stats)[0].features.reshape(-1)
+        second = encode([records[1]], stats).x[0].reshape(-1)
         expected = np.zeros(7)
         expected[0] = 1.0  # second category -> first one-hot slot
         np.testing.assert_array_equal(second[offset:offset + 7], expected)
@@ -240,7 +248,7 @@ class TestEncode:
         records, stats = self._stats(tmp_path, fixture_rows(), schema)
         records[0].values["Proto"] = "carrier-pigeon"
         offset = FEATURE_ORDER.index("Proto")
-        flat = encode(records[:1], stats)[0].features.reshape(-1)
+        flat = encode(records[:1], stats).x[0].reshape(-1)
         np.testing.assert_array_equal(flat[offset:offset + 7], np.zeros(7))
 
     def test_width_drift_fails_loudly(self, tmp_path, schema):
@@ -271,7 +279,7 @@ class TestStratifiedSplit:
         samples = []
         for label, count in enumerate(counts):
             for _ in range(count):
-                samples.append(EncodedSample(features=np.zeros((6, 13)), label=label))
+                samples.append(FlowRecord(values={}, label=label))
         return samples
 
     def test_single_class_60_40(self):
@@ -323,8 +331,7 @@ class TestPrepareDataset:
         assert prepared.summary["rows_parsed"] == 120
         assert len(prepared.train) + len(prepared.test) == 120
         assert prepared.stats.fitted_on == len(prepared.train)
-        data = EncodedDataset.from_samples(prepared.train)
-        assert data.x.shape[1:] == (6, 13)
+        assert prepared.train.x.shape[1:] == (6, 13)
 
     def test_protocols_differ_on_missing_data(self, tmp_path):
         rows = fixture_rows(120)
@@ -333,16 +340,15 @@ class TestPrepareDataset:
         verbatim = prepare_dataset(path, protocol="verbatim", seed=4)
         leak_free = prepare_dataset(path, protocol="leak-free", seed=4)
         assert verbatim.summary["protocol"] == "verbatim"
-        v = np.stack([s.features for s in verbatim.train + verbatim.test])
-        l = np.stack([s.features for s in leak_free.train + leak_free.test])
+        v = np.concatenate([verbatim.train.x, verbatim.test.x])
+        l = np.concatenate([leak_free.train.x, leak_free.test.x])
         assert not np.array_equal(v, l)
 
     def test_train_values_in_unit_interval(self, tmp_path):
         path = write_flow_csv(tmp_path / "big.csv", fixture_rows(120))
         prepared = prepare_dataset(path, seed=4)
-        for sample in prepared.train:
-            assert sample.features.min() >= 0.0
-            assert sample.features.max() <= 1.0
+        assert prepared.train.x.min() >= 0.0
+        assert prepared.train.x.max() <= 1.0
 
 
 class TestCache:
@@ -356,10 +362,8 @@ class TestCache:
         train, test, header = load_dataset_cache(cache)
         assert header["fingerprint"] == fp
         assert header["schema_hash"] == schema.schema_hash()
-        np.testing.assert_array_equal(
-            train.x, EncodedDataset.from_samples(prepared.train).x)
-        np.testing.assert_array_equal(
-            test.y, EncodedDataset.from_samples(prepared.test).y)
+        np.testing.assert_array_equal(train.x, prepared.train.x)
+        np.testing.assert_array_equal(test.y, prepared.test.y)
 
     def test_fingerprint_tracks_inputs(self, flow_csv, tmp_path):
         schema = FlowSchema()
@@ -367,3 +371,21 @@ class TestCache:
         assert dataset_fingerprint(flow_csv, schema, "leak-free", 0.6, 4) == base
         assert dataset_fingerprint(flow_csv, schema, "verbatim", 0.6, 4) != base
         assert dataset_fingerprint(flow_csv, schema, "leak-free", 0.6, 5) != base
+
+    def test_preprocess_outputs_are_byte_identical(self, tmp_path):
+        # recorded SHA-256s: a change to parsing, imputation, encoding or the
+        # cache layout must leave every byte of the three outputs as it was
+        path = write_flow_csv(tmp_path / "big.csv", fixture_rows(120))
+        out = tmp_path / "pre"
+        assert main(["preprocess", "--dataset", str(path), "--out", str(out),
+                     "--seed", "4"]) == 0
+        expected = {
+            "dataset.cache":
+                "4f523ab5a5f0e42071016d3b0d14e732201afa687f6eeda3a0f0fcc6a86e9e98",
+            "pipeline_stats.json":
+                "3715e0fd2112568855ff366e2d50d7786f93b791f91d6ca6ac26cce13c664c4e",
+            "preprocess_summary.json":
+                "6aa61892edc1551600ed658cf157c4922a4f2631d92ef9c74f85e0d36ba746fc",
+        }
+        for name, digest in expected.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
