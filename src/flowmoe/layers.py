@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateInputError, DimensionError, LabelError
-from .tensor import RngState, Tensor, sqrt
+from .tensor import RngState, Tensor, no_grad, sqrt
 
 
 class Module:
@@ -23,6 +23,8 @@ class Module:
     Walks instance attributes to collect parameters (grad-tracked tensors),
     buffers (plain ndarrays, e.g. batch-norm running statistics), and child
     modules, so state can be flattened into named arrays for checkpoints.
+    An eval-mode module runs ``forward`` under :func:`no_grad`, so inference
+    builds no graph; differentiating through a module needs train mode.
     """
 
     def __init__(self):
@@ -32,7 +34,10 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        if self.training:
+            return self.forward(*args, **kwargs)
+        with no_grad():
+            return self.forward(*args, **kwargs)
 
     def _children(self):
         for name, value in self.__dict__.items():
@@ -170,13 +175,17 @@ def maxpool1d(x: Tensor) -> Tensor:
         raise DimensionError(f"maxpool1d needs length >= 2, got {length}")
     out_len = length // 2
     paired = x.data[:, :, : 2 * out_len].reshape(batch, channels, out_len, 2)
-    winners = paired.argmax(axis=3)  # first index wins ties
-    data = np.take_along_axis(paired, winners[..., None], axis=3)[..., 0]
+    first, second = paired[..., 0], paired[..., 1]
+    # argmax over the pair: the second wins only when strictly larger, or
+    # when it is NaN and the first is not
+    second_wins = ~(second <= first) & (first == first)
+    data = np.where(second_wins, second, first)
     out = Tensor.result_of(data, (x,), "maxpool1d")
     if out.requires_grad:
         def _backward(grad):
             buf = np.zeros_like(paired)
-            np.put_along_axis(buf, winners[..., None], grad[..., None], axis=3)
+            buf[..., 0] = np.where(second_wins, 0.0, grad)
+            buf[..., 1] = np.where(second_wins, grad, 0.0)
             full = np.zeros_like(x.data)
             full[:, :, : 2 * out_len] = buf.reshape(batch, channels, 2 * out_len)
             x.accumulate_grad(full)
@@ -310,7 +319,13 @@ class Dense(Module):
 
 
 class ConvCell(Module):
-    """conv -> batch norm -> ReLU, optionally followed by a 2x max pool."""
+    """conv -> batch norm -> ReLU, optionally followed by a 2x max pool.
+
+    In eval mode the batch norm is folded into the convolution (Jacob et
+    al. 2018, section 3.2): one conv with weight w * s and bias
+    (b - mean) * s + beta, where s = gamma / sqrt(var + eps).  The folded
+    values are computed on every call, so they never go stale.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, rng: RngState,
                  pooled: bool, bn_momentum: float = 0.1, bn_eps: float = 1e-5):
@@ -320,7 +335,14 @@ class ConvCell(Module):
         self.pooled = pooled
 
     def forward(self, x: Tensor) -> Tensor:
-        x = relu(self.bn(self.conv(x)))
+        if self.training:
+            x = relu(self.bn(self.conv(x)))
+        else:
+            conv, bn = self.conv, self.bn
+            scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+            weight = Tensor(conv.weight.data * scale[:, None, None])
+            bias = Tensor((conv.bias.data - bn.running_mean) * scale + bn.beta.data)
+            x = relu(conv1d(x, weight, bias, conv.padding))
         return maxpool1d(x) if self.pooled else x
 
 

@@ -29,6 +29,7 @@ from .tensor import (
     softplus,
     standard_normal_sample,
     normal_cdf,
+    is_grad_enabled,
 )
 from .layers import Dense, Module
 
@@ -108,6 +109,39 @@ class GateDecision:
     top_k: int
 
 
+def top_k_selection(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k largest entries: a (batch, n) keep mask and their
+    (batch, k) column indices, largest first.
+
+    The order is exactly ``np.argsort(-values, axis=1, kind="stable")[:, :k]``:
+    ties break toward the lower index and NaN ranks below every number.
+    One ``np.partition`` finds each row's k-th largest value; a row holds
+    its top k exactly when k entries are >= that value.  Only the other
+    rows (a tie at the threshold, or a NaN) take the stable sort.
+    """
+    batch, n = values.shape
+    threshold = np.partition(values, n - k, axis=1)[:, n - k, None]
+    keep = values >= threshold
+    slow = np.flatnonzero(keep.sum(axis=1) != k)
+    if slow.size:
+        keep[slow] = False
+        stable = np.argsort(-values[slow], axis=1, kind="stable")[:, :k]
+        keep[slow[:, None], stable] = True
+    cols = np.nonzero(keep)[1].reshape(batch, k)  # ascending per row
+    ranked = np.argsort(-np.take_along_axis(values, cols, axis=1), axis=1, kind="stable")
+    return keep, np.take_along_axis(cols, ranked, axis=1)
+
+
+def _masked(values: Tensor, keep: np.ndarray) -> Tensor:
+    """values where ``keep``, -inf elsewhere; gradients pass where kept."""
+    out = Tensor.result_of(np.where(keep, values.data, -np.inf), (values,), "top_k_mask")
+    if out.requires_grad:
+        def _backward(grad):
+            values.accumulate_grad(grad * keep)
+        out._backward = _backward
+    return out
+
+
 def top_k_mask(values: Tensor, k: int) -> Tensor:
     """Keep the k largest entries per row, set the rest to -inf.
 
@@ -119,16 +153,7 @@ def top_k_mask(values: Tensor, k: int) -> Tensor:
     n = values.data.shape[1]
     if not (1 <= k <= n):
         raise DimensionError(f"k must satisfy 1 <= k <= n={n}, got {k}")
-    order = np.argsort(-values.data, axis=1, kind="stable")
-    keep = np.zeros_like(values.data, dtype=bool)
-    np.put_along_axis(keep, order[:, :k], True, axis=1)
-    data = np.where(keep, values.data, -np.inf)
-    out = Tensor.result_of(data, (values,), "top_k_mask")
-    if out.requires_grad:
-        def _backward(grad):
-            values.accumulate_grad(grad * keep)
-        out._backward = _backward
-    return out
+    return _masked(values, top_k_selection(values.data, k)[0])
 
 
 def noise_scale(router: Router, x: Tensor) -> Tensor:
@@ -156,15 +181,13 @@ def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
     else:
         std = None
         noisy = clean
-    masked = top_k_mask(noisy, k)
-    gates = softmax(masked, axis=1)
-    order = np.argsort(-noisy.data, axis=1, kind="stable")
+    keep, order = top_k_selection(noisy.data, k)
     return GateDecision(
         clean_logits=clean,
         noise_std=std,
         noisy_logits=noisy,
-        gates=gates,
-        selected_indices=order[:, :k].copy(),
+        gates=softmax(_masked(noisy, keep), axis=1),
+        selected_indices=order,
         top_k=k,
     )
 
@@ -177,25 +200,29 @@ def moe_forward(experts: list[Expert], decision: GateDecision, x: Tensor) -> Ten
     (nonzero gate), which agrees with the dense sum over all experts
     (zero-gated terms included) to float precision.  An expert that
     receives no rows gets no gradient, as if it were not in the layer.
+    Outside the graph (under ``no_grad``) nothing is kept for a backward.
     """
     gates = decision.gates
     weights = gates.data
+    track = is_grad_enabled()
     mixed = np.zeros((x.data.shape[0], experts[0].out.out_dim))
     routed = []  # per evaluated expert: what its backward pass reads
-    for i, column in enumerate((weights != 0).T):
-        rows = np.flatnonzero(column)
-        if rows.size == 0:
-            continue
+    # (expert, row) pairs of the nonzero gates, grouped by expert
+    expert_of, row_of = np.nonzero(weights.T != 0)
+    bounds = np.searchsorted(expert_of, np.arange(len(experts) + 1))
+    for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        rows = row_of[bounds[i]:bounds[i + 1]]
         hidden_layer, out_layer = experts[i].hidden, experts[i].out
         sub = x.data[rows]
         hidden = np.maximum(sub @ hidden_layer.weight.data.T + hidden_layer.bias.data, 0.0)
         y = hidden @ out_layer.weight.data.T + out_layer.bias.data
         mixed[rows] += weights[rows, i, None] * y
-        routed.append((i, rows, sub, hidden, y,
-                       hidden_layer.weight.data, out_layer.weight.data))
+        if track:
+            routed.append((i, rows, sub, hidden, y,
+                           hidden_layer.weight.data, out_layer.weight.data))
     params = [p for expert in experts
               for p in (expert.hidden.weight, expert.hidden.bias,
-                        expert.out.weight, expert.out.bias)]
+                        expert.out.weight, expert.out.bias)] if track else []
     out = Tensor.result_of(mixed, (x, gates, *params), "expert_mixture")
     if out.requires_grad:
         def _backward(grad):
@@ -243,9 +270,8 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
     if k >= n:
         raise ConfigError(f"load probability needs k < n (got k={k}, n={n})")
     batch = noisy.data.shape[0]
-    order = np.argsort(-noisy.data, axis=1, kind="stable")
-    in_top_k = np.zeros((batch, n), dtype=bool)
-    np.put_along_axis(in_top_k, order[:, :k], True, axis=1)
+    in_top_k, order = top_k_selection(noisy.data, k + 1)
+    in_top_k[np.arange(batch), order[:, k]] = False
     # Threshold column per (sample, expert): for a selected expert, removing
     # it promotes the (k+1)-th largest to rank k; otherwise the k-th largest
     # already excludes it.  Either way the threshold never depends on the

@@ -14,6 +14,7 @@ fallbacks for data whose labels must not be consulted.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -101,12 +102,16 @@ class FlowSchema:
     def categorical_features(self) -> tuple:
         return tuple(f for f in self.feature_order if f in self.categorical_widths)
 
-    def label_index(self, raw: str) -> int | None:
-        key = _canon(raw)
+    @functools.cached_property
+    def _class_of(self) -> dict:
+        """Canonical class name -> index; the first of duplicate names wins."""
+        index: dict = {}
         for i, name in enumerate(self.class_names):
-            if _canon(name) == key:
-                return i
-        return None
+            index.setdefault(_canon(name), i)
+        return index
+
+    def label_index(self, raw: str) -> int | None:
+        return self._class_of.get(_canon(raw))
 
     def to_dict(self) -> dict:
         return {
@@ -167,6 +172,7 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
         records: list[FlowRecord] = []
         skipped: list[tuple[int, str]] = []
         numeric = set(schema.numeric_features)
+        label_of: dict = {}  # raw label -> class index (or None), memoised
         for row in reader:
             line = reader.line_num
             values: dict = {}
@@ -190,7 +196,9 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
                     values[feature] = cell
             if problem is None:
                 raw_label = (row[schema.label_column] or "").strip()
-                label = schema.label_index(raw_label)
+                if raw_label not in label_of:
+                    label_of[raw_label] = schema.label_index(raw_label)
+                label = label_of[raw_label]
                 if label is None:
                     problem = f"unknown class label {raw_label!r}"
             if problem is not None:

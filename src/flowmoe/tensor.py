@@ -8,11 +8,13 @@ every tensor that requires it.
 
 The engine is deliberately small: double precision only, no views into
 shared storage, no in-place graph ops, and no global random state.  All
-randomness goes through an explicit :class:`RngState`.
+randomness goes through an explicit :class:`RngState`.  Inside
+:func:`no_grad` no op records a graph, so inference is plain numpy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -25,6 +27,32 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Epsilon added to the mean in the coefficient-of-variation denominator so
 # the balancing losses stay finite on all-zero statistics.
 CV_EPSILON = 1e-10
+
+
+# False inside no_grad(): op outputs then record no parents and no closure.
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording the autodiff graph.
+
+    Outputs of ops run inside the context never require grad, whatever
+    their inputs; leaves keep their own flag.  Nests, and restores the
+    previous state on exit, exceptions included.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def is_grad_enabled() -> bool:
+    """Whether ops currently record the autodiff graph."""
+    return _grad_enabled
 
 
 def _as_tensor(value) -> "Tensor":
@@ -71,9 +99,10 @@ class Tensor:
         ``_backward(grad)`` receives the output's gradient as its argument
         and must not capture the output itself: graphs then hold no
         reference cycles and are freed as soon as the last name drops them.
+        Inside :func:`no_grad` the output never requires grad.
         """
         out = cls(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._op = op
@@ -96,7 +125,11 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        if self.data.size != 1:
+            raise DimensionError(
+                f"item() needs a single-element tensor, got shape {self.data.shape}"
+            )
+        return float(self.data.item())
 
     def __repr__(self):
         op = f", op={self._op!r}" if self._op else ""

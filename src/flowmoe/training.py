@@ -21,7 +21,7 @@ from .metrics import EvalReport
 from .model import ModelConfig, build_model
 from .moe import importance_loss, load_loss, load_probability, noise_scale, noisy_gate
 from .pipeline import EncodedDataset
-from .tensor import RngState, Tensor, coefficient_of_variation_sq
+from .tensor import RngState, Tensor, coefficient_of_variation_sq, no_grad
 
 log = logging.getLogger("flowmoe.training")
 
@@ -239,7 +239,7 @@ def expert_utilization(model: Module, dataset: EncodedDataset,
     many samples kept the expert in their top k; the load estimate applies
     the selection-probability formula with the learned noise scales to the
     clean scores.  The squared CVs are directly comparable to the two
-    balancing losses.
+    balancing losses.  Builds no autodiff graph.
     """
     if not hasattr(model, "head"):
         raise ConfigError("gating report requires a model with an expert head")
@@ -250,20 +250,21 @@ def expert_utilization(model: Module, dataset: EncodedDataset,
     selections = np.zeros(n, dtype=np.int64)
     load = np.zeros(n)
     total = 0
-    for start in range(0, len(dataset), batch_size):
-        x = Tensor(dataset.x[start:start + batch_size])
-        features = model.backbone(x) if hasattr(model, "backbone") else x
-        decision = noisy_gate(model.head.router, features, cfg.top_k, False)
-        importance += decision.gates.data.sum(axis=0)
-        np.add.at(selections, decision.selected_indices.reshape(-1), 1)
-        if cfg.top_k < n:
-            # apply the selection-probability formula to the clean scores,
-            # with the learned noise scales standing in for the live noise
-            probe = replace(decision, noise_std=noise_scale(model.head.router, features))
-            load += load_probability(probe, cfg.top_k).data.sum(axis=0)
-        else:
-            load += np.full(n, float(x.data.shape[0]))
-        total += x.data.shape[0]
+    with no_grad():
+        for start in range(0, len(dataset), batch_size):
+            x = Tensor(dataset.x[start:start + batch_size])
+            features = model.backbone(x) if hasattr(model, "backbone") else x
+            decision = noisy_gate(model.head.router, features, cfg.top_k, False)
+            importance += decision.gates.data.sum(axis=0)
+            np.add.at(selections, decision.selected_indices.reshape(-1), 1)
+            if cfg.top_k < n:
+                # apply the selection-probability formula to the clean scores,
+                # with the learned noise scales standing in for the live noise
+                probe = replace(decision, noise_std=noise_scale(model.head.router, features))
+                load += load_probability(probe, cfg.top_k).data.sum(axis=0)
+            else:
+                load += np.full(n, float(x.data.shape[0]))
+            total += x.data.shape[0]
     return {
         "n_experts": n,
         "top_k": cfg.top_k,

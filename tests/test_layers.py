@@ -8,6 +8,7 @@ from flowmoe.layers import (
     BatchNorm1d,
     CnnBackbone,
     Conv1d,
+    ConvCell,
     Dense,
     conv1d,
     count_parameters,
@@ -169,6 +170,20 @@ class TestMaxPool:
         maxpool1d(x).sum().backward()
         np.testing.assert_array_equal(x.grad, [[[1.0, 0.0]]])
 
+    def test_matches_argmax_with_ties_and_nan(self):
+        values = np.array([0.0, -0.0, 1.0, np.nan, -np.inf, np.inf])
+        pairs = np.array([(a, b) for a in values for b in values])
+        x = Tensor(pairs.reshape(1, 1, -1), requires_grad=True)
+        out = maxpool1d(x)
+        winners = pairs.argmax(axis=1)
+        expected = pairs[np.arange(len(pairs)), winners]
+        np.testing.assert_array_equal(out.data[0, 0], expected)
+        assert np.signbit(out.data[0, 0]).tolist() == np.signbit(expected).tolist()
+        out.sum().backward()
+        routed = np.zeros_like(pairs)
+        routed[np.arange(len(pairs)), winners] = 1.0
+        np.testing.assert_array_equal(x.grad.reshape(-1, 2), routed)
+
     def test_gradient(self, rng):
         x = spaced_logits(rng, (2, 12)).reshape(2, 2, 6)
         x = np.ascontiguousarray(x)
@@ -179,6 +194,36 @@ class TestMaxPool:
             return (maxpool1d(t) * Tensor(probe)).sum(), [t]
 
         check_gradients(build, [x])
+
+
+class TestConvCell:
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_eval_fold_matches_unfolded(self, rng, pooled):
+        cell = ConvCell(3, 5, rng, pooled=pooled)
+        cell.bn.running_mean = rng.normal((5,)) * 2.0
+        cell.bn.running_var = rng.uniform(0.2, 3.0, (5,))
+        cell.bn.gamma.data = rng.normal((5,)) * 1.5
+        cell.bn.beta.data = rng.normal((5,))
+        x = Tensor(rng.normal((4, 3, 7)))
+        cell.eval()
+        folded = cell(x).data
+        unfolded = relu(cell.bn(cell.conv(x)))
+        if pooled:
+            unfolded = maxpool1d(unfolded)
+        np.testing.assert_allclose(folded, unfolded.data, rtol=1e-12, atol=1e-12)
+        assert np.count_nonzero(folded) > 0
+
+    def test_fold_follows_parameter_updates(self, rng):
+        cell = ConvCell(2, 3, rng, pooled=False).eval()
+        x = Tensor(rng.normal((2, 2, 5)))
+        cell(x)
+        state = cell.state_dict()
+        state["bn.running_mean"] = np.array([0.5, -1.0, 2.0])
+        state["bn.gamma"] = np.array([2.0, -0.5, 1.0])
+        cell.load_state_dict(state)
+        cell.conv.weight.data = cell.conv.weight.data * 0.5
+        expected = relu(cell.bn(cell.conv(x))).data
+        np.testing.assert_allclose(cell(x).data, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestDense:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from flowmoe.errors import ConfigError
 from flowmoe.moe import (
@@ -17,8 +18,9 @@ from flowmoe.moe import (
     moe_forward,
     noisy_gate,
     top_k_mask,
+    top_k_selection,
 )
-from flowmoe.tensor import RngState, Tensor, matmul, softmax
+from flowmoe.tensor import RngState, Tensor, matmul, no_grad, softmax
 
 from conftest import spaced_logits
 from fd import check_gradients
@@ -79,6 +81,75 @@ class TestTopKMask:
         gates = softmax(top_k_mask(x, 2), axis=1)
         gates.sum().backward()
         assert x.grad[0, 1] == 0.0
+
+
+def stable_top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: keep mask and order from a full stable argsort."""
+    order = np.argsort(-values, axis=1, kind="stable")[:, :k]
+    keep = np.zeros(values.shape, dtype=bool)
+    np.put_along_axis(keep, order, True, axis=1)
+    return keep, order
+
+
+# integer-valued scores force ties; NaN and infinities must rank as in argsort
+SCORE = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+class TestTopKSelection:
+    @given(st.integers(1, 6), st.integers(1, 10), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort(self, batch, n, data):
+        k = data.draw(st.integers(1, n), label="k")
+        finite = data.draw(st.booleans(), label="finite")
+        cell = st.integers(-3, 3).map(float) if finite else SCORE
+        values = np.array(data.draw(st.lists(
+            st.lists(cell, min_size=n, max_size=n), min_size=batch, max_size=batch)))
+        if data.draw(st.booleans(), label="all-equal first row"):
+            values[0] = values[0, 0]
+        keep, order = stable_top_k(values, k)
+        got_keep, got_order = top_k_selection(values, k)
+        np.testing.assert_array_equal(got_order, order)
+        np.testing.assert_array_equal(got_keep, keep)
+        np.testing.assert_array_equal(top_k_mask(Tensor(values), k).data,
+                                      np.where(keep, values, -np.inf))
+        full = np.argsort(-values, axis=1, kind="stable")
+        if k < n:  # the k-th and (k+1)-th columns that load_probability reads
+            _, wider = top_k_selection(values, k + 1)
+            np.testing.assert_array_equal(wider[:, k - 1:k + 1], full[:, k - 1:k + 1])
+        if finite:
+            # the gate and the load probability see the same order
+            router = Router(tiny_config(n_experts=n, top_k=k, input_dim=n))
+            router.w_gate.data = np.eye(n)
+            decision = noisy_gate(router, Tensor(values), k, noise_enabled=False)
+            np.testing.assert_array_equal(decision.selected_indices, order)
+            np.testing.assert_array_equal(decision.gates.data != 0, keep)
+            if k < n:
+                cols = np.where(keep, full[:, [k]], full[:, [k - 1]])
+                thresholds = np.take_along_axis(values, cols, axis=1)
+                probe = GateDecision(
+                    clean_logits=decision.clean_logits, noise_std=Tensor(np.ones_like(values)),
+                    noisy_logits=decision.noisy_logits, gates=decision.gates,
+                    selected_indices=decision.selected_indices, top_k=k)
+                np.testing.assert_array_equal(load_probability(probe, k).data,
+                                              ndtr(values - thresholds))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_edge_rows(self, k):
+        values = np.array([
+            [2.0, 2.0, 2.0, 2.0, 2.0],
+            [np.nan, 1.0, np.nan, 3.0, 1.0],
+            [np.nan] * 5,
+            [-np.inf, 0.0, -np.inf, np.nan, np.inf],
+            [0.5, -1.0, 4.0, 2.0, 3.0],
+        ])
+        keep, order = stable_top_k(values, k)
+        got_keep, got_order = top_k_selection(values, k)
+        np.testing.assert_array_equal(got_order, order)
+        np.testing.assert_array_equal(got_keep, keep)
+
+    def test_empty_batch(self):
+        keep, order = top_k_selection(np.zeros((0, 4)), 2)
+        assert keep.shape == (0, 4) and order.shape == (0, 2)
 
 
 class TestNoisyGate:
@@ -257,6 +328,16 @@ class TestMoEForward:
         assert out._op == "expert_mixture"
         assert out._parents[:2] == (x, decision.gates)
         assert len(out._parents) == 2 + 4 * len(head.experts)
+
+    def test_no_grad_keeps_nothing(self, rng):
+        head = MoEHead(tiny_config(), rng)
+        x = Tensor(rng.normal((3, 6)), requires_grad=True)
+        decision = noisy_gate(head.router, x, 2, True, RngState(1))
+        tracked = moe_forward(head.experts, decision, x)
+        with no_grad():
+            out = moe_forward(head.experts, decision, x)
+        np.testing.assert_array_equal(out.data, tracked.data)
+        assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 class TestImportanceLoss:

@@ -51,6 +51,26 @@ class TestSchema:
         assert schema.label_index("Slow rate DoS") == 8
         assert schema.label_index("totally unknown") is None
 
+    @pytest.mark.parametrize("raw, expected", [
+        ("Benign", 0), ("BENIGN", 0), ("benign ", 0), ("be-nign", 0),
+        ("SYN Scan", 1), ("syn_scan", 1), ("Syn-Scan!", 1),
+        ("TCP Connect Scan", 2), ("tcpconnectscan", 2),
+        ("UDP Scan", 3), ("udp.scan", 3),
+        ("ICPM flood", 4), ("ICMP Flood", 4), ("icmp-flood", 4), ("ICMPFLOOD", 4),
+        ("UDP flood", 5), ("SYN flood", 6), ("HTTP flood", 7), ("http_flood", 7),
+        ("Slow rate DoS", 8), ("slowrate-dos", 8),
+        ("", None), ("-", None), ("SYN", None), ("Scan", None), ("ICMP", None),
+        ("Benign2", None), ("UDP floods", None),
+    ])
+    def test_label_spellings(self, schema, raw, expected):
+        assert schema.label_index(raw) == expected
+
+    def test_duplicate_canonical_names_first_wins(self):
+        schema = FlowSchema(class_names=("a", "ICMP flood", "b", "icpm-flood", "A"))
+        assert schema.label_index("icmpflood") == 1
+        assert schema.label_index(" a ") == 0
+        assert schema.label_index("B") == 2
+
 
 class TestParse:
     def test_header_only(self, tmp_path, schema):

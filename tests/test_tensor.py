@@ -12,7 +12,9 @@ from flowmoe.tensor import (
     Tensor,
     coefficient_of_variation_sq,
     gather,
+    is_grad_enabled,
     matmul,
+    no_grad,
     normal_cdf,
     softmax,
     softplus,
@@ -257,3 +259,48 @@ class TestIndexedOps:
             return (gather(t, rows, cols) ** 2).sum(), [t]
 
         check_gradients(build, [x])
+
+
+class TestNoGrad:
+    def test_ops_inside_record_no_graph(self, rng):
+        a = Tensor(rng.normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.normal((3, 2)), requires_grad=True)
+        with no_grad():
+            outs = [matmul(a, b), a * 2.0 + 1.0, softmax(a, axis=1), a.sum(), a.T]
+        for out in outs:
+            assert out.requires_grad is False
+            assert out._parents == ()
+            assert out._backward is None
+        assert (a * 2.0).requires_grad
+
+    def test_leaves_keep_their_flag(self):
+        with no_grad():
+            leaf = Tensor([1.0], requires_grad=True)
+        assert leaf.requires_grad
+
+    def test_nests_and_restores(self):
+        assert is_grad_enabled()
+        with no_grad():
+            with no_grad():
+                assert not is_grad_enabled()
+            assert not is_grad_enabled()
+        assert is_grad_enabled()
+
+    def test_restores_on_exception(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert is_grad_enabled()
+        t = Tensor([2.0], requires_grad=True)
+        assert (t * t).requires_grad
+
+
+class TestItem:
+    def test_shape_one_tensor(self):
+        assert Tensor([3.0]).item() == 3.0
+        assert Tensor([[4.5]]).item() == 4.5
+        assert Tensor(2.0).item() == 2.0
+
+    def test_larger_tensor_rejected(self):
+        with pytest.raises(DimensionError, match=r"\(2,\)"):
+            Tensor([1.0, 2.0]).item()

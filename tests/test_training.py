@@ -316,6 +316,70 @@ class TestGraphLifetime:
             gc.enable()
 
 
+def record_graph_nodes(monkeypatch) -> list:
+    """Op tags of every graph node built from now on."""
+    nodes = []
+    original = Tensor.result_of.__func__
+
+    def result_of(cls, data, parents, op=""):
+        out = original(cls, data, parents, op)
+        if out.requires_grad:
+            nodes.append(op)
+        return out
+
+    monkeypatch.setattr(Tensor, "result_of", classmethod(result_of))
+    return nodes
+
+
+@pytest.fixture(scope="module")
+def full_scale_model():
+    """The full-scale model (128 experts, k = 32) with a spread router and
+    batch-norm statistics from one train-mode batch."""
+    rng = RngState(21)
+    model = build_model(model_config_for(TrainConfig(seed=21)), rng)
+    router = model.head.router
+    router.w_gate.data = rng.normal(router.w_gate.data.shape)
+    model(Tensor(make_blobs(512, seed=22).x), rng)
+    return model
+
+
+class TestGraphFreeEval:
+    def test_full_scale_eval_forward_is_parentless(self, full_scale_model, monkeypatch):
+        nodes = record_graph_nodes(monkeypatch)
+        logits, info = full_scale_model.eval()(Tensor(make_blobs(64, seed=23).x))
+        assert not logits.requires_grad and logits._parents == ()
+        assert not info.decision.gates.requires_grad
+        assert nodes == []
+
+    def test_predictions_do_not_depend_on_batch_size(self, full_scale_model):
+        x = make_blobs(1024, seed=24).x
+        bulk = predict(full_scale_model, x, batch_size=1024)
+        assert len(np.unique(bulk)) > 1
+        np.testing.assert_array_equal(predict(full_scale_model, x, batch_size=64), bulk)
+        np.testing.assert_array_equal(predict(full_scale_model, x, batch_size=1), bulk)
+
+    def test_expert_utilization_builds_no_graph(self, full_scale_model, monkeypatch):
+        nodes = record_graph_nodes(monkeypatch)
+        summary = expert_utilization(full_scale_model, make_blobs(128, seed=25))
+        assert nodes == []
+        assert sum(summary["selection_counts"]) == 32 * 128
+
+    def test_train_step_after_predict_is_unchanged(self):
+        train_set, _ = tiny_blob_split(n=128)
+        config = TrainConfig(seed=4, max_epochs=1, **{k: v for k, v in TINY.items()
+                                                      if k != "max_epochs"})
+        runs = []
+        for predict_first in (False, True):
+            model = build_model(model_config_for(config), RngState(4))
+            if predict_first:
+                predict(model, train_set.x, batch_size=32)
+            _, history = train(model, train_set, config, RngState(4))
+            runs.append((history[0]["total"], model.state_dict()))
+        assert runs[0][0] == runs[1][0]
+        for name, value in runs[0][1].items():
+            np.testing.assert_array_equal(runs[1][1][name], value)
+
+
 class TestHistory:
     def test_json_roundtrip(self):
         train_set, _ = tiny_blob_split(n=180)
