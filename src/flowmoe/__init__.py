@@ -46,6 +46,7 @@ from .layers import (
     ConvCell,
     Dense,
     Module,
+    batch_norm,
     conv1d,
     count_parameters,
     cross_entropy,
@@ -62,7 +63,7 @@ from .model import (
     build_model,
 )
 from .moe import (
-    Expert,
+    ExpertBank,
     GateDecision,
     GateInfo,
     MoEConfig,

@@ -4,7 +4,7 @@ Byte layout (all integers little-endian):
 
     offset  size  field
     0       8     magic ``b"FLOWMOE\\0"``
-    8       4     format version (uint32, currently 1)
+    8       4     format version (uint32, currently 2)
     12      4     header length H (uint32)
     16      H     header: UTF-8 JSON with model_config, train_config,
                   pipeline_stats (nullable) and metadata
@@ -44,7 +44,7 @@ from .tensor import RngState
 from .training import TrainConfig
 
 MAGIC = b"FLOWMOE\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass

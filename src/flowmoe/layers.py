@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateInputError, DimensionError, LabelError
-from .tensor import RngState, Tensor, no_grad, sqrt
+from .tensor import RngState, Tensor, no_grad
 
 
 class Module:
@@ -137,7 +137,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
             f"layer expects {in_ch}"
         )
     batch, _, length = x.data.shape
-    padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
+    padded = np.zeros((batch, in_ch, length + 2 * padding))
+    padded[:, :, padding:padding + length] = x.data
     out_len = length + 2 * padding - kernel + 1
     windows = sliding_window_view(padded, kernel, axis=2)  # (batch, in_ch, out_len, kernel)
     cols = windows.transpose(0, 2, 1, 3).reshape(batch * out_len, in_ch * kernel)
@@ -191,6 +192,43 @@ def maxpool1d(x: Tensor) -> Tensor:
             x.accumulate_grad(full)
         out._backward = _backward
     return out
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
+    """Train-mode batch norm over (batch, length) per channel, as one node.
+
+    x: (batch, channels, length); gamma, beta: (channels,).  Normalizes by
+    the batch mean and population variance, then scales and shifts.
+    Returns ``(out, mean, var)``: the batch statistics come back as plain
+    (channels,) arrays for the running estimates.  The backward is the
+    closed form of Ioffe & Szegedy 2015 (section 3): with
+    s = gamma / sqrt(var + eps) and N = batch * length,
+    dx = s * (g - sum(g) / N - x_hat * sum(g * x_hat) / N).
+    """
+    data = x.data
+    count = data.shape[0] * data.shape[2]
+    mean = data.sum(axis=(0, 2), keepdims=True) * (1.0 / count)
+    centered = data - mean
+    var = (centered ** 2).sum(axis=(0, 2), keepdims=True) * (1.0 / count)
+    std = np.sqrt(var + eps)
+    x_hat = centered / std
+    shape = (1, -1, 1)
+    out = Tensor.result_of(x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape),
+                           (x, gamma, beta), "batchnorm")
+    if out.requires_grad:
+        def _backward(grad):
+            # summing the batch axis first is several times faster than
+            # sum(axis=(0, 2)) at short lengths
+            d_beta = grad.sum(axis=0).sum(axis=1)
+            d_gamma = (grad * x_hat).sum(axis=0).sum(axis=1)
+            beta.accumulate_grad(d_beta)
+            gamma.accumulate_grad(d_gamma)
+            if x.requires_grad:
+                scale = gamma.data.reshape(shape) / std
+                x.accumulate_grad(scale * (grad - (d_beta / count).reshape(shape)
+                                           - x_hat * (d_gamma / count).reshape(shape)))
+        out._backward = _backward
+    return out, mean.reshape(-1), var.reshape(-1)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -287,22 +325,20 @@ class BatchNorm1d(Module):
             raise DimensionError(
                 f"batchnorm expects (batch, {self.channels}, length), got {x.data.shape}"
             )
-        shape = (1, self.channels, 1)
         if self.training:
             batch, _, length = x.data.shape
             if batch * length < 2:
                 raise DegenerateInputError(
                     "batch norm in train mode needs at least 2 elements per channel"
                 )
-            mean = x.mean(axis=(0, 2), keepdims=True)
-            var = ((x - mean) ** 2).mean(axis=(0, 2), keepdims=True)
-            x_hat = (x - mean) / sqrt(var + self.eps)
+            out, mean, var = batch_norm(x, self.gamma, self.beta, self.eps)
             m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mean.data.reshape(-1)
-            self.running_var = (1 - m) * self.running_var + m * var.data.reshape(-1)
-        else:
-            scale = 1.0 / np.sqrt(self.running_var + self.eps)
-            x_hat = (x - Tensor(self.running_mean.reshape(shape))) * Tensor(scale.reshape(shape))
+            self.running_mean = (1 - m) * self.running_mean + m * mean
+            self.running_var = (1 - m) * self.running_var + m * var
+            return out
+        shape = (1, self.channels, 1)
+        scale = 1.0 / np.sqrt(self.running_var + self.eps)
+        x_hat = (x - Tensor(self.running_mean.reshape(shape))) * Tensor(scale.reshape(shape))
         return x_hat * self.gamma.reshape(shape) + self.beta.reshape(shape)
 
 

@@ -14,6 +14,7 @@ variation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .tensor import (
     normal_cdf,
     is_grad_enabled,
 )
-from .layers import Dense, Module
+from .layers import Module
 
 # Floor added to the learned noise scale (Shazeer et al. 2017).  softplus
 # underflows to exactly 0 for very negative inputs, which would turn the
@@ -63,17 +64,58 @@ class MoEConfig:
             raise ConfigError("balancing-loss weights must be nonnegative")
 
 
-class Expert(Module):
-    """One expert: a dense hidden layer with ReLU, then a linear class head.
+@dataclass(frozen=True)
+class DenseView:
+    """One expert's dense layer inside the bank: (out, in) weight and bias
+    tensors whose ``.data`` are numpy views into the stacked arrays."""
 
-    Holds parameters only; :func:`moe_forward` evaluates every expert of a
-    layer inside one graph node.
+    weight: Tensor
+    bias: Tensor
+
+
+@dataclass(frozen=True)
+class ExpertView:
+    """One expert of the bank: a dense hidden layer with ReLU, then a linear
+    class head."""
+
+    hidden: DenseView
+    out: DenseView
+
+
+class ExpertBank(Module):
+    """All experts of a layer, stacked along a leading expert axis.
+
+    ``w1`` (E, H, D), ``b1`` (E, H), ``w2`` (E, C, H) and ``b2`` (E, C)
+    store each expert's hidden and class layers as (out, in), like
+    :class:`Dense`, and are filled from the same draws in the same order as
+    per-expert ``Dense`` layers would be: per expert, hidden weight, hidden
+    bias, out weight, out bias.  Indexing or iterating yields
+    :class:`ExpertView` s over the current arrays.
     """
 
     def __init__(self, config: MoEConfig, rng: RngState):
         super().__init__()
-        self.hidden = Dense(config.input_dim, config.expert_hidden, rng)
-        self.out = Dense(config.expert_hidden, config.n_classes, rng)
+        n, d, h, c = config.n_experts, config.input_dim, config.expert_hidden, config.n_classes
+        w1, b1 = np.empty((n, h, d)), np.empty((n, h))
+        w2, b2 = np.empty((n, c, h)), np.empty((n, c))
+        for i in range(n):
+            for target, fan_in in ((w1, d), (b1, d), (w2, h), (b2, h)):
+                bound = 1.0 / math.sqrt(fan_in)
+                target[i] = rng.uniform(-bound, bound, target.shape[1:])
+        self.w1 = Tensor(w1, requires_grad=True)
+        self.b1 = Tensor(b1, requires_grad=True)
+        self.w2 = Tensor(w2, requires_grad=True)
+        self.b2 = Tensor(b2, requires_grad=True)
+
+    def __len__(self) -> int:
+        return self.w1.data.shape[0]
+
+    def __getitem__(self, i: int) -> ExpertView:
+        return ExpertView(hidden=DenseView(Tensor(self.w1.data[i]), Tensor(self.b1.data[i])),
+                          out=DenseView(Tensor(self.w2.data[i]), Tensor(self.b2.data[i])))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 class Router(Module):
@@ -192,55 +234,59 @@ def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
     )
 
 
-def moe_forward(experts: list[Expert], decision: GateDecision, x: Tensor) -> Tensor:
+def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
     """Gate-weighted sum of expert outputs, evaluating only selected experts.
 
-    One ``expert_mixture`` graph node over x, the gates and every expert's
-    four parameters.  Each expert sees just the rows that routed to it
+    One ``expert_mixture`` graph node over x, the gates and the bank's four
+    stacked parameters.  Each expert sees just the rows that routed to it
     (nonzero gate), which agrees with the dense sum over all experts
-    (zero-gated terms included) to float precision.  An expert that
-    receives no rows gets no gradient, as if it were not in the layer.
-    Outside the graph (under ``no_grad``) nothing is kept for a backward.
+    (zero-gated terms included) to float precision.  The backward marks
+    the experts that received rows in each parameter's ``grad_rows``, so
+    an expert that receives none is left alone by the optimizer, as if it
+    were not in the layer.  Outside the graph (under ``no_grad``) nothing
+    is kept for a backward.
     """
     gates = decision.gates
     weights = gates.data
+    w1, b1, w2, b2 = bank.w1, bank.b1, bank.w2, bank.b2
     track = is_grad_enabled()
-    mixed = np.zeros((x.data.shape[0], experts[0].out.out_dim))
+    mixed = np.zeros((x.data.shape[0], w2.data.shape[1]))
     routed = []  # per evaluated expert: what its backward pass reads
     # (expert, row) pairs of the nonzero gates, grouped by expert
     expert_of, row_of = np.nonzero(weights.T != 0)
-    bounds = np.searchsorted(expert_of, np.arange(len(experts) + 1))
-    for i in np.flatnonzero(bounds[1:] > bounds[:-1]):
+    bounds = np.searchsorted(expert_of, np.arange(len(bank) + 1))
+    active = bounds[1:] > bounds[:-1]
+    for i in np.flatnonzero(active):
         rows = row_of[bounds[i]:bounds[i + 1]]
-        hidden_layer, out_layer = experts[i].hidden, experts[i].out
         sub = x.data[rows]
-        hidden = np.maximum(sub @ hidden_layer.weight.data.T + hidden_layer.bias.data, 0.0)
-        y = hidden @ out_layer.weight.data.T + out_layer.bias.data
+        hidden = np.maximum(sub @ w1.data[i].T + b1.data[i], 0.0)
+        y = hidden @ w2.data[i].T + b2.data[i]
         mixed[rows] += weights[rows, i, None] * y
         if track:
-            routed.append((i, rows, sub, hidden, y,
-                           hidden_layer.weight.data, out_layer.weight.data))
-    params = [p for expert in experts
-              for p in (expert.hidden.weight, expert.hidden.bias,
-                        expert.out.weight, expert.out.bias)] if track else []
-    out = Tensor.result_of(mixed, (x, gates, *params), "expert_mixture")
+            routed.append((i, rows, sub, hidden, y))
+    out = Tensor.result_of(mixed, (x, gates, w1, b1, w2, b2), "expert_mixture")
     if out.requires_grad:
+        w1_data, w2_data = w1.data, w2.data
+
         def _backward(grad):
             dx = np.zeros_like(x.data)
             dgates = np.zeros_like(weights)
-            for i, rows, sub, hidden, y, w_hidden, w_out in routed:
-                hidden_layer, out_layer = experts[i].hidden, experts[i].out
+            dw1, db1 = np.zeros_like(w1_data), np.zeros_like(b1.data)
+            dw2, db2 = np.zeros_like(w2_data), np.zeros_like(b2.data)
+            for i, rows, sub, hidden, y in routed:
                 g_rows = grad[rows]
                 dgates[rows, i] = (g_rows * y).sum(axis=1)
                 dy = weights[rows, i, None] * g_rows
-                out_layer.bias.accumulate_grad(dy.sum(axis=0))
-                out_layer.weight.accumulate_grad(dy.T @ hidden)
-                dh = (dy @ w_out) * (hidden > 0.0)
-                hidden_layer.bias.accumulate_grad(dh.sum(axis=0))
-                hidden_layer.weight.accumulate_grad(dh.T @ sub)
-                dx[rows] += dh @ w_hidden
+                db2[i] = dy.sum(axis=0)
+                dw2[i] = dy.T @ hidden
+                dh = (dy @ w2_data[i]) * (hidden > 0.0)
+                db1[i] = dh.sum(axis=0)
+                dw1[i] = dh.T @ sub
+                dx[rows] += dh @ w1_data[i]
             x.accumulate_grad(dx)
             gates.accumulate_grad(dgates)
+            for param, param_grad in ((w1, dw1), (b1, db1), (w2, dw2), (b2, db2)):
+                param.accumulate_grad(param_grad, rows=active)
         out._backward = _backward
     return out
 
@@ -308,7 +354,7 @@ class MoEHead(Module):
         super().__init__()
         self.config = config
         self.router = Router(config)
-        self.experts = [Expert(config, rng) for _ in range(config.n_experts)]
+        self.experts = ExpertBank(config, rng)
 
     def forward(self, x: Tensor, rng: RngState | None = None) -> tuple[Tensor, GateInfo]:
         cfg = self.config

@@ -78,12 +78,16 @@ class Tensor:
         data: the values, always a contiguous-enough float64 ndarray.
         grad: accumulated partial derivatives, same shape as ``data``,
             or None before any backward pass.
+        grad_rows: boolean mask over axis 0 of the rows ``grad`` can be
+            nonzero in, or None when the gradient is dense.  Optimizers
+            leave the other rows (and their state) alone.
         requires_grad: whether backward passes accumulate into ``grad``.
     """
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.grad_rows = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents: tuple = ()
@@ -108,11 +112,20 @@ class Tensor:
             out._op = op
         return out
 
-    def accumulate_grad(self, grad: np.ndarray) -> None:
+    def accumulate_grad(self, grad: np.ndarray, rows: np.ndarray | None = None) -> None:
+        """Add ``grad`` into ``self.grad``.  ``rows`` is a boolean mask over
+        axis 0 outside of which ``grad`` is zero by construction (rows that
+        took no part in the forward pass); the masks of all contributions
+        are OR-ed, and any dense contribution makes the gradient dense."""
         if not self.requires_grad:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
-        self.grad = grad if self.grad is None else self.grad + grad
+        if self.grad is None:
+            self.grad, self.grad_rows = grad, rows
+        else:
+            self.grad = self.grad + grad
+            self.grad_rows = None if rows is None or self.grad_rows is None \
+                else self.grad_rows | rows
 
     # -- introspection -------------------------------------------------------
 
@@ -170,6 +183,7 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+        self.grad_rows = None
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -413,16 +427,20 @@ def coefficient_of_variation_sq(t: Tensor, eps: float = CV_EPSILON) -> Tensor:
 
 
 def gather(t: Tensor, rows, cols) -> Tensor:
-    """Fancy-indexed read t[rows, cols]; duplicates accumulate on backward."""
+    """Fancy-indexed read t[rows, cols] of a matrix; duplicates accumulate
+    on backward, in index order (as ``np.add.at`` would add them)."""
     t = _as_tensor(t)
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     out = Tensor.result_of(t.data[rows, cols], (t,), "gather")
     if out.requires_grad:
+        # the forward read rejected out-of-range indices; "wrap" maps the
+        # negative ones as indexing does
+        flat = np.ravel_multi_index((rows, cols), t.data.shape, mode="wrap").ravel()
+
         def _backward(grad):
-            buf = np.zeros_like(t.data)
-            np.add.at(buf, (rows, cols), grad)
-            t.accumulate_grad(buf)
+            t.accumulate_grad(np.bincount(flat, weights=grad.ravel(), minlength=t.data.size)
+                              .reshape(t.data.shape))
         out._backward = _backward
     return out
 

@@ -93,7 +93,12 @@ def model_config_for(config: TrainConfig) -> ModelConfig:
 
 
 class Adam:
-    """Adaptive moment estimation with bias correction."""
+    """Adaptive moment estimation with bias correction.
+
+    A parameter without a gradient is skipped; one whose gradient names its
+    rows (``grad_rows``) has only those rows, and their moments, updated.
+    The update runs in place.
+    """
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -108,15 +113,30 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        for i, p in enumerate(self.params):
+        bias1 = 1 - self.beta1 ** self.t
+        bias2 = 1 - self.beta2 ** self.t
+        for p, m_all, v_all in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # Ellipsis gives views, updated in place; a row index gives copies
+            rows = ... if p.grad_rows is None or p.grad_rows.all() \
+                else np.flatnonzero(p.grad_rows)
+            g, m, v = p.grad[rows], m_all[rows], v_all[rows]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            g_sq = (1 - self.beta2) * g
+            g_sq *= g
+            v += g_sq
+            # lr * m_hat / (sqrt(v_hat) + eps), one buffer at a time
+            denom = np.sqrt(v / bias2, out=g_sq)
+            denom += self.eps
+            update = m / bias1
+            update *= self.lr
+            update /= denom
+            p.data[rows] -= update
+            if rows is not ...:
+                m_all[rows], v_all[rows] = m, v
 
     def zero_grad(self) -> None:
         for p in self.params:

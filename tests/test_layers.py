@@ -10,6 +10,7 @@ from flowmoe.layers import (
     Conv1d,
     ConvCell,
     Dense,
+    batch_norm,
     conv1d,
     count_parameters,
     cross_entropy,
@@ -17,7 +18,7 @@ from flowmoe.layers import (
     maxpool1d,
     relu,
 )
-from flowmoe.tensor import RngState, Tensor
+from flowmoe.tensor import RngState, Tensor, sqrt
 
 from conftest import spaced_logits
 from fd import check_gradients
@@ -141,6 +142,48 @@ class TestBatchNorm:
             return (layer(tx) * Tensor(probe)).sum(), [tx, layer.gamma, layer.beta]
 
         check_gradients(build, [x, gamma, beta])
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (8, 4, 1)])
+    def test_fused_op_gradient(self, rng, shape):
+        x = rng.normal(shape) * 3.0 - 1.0
+        gamma = rng.normal(shape[1:2]) + 1.5
+        beta = rng.normal(shape[1:2])
+        probe = rng.normal(shape)
+
+        def build():
+            tx = Tensor(x, requires_grad=True)
+            tg, tb = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+            out, _, _ = batch_norm(tx, tg, tb)
+            return (out * Tensor(probe)).sum(), [tx, tg, tb]
+
+        check_gradients(build, [x, gamma, beta])
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (8, 4, 1)])
+    def test_fused_op_matches_graph_formula(self, rng, shape):
+        # the per-op graph the fused node replaced, and its running-statistics update
+        x = rng.normal(shape) * 3.0 - 1.0
+        layer = BatchNorm1d(shape[1], momentum=0.3)
+        layer.gamma.data = rng.normal(shape[1:2]) + 1.5
+        layer.beta.data = rng.normal(shape[1:2])
+        layer.running_mean = rng.normal(shape[1:2])
+        layer.running_var = rng.normal(shape[1:2]) ** 2 + 0.5
+        before = (layer.running_mean.copy(), layer.running_var.copy())
+        out = layer(Tensor(x, requires_grad=True))
+        assert out._op == "batchnorm" and len(out._parents) == 3
+
+        tx = Tensor(x)
+        mean = tx.mean(axis=(0, 2), keepdims=True)
+        var = ((tx - mean) ** 2).mean(axis=(0, 2), keepdims=True)
+        x_hat = (tx - mean) / sqrt(var + layer.eps)
+        channel = (1, shape[1], 1)
+        expected = x_hat * Tensor(layer.gamma.data.reshape(channel)) \
+            + Tensor(layer.beta.data.reshape(channel))
+        np.testing.assert_array_equal(out.data, expected.data)
+        m = layer.momentum
+        np.testing.assert_array_equal(
+            layer.running_mean, (1 - m) * before[0] + m * mean.data.reshape(-1))
+        np.testing.assert_array_equal(
+            layer.running_var, (1 - m) * before[1] + m * var.data.reshape(-1))
 
 
 class TestMaxPool:

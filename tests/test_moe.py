@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from flowmoe.errors import ConfigError
+from flowmoe.layers import Dense
 from flowmoe.moe import (
     NOISE_STD_FLOOR,
-    Expert,
+    ExpertBank,
+    ExpertView,
     GateDecision,
     MoEConfig,
     MoEHead,
@@ -44,7 +46,7 @@ def make_decision(clean: np.ndarray, std: np.ndarray, eps: np.ndarray,
                         gates=gates, selected_indices=order[:, :k], top_k=k)
 
 
-def numpy_expert_forward(expert: Expert, x: np.ndarray) -> np.ndarray:
+def numpy_expert_forward(expert: ExpertView, x: np.ndarray) -> np.ndarray:
     """Plain-numpy reimplementation of an expert, independent of autodiff."""
     hidden = np.maximum(x @ expert.hidden.weight.data.T + expert.hidden.bias.data, 0.0)
     return hidden @ expert.out.weight.data.T + expert.out.bias.data
@@ -296,8 +298,8 @@ class TestMoEForward:
 
     @pytest.mark.parametrize("n_experts, top_k, idle", [(4, 2, 3), (3, 3, None)])
     def test_gradient(self, rng, n_experts, top_k, idle):
-        head = MoEHead(tiny_config(n_experts=n_experts, top_k=top_k), rng)
-        params = [p for expert in head.experts for p in expert.parameters()]
+        bank = MoEHead(tiny_config(n_experts=n_experts, top_k=top_k), rng).experts
+        params = [bank.w1, bank.b1, bank.w2, bank.b2]
         x = rng.normal((5, 6))
         logits = spaced_logits(rng, (5, n_experts))
         if idle is not None:
@@ -310,24 +312,37 @@ class TestMoEForward:
                 p.zero_grad()
             tx = Tensor(x, requires_grad=True)
             decision = make_decision(logits, no_noise, no_noise, top_k)
-            out = moe_forward(head.experts, decision, tx)
+            out = moe_forward(bank, decision, tx)
             return (out * Tensor(probe)).sum(), [tx, decision.clean_logits, *params]
 
         loss, _ = build()
         loss.backward()
-        for i, expert in enumerate(head.experts):
-            routed = i != idle
-            assert all((p.grad is not None) == routed for p in expert.parameters())
+        routed = np.arange(n_experts) != idle
+        for p in params:
+            np.testing.assert_array_equal(p.grad_rows, routed)
+            assert not p.grad[~routed].any()
         check_gradients(build, [x, logits] + [p.data for p in params])
 
     def test_one_graph_node(self, rng):
         head = MoEHead(tiny_config(), rng)
+        bank = head.experts
         x = Tensor(rng.normal((3, 6)), requires_grad=True)
         decision = noisy_gate(head.router, x, 2, True, RngState(1))
-        out = moe_forward(head.experts, decision, x)
+        out = moe_forward(bank, decision, x)
         assert out._op == "expert_mixture"
-        assert out._parents[:2] == (x, decision.gates)
-        assert len(out._parents) == 2 + 4 * len(head.experts)
+        assert out._parents == (x, decision.gates, bank.w1, bank.b1, bank.w2, bank.b2)
+
+    def test_two_nodes_or_their_routed_rows(self, rng):
+        bank = MoEHead(tiny_config(n_experts=4, top_k=1), rng).experts
+        x = Tensor(rng.normal((2, 6)))
+        no_noise = np.zeros((2, 4))
+        first = make_decision(np.array([[5.0, 0, 0, 0], [5.0, 0, 0, 0]]), no_noise, no_noise, 1)
+        second = make_decision(np.array([[0, 5.0, 0, 0], [0, 5.0, 0, 0]]), no_noise, no_noise, 1)
+        (moe_forward(bank, first, x) + moe_forward(bank, second, x)).sum().backward()
+        for p in (bank.w1, bank.b1, bank.w2, bank.b2):
+            np.testing.assert_array_equal(p.grad_rows, [True, True, False, False])
+            p.zero_grad()
+            assert p.grad is None and p.grad_rows is None
 
     def test_no_grad_keeps_nothing(self, rng):
         head = MoEHead(tiny_config(), rng)
@@ -499,6 +514,36 @@ class TestGradientRouting:
         order = np.argsort(-decision.noisy_logits.data, axis=1, kind="stable")
         unselected = [(r, c) for r in range(2) for c in order[r, 2:]]
         assert any(grad[r, c] != 0.0 for r, c in unselected)
+
+
+class TestExpertBank:
+    def test_seeded_init_equals_per_expert_dense_draws(self):
+        config = tiny_config(n_experts=5)
+        bank = ExpertBank(config, RngState(7))
+        rng = RngState(7)
+        for i in range(config.n_experts):
+            hidden = Dense(config.input_dim, config.expert_hidden, rng)
+            out = Dense(config.expert_hidden, config.n_classes, rng)
+            for layer, (weight, bias) in ((hidden, (bank.w1, bank.b1)), (out, (bank.w2, bank.b2))):
+                np.testing.assert_array_equal(weight.data[i], layer.weight.data)
+                np.testing.assert_array_equal(bias.data[i], layer.bias.data)
+
+    def test_views_read_and_write_the_bank(self, rng):
+        bank = ExpertBank(tiny_config(), rng)
+        assert len(bank) == 4 and len(list(bank)) == 4
+        assert bank[3].hidden.weight.data.shape == (3, 6)
+        assert bank[3].out.bias.data.shape == (5,)
+        assert np.shares_memory(bank[-1].hidden.weight.data, bank.w1.data)
+        bank[2].out.bias.data[:] = 9.0
+        np.testing.assert_array_equal(bank.b2.data[2], 9.0)
+        with pytest.raises(IndexError):
+            bank[4]
+
+    def test_state_is_the_four_stacked_arrays(self, rng):
+        head = MoEHead(tiny_config(), rng)
+        assert len(head.parameters()) == 6
+        assert sorted(k for k in head.state_dict() if k.startswith("experts.")) == \
+            ["experts.b1", "experts.b2", "experts.w1", "experts.w2"]
 
 
 class TestMoEHead:

@@ -260,6 +260,20 @@ class TestIndexedOps:
 
         check_gradients(build, [x])
 
+    def test_gather_backward_is_add_at(self, rng):
+        # broadcast rows, many duplicates and negative columns, as indexing allows
+        x = rng.normal((5, 7))
+        rows = np.broadcast_to(np.arange(5)[:, None], (5, 40))
+        cols = (rng.uniform(0, 7, (5, 40)).astype(np.intp) - 3)
+        grad = rng.normal((5, 40))
+        t = Tensor(x, requires_grad=True)
+        out = gather(t, rows, cols)
+        np.testing.assert_array_equal(out.data, x[rows, cols])
+        (out * Tensor(grad)).sum().backward()
+        expected = np.zeros_like(x)
+        np.add.at(expected, (rows, cols), grad)
+        np.testing.assert_array_equal(t.grad, expected)
+
 
 class TestNoGrad:
     def test_ops_inside_record_no_graph(self, rng):

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowmoe.checkpoint import load_checkpoint, save_checkpoint
-from flowmoe.errors import ConfigError, TrainingDivergedError
+from flowmoe.cli import main
+from flowmoe.errors import CheckpointVersionError, ConfigError, TrainingDivergedError
 from flowmoe.metrics import EvalReport, weighted_mean
 from flowmoe.model import ModelConfig, build_model
-from flowmoe.pipeline import EncodedDataset
+from flowmoe.moe import MoEConfig, MoEHead, Router, moe_forward, noisy_gate
+from flowmoe.pipeline import EncodedDataset, prepare_dataset, save_dataset_cache
 from flowmoe.synthetic import make_blobs
 from flowmoe.tensor import RngState, Tensor
 from flowmoe.training import (
+    Adam,
     TrainConfig,
     evaluate,
     expert_utilization,
@@ -24,6 +29,8 @@ from flowmoe.training import (
     total_loss,
     train,
 )
+
+from csv_fixture import fixture_rows, write_flow_csv
 
 TINY = dict(batch_size=64, max_epochs=3, n_experts=4, top_k=2,
             cnn_filters=(4, 4, 4, 8), expert_hidden=4)
@@ -220,6 +227,57 @@ class TestEvaluate:
         assert again.to_json() == text
 
 
+class TestAdam:
+    def test_dense_update_matches_textbook_formula(self, rng):
+        p = Tensor(rng.normal((3, 4)), requires_grad=True)
+        optimizer = Adam([p], lr=1e-2)
+        data, m, v = p.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        for t in range(1, 4):
+            g = rng.normal((3, 4))
+            optimizer.zero_grad()
+            p.accumulate_grad(g)
+            optimizer.step()
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            m_hat, v_hat = m / (1 - 0.9 ** t), v / (1 - 0.999 ** t)
+            data = data - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            np.testing.assert_array_equal(p.data, data)
+            np.testing.assert_array_equal(optimizer.m[0], m)
+            np.testing.assert_array_equal(optimizer.v[0], v)
+
+    def test_expert_without_rows_keeps_weights_and_moments(self, rng):
+        config = MoEConfig(n_experts=4, top_k=4, input_dim=6, expert_hidden=3, n_classes=5)
+        bank = MoEHead(config, rng).experts
+        params = [bank.w1, bank.b1, bank.w2, bank.b2]
+        optimizer = Adam(params, lr=1e-2)
+        x = Tensor(np.abs(rng.normal((8, 6))) + 0.1)
+
+        def step(*routes):
+            # one mixture node per route, each sending every row to its experts
+            optimizer.zero_grad()
+            loss = Tensor(0.0)
+            for experts in routes:
+                router = Router(config)
+                router.w_gate.data[:] = -1.0
+                router.w_gate.data[:, list(experts)] = 1.0
+                out = moe_forward(bank, noisy_gate(router, x, len(experts), False), x)
+                loss = loss + (out * out).sum()
+            loss.backward()
+            optimizer.step()
+
+        step((0, 1, 2, 3))  # every expert trains, so every moment is nonzero
+        for routes in (((0, 1),), ((0, 1), (1, 2))):
+            before = [(p.data.copy(), m.copy(), v.copy())
+                      for p, m, v in zip(params, optimizer.m, optimizer.v)]
+            step(*routes)
+            for (data, m, v), p, m_now, v_now in zip(before, params, optimizer.m, optimizer.v):
+                assert m[3].any()  # plain Adam would move expert 3 on momentum alone
+                np.testing.assert_array_equal(p.data[3], data[3])
+                np.testing.assert_array_equal(m_now[3], m[3])
+                np.testing.assert_array_equal(v_now[3], v[3])
+                assert all((p.data[i] != data[i]).any() for i in (0, 1))
+
+
 class TestCheckpoint:
     def _trained(self, tmp_path, seed=7):
         train_set, test_set = tiny_blob_split(n=360)
@@ -259,6 +317,26 @@ class TestCheckpoint:
         save_checkpoint(pa, model_a, config, metadata={"epochs_run": len(history_a)})
         save_checkpoint(pb, model_b, config, metadata={"epochs_run": len(history_b)})
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_version_1_rejected(self, tmp_path):
+        # a v1 file held one tensor per expert layer; v2 stores the stacked bank
+        config = TrainConfig(seed=2, **TINY)
+        model = build_model(model_config_for(config), RngState(2))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, config)
+        assert {"head.experts.w1", "head.experts.b1", "head.experts.w2",
+                "head.experts.b2"} <= set(load_checkpoint(path).model.state_dict())
+        payload = bytearray(path.read_bytes()[:-32])
+        assert struct.unpack_from("<I", payload, 8) == (2,)
+        struct.pack_into("<I", payload, 8, 1)
+        path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(path)
+        cache = tmp_path / "data.cache"
+        save_dataset_cache(cache, prepare_dataset(
+            write_flow_csv(tmp_path / "flows.csv", fixture_rows(120)), seed=4), "fp")
+        assert main(["evaluate", "--checkpoint", str(path), "--cache", str(cache),
+                     "--out", str(tmp_path / "eval")]) == 4
 
 
 class TestUtilization:
@@ -341,6 +419,21 @@ def full_scale_model():
     router.w_gate.data = rng.normal(router.w_gate.data.shape)
     model(Tensor(make_blobs(512, seed=22).x), rng)
     return model
+
+
+class TestFullScaleStep:
+    def test_parameter_tensors_and_graph_nodes(self, monkeypatch):
+        config = TrainConfig(seed=3, max_epochs=1)
+        model = build_model(model_config_for(config), RngState(3))
+        # 16 in the backbone (conv weight and bias, gamma and beta per cell),
+        # the router's 2 and the expert bank's 4
+        assert len(model.parameters()) == 22
+        data = make_blobs(1024, seed=3)
+        nodes = record_graph_nodes(monkeypatch)
+        train(model, EncodedDataset(x=data.x, y=data.y, class_names=data.class_names),
+              config, RngState(3))
+        assert len(nodes) <= 55
+        assert nodes.count("batchnorm") == 4 and nodes.count("expert_mixture") == 1
 
 
 class TestGraphFreeEval:
