@@ -7,10 +7,10 @@ Run: python demos/03_noisy_topk_gating.py
 import numpy as np
 
 from flowmoe import (
-    MoEConfig,
     MoEHead,
     RngState,
     Tensor,
+    TrainConfig,
     importance_loss,
     load_loss,
     load_probability,
@@ -19,9 +19,8 @@ from flowmoe import (
 )
 
 rng = RngState(1)
-config = MoEConfig(n_experts=8, top_k=2, input_dim=16, expert_hidden=4,
-                   n_classes=9)
-head = MoEHead(config, rng)
+config = TrainConfig(n_experts=8, top_k=2, expert_hidden=4, n_classes=9)
+head = MoEHead(config, 16, rng)   # 16 input features per sample
 head.router.w_gate.data = 0.5 * rng.normal((16, 8))   # pretend it was trained
 head.router.w_noise.data = 0.2 * rng.normal((16, 8))
 

@@ -11,8 +11,9 @@ The package is organized bottom-up:
 * :mod:`flowmoe.pipeline` -- flow-CSV parsing, per-class imputation,
   min-max scaling, drop-first one-hot encoding to 78 values, stratified
   splitting, and a binary dataset cache.
-* :mod:`flowmoe.model` / :mod:`flowmoe.training` -- classifier assembly,
-  the combined objective, Adam training, and evaluation reports.
+* :mod:`flowmoe.model` / :mod:`flowmoe.training` -- the run config,
+  classifier assembly, the combined objective, Adam training, and
+  evaluation reports.
 * :mod:`flowmoe.checkpoint` / :mod:`flowmoe.ablation` / :mod:`flowmoe.cli`
   -- persistence, the ablation harness, and the command-line front door.
 """
@@ -59,14 +60,13 @@ from .model import (
     CnnDenseClassifier,
     CnnMoEClassifier,
     DenseClassifier,
-    ModelConfig,
+    TrainConfig,
     build_model,
 )
 from .moe import (
     ExpertBank,
     GateDecision,
     GateInfo,
-    MoEConfig,
     MoEHead,
     Router,
     importance_loss,
@@ -107,7 +107,6 @@ from .tensor import (
 )
 from .training import (
     Adam,
-    TrainConfig,
     evaluate,
     expert_utilization,
     fit,

@@ -4,9 +4,9 @@ Byte layout (all integers little-endian):
 
     offset  size  field
     0       8     magic ``b"FLOWMOE\\0"``
-    8       4     format version (uint32, currently 2)
+    8       4     format version (uint32, currently 3)
     12      4     header length H (uint32)
-    16      H     header: UTF-8 JSON with model_config, train_config,
+    16      H     header: UTF-8 JSON with config (the run's TrainConfig),
                   pipeline_stats (nullable) and metadata
     16+H    4     tensor count T (uint32)
     ...           T blocks, each:
@@ -36,32 +36,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .errors import CheckpointIntegrityError, CheckpointVersionError
+from .errors import CheckpointIntegrityError, CheckpointVersionError, ConfigError
 from .layers import Module
-from .model import ModelConfig, build_model
+from .model import TrainConfig, build_model
 from .pipeline import PipelineStats
 from .tensor import RngState
-from .training import TrainConfig
 
 MAGIC = b"FLOWMOE\x00"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
 class LoadedCheckpoint:
     model: Module
-    model_config: ModelConfig
-    train_config: TrainConfig
+    config: TrainConfig
     pipeline_stats: PipelineStats | None
     metadata: dict
 
 
-def save_checkpoint(path, model: Module, train_config: TrainConfig,
+def save_checkpoint(path, model: Module, config: TrainConfig,
                     pipeline_stats: PipelineStats | None = None,
                     metadata: dict | None = None) -> None:
+    """Write ``model`` with ``config``, which must be the one it was built from."""
+    if config != model.config:
+        raise ConfigError("the config to save differs from the one the model was built from")
     header = {
-        "model_config": model.config.to_dict(),
-        "train_config": train_config.to_dict(),
+        "config": config.to_dict(),
         "pipeline_stats": pipeline_stats.to_dict() if pipeline_stats else None,
         "metadata": metadata or {},
     }
@@ -103,17 +103,17 @@ def _read_tensor_blocks(body: memoryview) -> dict[str, np.ndarray]:
 def load_checkpoint(path) -> LoadedCheckpoint:
     header, body = container.read(path, MAGIC, FORMAT_VERSION,
                                   CheckpointIntegrityError, CheckpointVersionError)
+    # ConfigError and DimensionError are ValueErrors: a header the config
+    # rejects, or a state that does not fit the model it describes
     try:
-        state = _read_tensor_blocks(body)
-        model_config = ModelConfig.from_dict(header["model_config"])
-        train_config = TrainConfig.from_dict(header["train_config"])
+        config = TrainConfig.from_dict(header["config"])
         stats = PipelineStats.from_dict(header["pipeline_stats"]) \
             if header["pipeline_stats"] else None
         metadata = header["metadata"]
-    except (KeyError, TypeError, UnicodeDecodeError) as exc:
+        model = build_model(config, RngState(0))
+        model.load_state_dict(_read_tensor_blocks(body))
+    except (LookupError, TypeError, ValueError) as exc:
         raise CheckpointIntegrityError(f"{path} is malformed: {exc!r}") from exc
-    model = build_model(model_config, RngState(0))
-    model.load_state_dict(state)
     model.eval()
-    return LoadedCheckpoint(model=model, model_config=model_config,
-                            train_config=train_config, pipeline_stats=stats, metadata=metadata)
+    return LoadedCheckpoint(model=model, config=config, pipeline_stats=stats,
+                            metadata=metadata)

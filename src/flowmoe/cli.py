@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -88,7 +89,10 @@ class RunConfig:
     learning_rate: float = 1e-3
     seed: int = 0
 
+    @functools.cached_property
     def train_config(self) -> TrainConfig:
+        """The library config of the training fields, checked once by
+        :func:`build_run_config` before any command runs."""
         return TrainConfig(
             batch_size=self.batch_size,
             max_epochs=self.epochs,
@@ -145,6 +149,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(config, name)
         if value is not None and value not in allowed:
             raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+    config.train_config  # built, and so checked, before any command touches a file
     return config
 
 
@@ -215,9 +220,6 @@ def _save_run(run_dir: Path, model, config: TrainConfig, history, stats) -> None
         "final_losses": {k: final.get(k) for k in
                          ("total", "cross_entropy", "importance", "load")},
         "final_train_accuracy": final.get("accuracy"),
-        "seed": config.seed,
-        "optimizer": config.optimizer,
-        "learning_rate": config.learning_rate,
     }
     save_checkpoint(run_dir / "model.ckpt", model, config, stats, metadata)
     (run_dir / "history.json").write_text(history_to_json(history, config))
@@ -263,9 +265,11 @@ def cmd_preprocess(config: RunConfig) -> int:
 def _run_variants(config: RunConfig, variants) -> int:
     """Train and evaluate each variant into its own subdirectory of one run
     directory (checkpoint, history, report), printing one summary row each."""
+    base = config.train_config
+    for variant in variants:  # an impossible (n, k) pair fails before any file is written
+        ablation_config(base, variant)
     run_dir = _make_run_dir(config)
     train_set, test_set, stats = _load_splits(config, run_dir)
-    base = config.train_config()
     print(f"{'variant':<24} {'accuracy':>10} {'weighted F1':>12}")
     for variant in variants:
         result = run_ablation(base, variant, train_set, test_set)
@@ -285,7 +289,7 @@ def cmd_train(config: RunConfig) -> int:
         return _run_variants(config, pairs)
     run_dir = _make_run_dir(config)
     train_set, _, stats = _load_splits(config, run_dir)
-    base = config.train_config()
+    base = config.train_config
     if config.ablate:
         base = ablation_config(base, config.ablate)
     model, history = fit(train_set, base)

@@ -1,69 +1,113 @@
-"""Classifier assembly: CNN backbone feeding the expert head, plus the
-reduced architectures used by the ablation study."""
+"""The run configuration and classifier assembly: CNN backbone feeding the
+expert head, plus the reduced architectures used by the ablation study."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 from .layers import CnnBackbone, Dense, Module
-from .moe import GateInfo, MoEConfig, MoEHead
+from .moe import GateInfo, MoEHead
 from .tensor import RngState, Tensor
 
-VARIANTS = ("cnn_moe", "cnn_dense", "dense")
 
+@dataclass(frozen=True)
+class TrainConfig:
+    """Every hyperparameter of a run, sufficient to rebuild its model from a
+    checkpoint.  The defaults are the full-scale setup: 128 experts with
+    k=32, alpha 0.1, batch size 1024, at most 40 epochs.  Optimizer choice
+    and learning rate are toolkit decisions; the ``disable_*`` flags select
+    the ablation variants."""
 
-@dataclass
-class ModelConfig:
-    """Architecture description, sufficient to rebuild a model from a
-    checkpoint.  Defaults are the full-scale configuration."""
-
-    variant: str = "cnn_moe"
-    input_shape: tuple = (6, 13)
-    cnn_filters: tuple = (16, 32, 64, 128)
+    batch_size: int = 1024
+    max_epochs: int = 40
+    alpha: float = 0.1
     n_experts: int = 128
     top_k: int = 32
+    optimizer: str = "adam"
+    learning_rate: float = 1e-3
+    seed: int = 0
+    disable_balancing_losses: bool = False
+    disable_moe: bool = False
+    disable_cnn: bool = False
     expert_hidden: int = 16
     n_classes: int = 9
-    w_importance: float = 1.0
-    w_load: float = 1.0
+    input_shape: tuple = (6, 13)
+    cnn_filters: tuple = (16, 32, 64, 128)
     noise_enabled: bool = True
     bn_momentum: float = 0.1
     bn_eps: float = 1e-5
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown model variant {self.variant!r}; expected {VARIANTS}")
+        for name in ("batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.optimizer != "adam":
+            raise ConfigError(f"unsupported optimizer {self.optimizer!r}")
+        if not 1 <= self.top_k <= self.n_experts:
+            raise ConfigError(
+                f"top_k must satisfy 1 <= k <= n_experts, got k={self.top_k}, "
+                f"n={self.n_experts}"
+            )
+        # a negative rate is gradient ascent, a negative alpha rewards imbalance
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and nonnegative, got {self.alpha}")
+
+    @property
+    def variant(self) -> str:
+        """The architecture the ablation flags select."""
+        return "dense" if self.disable_cnn else "cnn_dense" if self.disable_moe else "cnn_moe"
+
+    @property
+    def w_importance(self) -> float:
+        """Weight of each balancing loss: 1, or 0 when they are disabled."""
+        return 0.0 if self.disable_balancing_losses else 1.0
+
+    w_load = w_importance  # the two balancing losses are switched together
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        raw = dict(raw)
-        raw["input_shape"] = tuple(raw["input_shape"])
-        raw["cnn_filters"] = tuple(raw["cnn_filters"])
-        return cls(**raw)
+    def from_dict(cls, raw: dict) -> "TrainConfig":
+        """Inverse of :meth:`to_dict` for decoded JSON: exactly the fields,
+        each of its declared type (a bool is no int; an int is a float)."""
+        kinds = {f.name: f.type for f in fields(cls)}
+        if set(raw) != kinds.keys():
+            raise ConfigError(f"config keys: missing {sorted(kinds.keys() - set(raw))}, "
+                              f"unknown {sorted(set(raw) - kinds.keys())}")
+        return cls(**{name: _typed(name, kind, raw[name]) for name, kind in kinds.items()})
+
+
+def _typed(name: str, kind: str, value):
+    """``value`` as a field of type ``kind``; a tuple holds ints."""
+    if kind == "tuple" and isinstance(value, (list, tuple)):
+        return tuple(_typed(name, "int", item) for item in value)
+    if kind == "float" and type(value) in (int, float):
+        return float(value)
+    if type(value).__name__ == kind:
+        return value
+    raise ConfigError(f"config field {name!r} must be {kind}, got {value!r}")
+
+
+def _backbone(config: TrainConfig, rng: RngState) -> CnnBackbone:
+    rows, cols = config.input_shape
+    return CnnBackbone(rng, in_channels=rows, seq_len=cols, filters=config.cnn_filters,
+                       bn_momentum=config.bn_momentum, bn_eps=config.bn_eps)
 
 
 class CnnMoEClassifier(Module):
     """Full architecture: conv backbone into the sparse expert head."""
 
-    def __init__(self, config: ModelConfig, rng: RngState):
+    def __init__(self, config: TrainConfig, rng: RngState):
         super().__init__()
         self.config = config
-        self.backbone = CnnBackbone(
-            rng, in_channels=config.input_shape[0], seq_len=config.input_shape[1],
-            filters=config.cnn_filters, bn_momentum=config.bn_momentum,
-            bn_eps=config.bn_eps,
-        )
-        moe_config = MoEConfig(
-            n_experts=config.n_experts, top_k=config.top_k,
-            input_dim=self.backbone.output_dim, expert_hidden=config.expert_hidden,
-            n_classes=config.n_classes, w_importance=config.w_importance,
-            w_load=config.w_load, noise_enabled=config.noise_enabled,
-        )
-        self.head = MoEHead(moe_config, rng)
+        self.backbone = _backbone(config, rng)
+        self.head = MoEHead(config, self.backbone.output_dim, rng)
 
     def forward(self, x: Tensor, rng: RngState | None = None):
         features = self.backbone(x)
@@ -73,14 +117,10 @@ class CnnMoEClassifier(Module):
 class CnnDenseClassifier(Module):
     """Ablation: the expert head replaced by a single dense layer."""
 
-    def __init__(self, config: ModelConfig, rng: RngState):
+    def __init__(self, config: TrainConfig, rng: RngState):
         super().__init__()
         self.config = config
-        self.backbone = CnnBackbone(
-            rng, in_channels=config.input_shape[0], seq_len=config.input_shape[1],
-            filters=config.cnn_filters, bn_momentum=config.bn_momentum,
-            bn_eps=config.bn_eps,
-        )
+        self.backbone = _backbone(config, rng)
         self.out = Dense(self.backbone.output_dim, config.n_classes, rng)
 
     def forward(self, x: Tensor, rng: RngState | None = None):
@@ -90,7 +130,7 @@ class CnnDenseClassifier(Module):
 class DenseClassifier(Module):
     """Ablation: one affine layer on the flattened feature vector."""
 
-    def __init__(self, config: ModelConfig, rng: RngState):
+    def __init__(self, config: TrainConfig, rng: RngState):
         super().__init__()
         self.config = config
         rows, cols = config.input_shape
@@ -102,9 +142,10 @@ class DenseClassifier(Module):
         return self.out(flat), GateInfo()
 
 
-def build_model(config: ModelConfig, rng: RngState) -> Module:
-    if config.variant == "cnn_moe":
-        return CnnMoEClassifier(config, rng)
-    if config.variant == "cnn_dense":
-        return CnnDenseClassifier(config, rng)
-    return DenseClassifier(config, rng)
+CLASSIFIERS = {"cnn_moe": CnnMoEClassifier, "cnn_dense": CnnDenseClassifier,
+               "dense": DenseClassifier}
+
+
+def build_model(config: TrainConfig, rng: RngState) -> Module:
+    """The classifier of ``config.variant``, initialised from ``rng``."""
+    return CLASSIFIERS[config.variant](config, rng)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,34 +35,13 @@ from .tensor import (
 )
 from .layers import Module
 
+if TYPE_CHECKING:
+    from .model import TrainConfig
+
 # Floor added to the learned noise scale (Shazeer et al. 2017).  softplus
 # underflows to exactly 0 for very negative inputs, which would turn the
 # load probability's margin / scale into 0/0.
 NOISE_STD_FLOOR = 1e-2
-
-
-@dataclass
-class MoEConfig:
-    """Expert-layer hyperparameters. Defaults are the full-scale setup:
-    128 experts with the 32 most relevant kept per sample."""
-
-    n_experts: int = 128
-    top_k: int = 32
-    input_dim: int = 128
-    expert_hidden: int = 16
-    n_classes: int = 9
-    w_importance: float = 1.0
-    w_load: float = 1.0
-    noise_enabled: bool = True
-
-    def __post_init__(self):
-        if not (1 <= self.top_k <= self.n_experts):
-            raise ConfigError(
-                f"top_k must satisfy 1 <= k <= n_experts, got k={self.top_k}, "
-                f"n={self.n_experts}"
-            )
-        if self.w_importance < 0 or self.w_load < 0:
-            raise ConfigError("balancing-loss weights must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -93,9 +73,9 @@ class ExpertBank(Module):
     :class:`ExpertView` s over the current arrays.
     """
 
-    def __init__(self, config: MoEConfig, rng: RngState):
+    def __init__(self, config: TrainConfig, input_dim: int, rng: RngState):
         super().__init__()
-        n, d, h, c = config.n_experts, config.input_dim, config.expert_hidden, config.n_classes
+        n, d, h, c = config.n_experts, input_dim, config.expert_hidden, config.n_classes
         w1, b1 = np.empty((n, h, d)), np.empty((n, h))
         w2, b2 = np.empty((n, c, h)), np.empty((n, c))
         for i in range(n):
@@ -125,12 +105,10 @@ class Router(Module):
     the noise term, so no expert is privileged at the start of training.
     """
 
-    def __init__(self, config: MoEConfig):
+    def __init__(self, config: TrainConfig, input_dim: int):
         super().__init__()
-        self.w_gate = Tensor(np.zeros((config.input_dim, config.n_experts)),
-                             requires_grad=True)
-        self.w_noise = Tensor(np.zeros((config.input_dim, config.n_experts)),
-                              requires_grad=True)
+        self.w_gate = Tensor(np.zeros((input_dim, config.n_experts)), requires_grad=True)
+        self.w_noise = Tensor(np.zeros((input_dim, config.n_experts)), requires_grad=True)
 
 
 @dataclass
@@ -350,11 +328,11 @@ class MoEHead(Module):
     evaluation routes with clean scores and is deterministic.
     """
 
-    def __init__(self, config: MoEConfig, rng: RngState):
+    def __init__(self, config: TrainConfig, input_dim: int, rng: RngState):
         super().__init__()
         self.config = config
-        self.router = Router(config)
-        self.experts = ExpertBank(config, rng)
+        self.router = Router(config, input_dim)
+        self.experts = ExpertBank(config, input_dim, rng)
 
     def forward(self, x: Tensor, rng: RngState | None = None) -> tuple[Tensor, GateInfo]:
         cfg = self.config

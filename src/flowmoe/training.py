@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
 from .layers import Module, cross_entropy
 from .metrics import EvalReport
-from .model import ModelConfig, build_model
+from .model import TrainConfig, build_model
 from .moe import importance_loss, load_loss, load_probability, noise_scale, noisy_gate
 from .pipeline import EncodedDataset
 from .tensor import RngState, Tensor, coefficient_of_variation_sq, no_grad
@@ -26,70 +26,9 @@ from .tensor import RngState, Tensor, coefficient_of_variation_sq, no_grad
 log = logging.getLogger("flowmoe.training")
 
 
-@dataclass
-class TrainConfig:
-    """Run hyperparameters.  The defaults are the full-scale setup: 128
-    experts with k=32, alpha 0.1, batch size 1024, at most 40 epochs.
-    Optimizer choice and learning rate are toolkit decisions (recorded in
-    every checkpoint); the ablation flags select the reduced variants."""
-
-    batch_size: int = 1024
-    max_epochs: int = 40
-    alpha: float = 0.1
-    n_experts: int = 128
-    top_k: int = 32
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    seed: int = 0
-    disable_balancing_losses: bool = False
-    disable_moe: bool = False
-    disable_cnn: bool = False
-    expert_hidden: int = 16
-    n_classes: int = 9
-    input_shape: tuple = (6, 13)
-    cnn_filters: tuple = (16, 32, 64, 128)
-    noise_enabled: bool = True
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be positive")
-        if self.optimizer != "adam":
-            raise ConfigError(f"unsupported optimizer {self.optimizer!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        raw = dict(raw)
-        raw["input_shape"] = tuple(raw["input_shape"])
-        raw["cnn_filters"] = tuple(raw["cnn_filters"])
-        return cls(**raw)
-
-
-def model_config_for(config: TrainConfig) -> ModelConfig:
-    """Map run options onto an architecture description."""
-    if config.disable_cnn:
-        variant = "dense"
-    elif config.disable_moe:
-        variant = "cnn_dense"
-    else:
-        variant = "cnn_moe"
-    zero = config.disable_balancing_losses
-    return ModelConfig(
-        variant=variant,
-        input_shape=config.input_shape,
-        cnn_filters=config.cnn_filters,
-        n_experts=config.n_experts,
-        top_k=config.top_k,
-        expert_hidden=config.expert_hidden,
-        n_classes=config.n_classes,
-        w_importance=0.0 if zero else 1.0,
-        w_load=0.0 if zero else 1.0,
-        noise_enabled=config.noise_enabled,
-    )
+def model_config_for(config: TrainConfig) -> TrainConfig:
+    """The architecture description of a run: its config, unchanged."""
+    return config
 
 
 class Adam:
@@ -228,7 +167,7 @@ def train(model: Module, train_set: EncodedDataset, config: TrainConfig,
 def fit(train_set: EncodedDataset, config: TrainConfig):
     """Build and train a model from one seed; returns (model, history)."""
     rng = RngState(config.seed)
-    model = build_model(model_config_for(config), rng)
+    model = build_model(config, rng)
     return train(model, train_set, config, rng)
 
 

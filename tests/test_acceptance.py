@@ -29,7 +29,6 @@ from flowmoe.metrics import EvalReport
 from flowmoe.model import build_model
 from flowmoe.moe import (
     GateDecision,
-    MoEConfig,
     MoEHead,
     Router,
     importance_loss,
@@ -184,11 +183,10 @@ def test_c01_gradient_correctness():
         x = rng.normal((2, 4))
         w_g = np.ascontiguousarray(spaced(rng, (1, 12)).reshape(4, 3))
         probe = rng.normal((2, 3))
-        config = MoEConfig(n_experts=3, top_k=2, input_dim=4, expert_hidden=2,
-                           n_classes=3)
+        config = TrainConfig(n_experts=3, top_k=2, expert_hidden=2, n_classes=3)
 
         def build():
-            router = Router(config)
+            router = Router(config, 4)
             router.w_gate = Tensor(w_g, requires_grad=True)
             tx = Tensor(x, requires_grad=True)
             decision = noisy_gate(router, tx, 2, noise_enabled=False)
@@ -243,9 +241,8 @@ def test_c02_gating_sparsity_normalization():
         n = int(rng.uniform(1, 65, ()))
         k = int(rng.uniform(1, n + 1, ()))
         k = min(k, n)
-        config = MoEConfig(n_experts=n, top_k=k, input_dim=4, expert_hidden=2,
-                           n_classes=2)
-        router = Router(config)
+        config = TrainConfig(n_experts=n, top_k=k, expert_hidden=2, n_classes=2)
+        router = Router(config, 4)
         router.w_gate.data = rng.normal((4, n))
         router.w_noise.data = 0.3 * rng.normal((4, n))
         x = Tensor(rng.normal((2, 4)))
@@ -265,9 +262,8 @@ def test_c03_dense_equivalence():
         n = int(rng.uniform(2, 17, ()))
         k = int(rng.uniform(1, n + 1, ()))
         k = min(k, n)
-        config = MoEConfig(n_experts=n, top_k=k, input_dim=5, expert_hidden=3,
-                           n_classes=4)
-        head = MoEHead(config, rng)
+        config = TrainConfig(n_experts=n, top_k=k, expert_hidden=3, n_classes=4)
+        head = MoEHead(config, 5, rng)
         head.router.w_gate.data = rng.normal((5, n))
         x_data = rng.normal((4, 5))
         x = Tensor(x_data)
@@ -285,9 +281,8 @@ def test_c04_topk_degeneracy():
     rng = RngState(40_404)
     for _ in range(50):
         n = int(rng.uniform(2, 33, ()))
-        config = MoEConfig(n_experts=n, top_k=n, input_dim=6, expert_hidden=2,
-                           n_classes=2)
-        router = Router(config)
+        config = TrainConfig(n_experts=n, top_k=n, expert_hidden=2, n_classes=2)
+        router = Router(config, 6)
         router.w_gate.data = rng.normal((6, n))
         x = Tensor(rng.normal((3, 6)))
         decision = noisy_gate(router, x, n, noise_enabled=False)

@@ -20,3 +20,21 @@ def test_config_file_value_outside_choices_exits_2(tmp_path, line):
     assert main(["preprocess", "--config", str(cfg), "--dataset", str(csv),
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--learning-rate", "-0.1"],
+    ["--learning-rate", "nan"],
+    ["--alpha", "-5"],
+    ["--alpha", "inf"],
+    ["--epochs", "0"],
+    ["--ablate", "no_cnn", "--experts", "4", "--top-k", "8"],
+    ["--expert-grid", "4:2,2:4"],
+], ids=" ".join)
+def test_unusable_training_values_exit_2_before_any_file(tmp_path, flags):
+    """Training values are checked before a run directory or cache is written."""
+    csv = write_flow_csv(tmp_path / "flows.csv", fixture_rows(20))
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(csv), "--out", str(out), "--epochs", "1",
+                 "--batch-size", "32", "--experts", "4", "--top-k", "2", *flags]) == 2
+    assert not out.exists()

@@ -130,8 +130,8 @@ def test_cli_exits_4_on_short_body(tmp_path, fmt):
     assert code == 4
 
 
-def _edit_cache_header(path, edit):
-    """Rewrite the cache header through ``edit`` and reseal it with a valid checksum."""
+def _edit_header(path, edit):
+    """Rewrite a file's header through ``edit`` and reseal it with a valid checksum."""
     magic, version, header, body = _split(path.read_bytes())
     fields = json.loads(header)
     edit(fields)
@@ -150,14 +150,46 @@ HEADER_EDITS = {
 @pytest.mark.parametrize("edit", HEADER_EDITS)
 def test_cache_header_keys_are_checked_on_load(tmp_path, edit):
     path = _write_cache(tmp_path)
-    _edit_cache_header(path, HEADER_EDITS[edit])
+    _edit_header(path, HEADER_EDITS[edit])
     with pytest.raises(CacheIntegrityError):
         load_dataset_cache(path)
 
 
 def test_cli_train_exits_4_on_cache_without_stats(tmp_path):
     cache = _write_cache(tmp_path)
-    _edit_cache_header(cache, HEADER_EDITS["stats_missing"])
+    _edit_header(cache, HEADER_EDITS["stats_missing"])
     code = main(["train", "--cache", str(cache), "--out", str(tmp_path / "runs"),
                  "--epochs", "1", "--experts", "4", "--top-k", "2", "--batch-size", "32"])
+    assert code == 4
+
+
+# Each leaves a checksummed checkpoint whose config cannot describe its model.
+CONFIG_EDITS = {
+    "n_experts_not_an_int": lambda c: c.update(n_experts="many"),
+    "top_k_a_bool": lambda c: c.update(top_k=True),
+    "bn_eps_null": lambda c: c.update(bn_eps=None),
+    "top_k_above_n_experts": lambda c: c.update(top_k=c["n_experts"] + 1),
+    "unknown_key": lambda c: c.update(variant="cnn_moe"),
+    "missing_key": lambda c: c.pop("bn_momentum"),
+    "learning_rate_nan": lambda c: c.update(learning_rate=float("nan")),
+    "input_shape_too_short": lambda c: c.update(input_shape=[6]),
+    "state_does_not_fit": lambda c: c.update(expert_hidden=c["expert_hidden"] + 1),
+}
+
+
+@pytest.mark.parametrize("edit", CONFIG_EDITS)
+def test_checkpoint_config_is_checked_on_load(tmp_path, edit):
+    path = _write_checkpoint(tmp_path)
+    _edit_header(path, lambda h: CONFIG_EDITS[edit](h["config"]))
+    with pytest.raises(CheckpointIntegrityError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["n_experts_not_an_int", "top_k_above_n_experts"])
+def test_cli_exits_4_on_checkpoint_config(tmp_path, edit):
+    cache = _write_cache(tmp_path)
+    checkpoint = _write_checkpoint(tmp_path)
+    _edit_header(checkpoint, lambda h: CONFIG_EDITS[edit](h["config"]))
+    code = main(["evaluate", "--checkpoint", str(checkpoint), "--cache", str(cache),
+                 "--out", str(tmp_path / "eval")])
     assert code == 4

@@ -6,12 +6,12 @@ from scipy.special import ndtr
 
 from flowmoe.errors import ConfigError
 from flowmoe.layers import Dense
+from flowmoe.model import TrainConfig
 from flowmoe.moe import (
     NOISE_STD_FLOOR,
     ExpertBank,
     ExpertView,
     GateDecision,
-    MoEConfig,
     MoEHead,
     Router,
     importance_loss,
@@ -28,10 +28,10 @@ from conftest import spaced_logits
 from fd import check_gradients
 
 
-def tiny_config(**overrides) -> MoEConfig:
-    base = dict(n_experts=4, top_k=2, input_dim=6, expert_hidden=3, n_classes=5)
+def tiny_config(**overrides) -> TrainConfig:
+    base = dict(n_experts=4, top_k=2, expert_hidden=3, n_classes=5)
     base.update(overrides)
-    return MoEConfig(**base)
+    return TrainConfig(**base)
 
 
 def make_decision(clean: np.ndarray, std: np.ndarray, eps: np.ndarray,
@@ -120,7 +120,7 @@ class TestTopKSelection:
             np.testing.assert_array_equal(wider[:, k - 1:k + 1], full[:, k - 1:k + 1])
         if finite:
             # the gate and the load probability see the same order
-            router = Router(tiny_config(n_experts=n, top_k=k, input_dim=n))
+            router = Router(tiny_config(n_experts=n, top_k=k), n)
             router.w_gate.data = np.eye(n)
             decision = noisy_gate(router, Tensor(values), k, noise_enabled=False)
             np.testing.assert_array_equal(decision.selected_indices, order)
@@ -157,7 +157,7 @@ class TestTopKSelection:
 class TestNoisyGate:
     def test_k_equals_n_noise_off_is_plain_softmax(self, rng):
         config = tiny_config()
-        router = Router(config)
+        router = Router(config, 6)
         router.w_gate.data = rng.normal((6, 4))
         x = Tensor(rng.normal((5, 6)))
         decision = noisy_gate(router, x, 4, noise_enabled=False)
@@ -165,8 +165,8 @@ class TestNoisyGate:
         np.testing.assert_allclose(decision.gates.data, expected, atol=1e-12)
 
     def test_hand_case(self):
-        config = tiny_config(n_experts=3, input_dim=3)
-        router = Router(config)
+        config = tiny_config(n_experts=3)
+        router = Router(config, 3)
         router.w_gate.data = np.eye(3)
         decision = noisy_gate(router, Tensor([[3.0, 1.0, 2.0]]), 2, noise_enabled=False)
         np.testing.assert_allclose(
@@ -178,9 +178,8 @@ class TestNoisyGate:
     def test_sparsity_and_normalization(self, seed, n, data):
         k = data.draw(st.integers(1, n))
         rng = RngState(seed)
-        config = MoEConfig(n_experts=n, top_k=k, input_dim=4,
-                           expert_hidden=2, n_classes=3)
-        router = Router(config)
+        config = TrainConfig(n_experts=n, top_k=k, expert_hidden=2, n_classes=3)
+        router = Router(config, 4)
         router.w_gate.data = rng.normal((4, n))
         x = Tensor(rng.normal((3, 4)))
         decision = noisy_gate(router, x, k, noise_enabled=True, rng=rng)
@@ -194,7 +193,7 @@ class TestNoisyGate:
 
     def test_noise_deterministic_under_seed(self, rng):
         config = tiny_config()
-        router = Router(config)
+        router = Router(config, 6)
         router.w_gate.data = rng.normal((6, 4))
         router.w_noise.data = rng.normal((6, 4))
         x = Tensor(rng.normal((3, 6)))
@@ -203,13 +202,13 @@ class TestNoisyGate:
         np.testing.assert_array_equal(a, b)
 
     def test_noise_requires_rng(self, rng):
-        router = Router(tiny_config())
+        router = Router(tiny_config(), 6)
         with pytest.raises(ConfigError):
             noisy_gate(router, Tensor(rng.normal((1, 6))), 2, True, None)
 
     def test_gradient_flows_through_noise_path(self, rng):
         config = tiny_config()
-        router = Router(config)
+        router = Router(config, 6)
         router.w_gate.data = rng.normal((6, 4))
         router.w_noise.data = rng.normal((6, 4))
         x = Tensor(rng.normal((3, 6)))
@@ -222,7 +221,7 @@ class TestNoisyGate:
         # softplus(x @ w_noise) underflows to exactly 0 here; with the zero
         # initial w_gate every margin is 0 as well, so without the floor the
         # load probability would be 0/0
-        router = Router(tiny_config())
+        router = Router(tiny_config(), 6)
         router.w_noise.data = np.full((6, 4), -1000.0)
         x = Tensor(1.0 + np.abs(RngState(4).normal((3, 6))), requires_grad=True)
         decision = noisy_gate(router, x, 2, True, RngState(5))
@@ -237,8 +236,8 @@ class TestNoisyGate:
         w_g = rng.normal((4, 3))
         x = rng.normal((2, 4))
         probe = rng.normal((2, 3))
-        config = tiny_config(n_experts=3, input_dim=4)
-        router = Router(config)
+        config = tiny_config(n_experts=3)
+        router = Router(config, 4)
         router.w_gate = Tensor(w_g, requires_grad=True)
 
         def build():
@@ -253,7 +252,7 @@ class TestNoisyGate:
 class TestMoEForward:
     def test_single_expert_identity(self, rng):
         config = tiny_config(n_experts=1, top_k=1)
-        head = MoEHead(config, rng)
+        head = MoEHead(config, 6, rng)
         x = Tensor(rng.normal((3, 6)))
         decision = noisy_gate(head.router, x, 1, False)
         out = moe_forward(head.experts, decision, x)
@@ -262,7 +261,7 @@ class TestMoEForward:
 
     def test_equal_gates_average_constant_experts(self, rng):
         config = tiny_config(n_experts=2, top_k=2)
-        head = MoEHead(config, rng)
+        head = MoEHead(config, 6, rng)
         for expert, constant in zip(head.experts, (1.0, 3.0)):
             expert.hidden.weight.data[:] = 0.0
             expert.hidden.bias.data[:] = 0.0
@@ -274,8 +273,8 @@ class TestMoEForward:
         np.testing.assert_allclose(out.data, 2.0, atol=1e-12)
 
     def test_matches_dense_oracle(self, rng):
-        config = tiny_config(n_experts=8, top_k=3, input_dim=5)
-        head = MoEHead(config, rng)
+        config = tiny_config(n_experts=8, top_k=3)
+        head = MoEHead(config, 5, rng)
         x_data = rng.normal((6, 5))
         x = Tensor(x_data)
         decision = noisy_gate(head.router, x, 3, True, RngState(17))
@@ -287,7 +286,7 @@ class TestMoEForward:
 
     def test_skips_unselected_experts(self, rng):
         config = tiny_config(n_experts=4, top_k=1)
-        head = MoEHead(config, rng)
+        head = MoEHead(config, 6, rng)
         x = Tensor(rng.normal((2, 6)))
         decision = noisy_gate(head.router, x, 1, True, RngState(2))
         unselected = set(range(4)) - set(decision.selected_indices.reshape(-1))
@@ -298,7 +297,7 @@ class TestMoEForward:
 
     @pytest.mark.parametrize("n_experts, top_k, idle", [(4, 2, 3), (3, 3, None)])
     def test_gradient(self, rng, n_experts, top_k, idle):
-        bank = MoEHead(tiny_config(n_experts=n_experts, top_k=top_k), rng).experts
+        bank = MoEHead(tiny_config(n_experts=n_experts, top_k=top_k), 6, rng).experts
         params = [bank.w1, bank.b1, bank.w2, bank.b2]
         x = rng.normal((5, 6))
         logits = spaced_logits(rng, (5, n_experts))
@@ -324,7 +323,7 @@ class TestMoEForward:
         check_gradients(build, [x, logits] + [p.data for p in params])
 
     def test_one_graph_node(self, rng):
-        head = MoEHead(tiny_config(), rng)
+        head = MoEHead(tiny_config(), 6, rng)
         bank = head.experts
         x = Tensor(rng.normal((3, 6)), requires_grad=True)
         decision = noisy_gate(head.router, x, 2, True, RngState(1))
@@ -333,7 +332,7 @@ class TestMoEForward:
         assert out._parents == (x, decision.gates, bank.w1, bank.b1, bank.w2, bank.b2)
 
     def test_two_nodes_or_their_routed_rows(self, rng):
-        bank = MoEHead(tiny_config(n_experts=4, top_k=1), rng).experts
+        bank = MoEHead(tiny_config(n_experts=4, top_k=1), 6, rng).experts
         x = Tensor(rng.normal((2, 6)))
         no_noise = np.zeros((2, 4))
         first = make_decision(np.array([[5.0, 0, 0, 0], [5.0, 0, 0, 0]]), no_noise, no_noise, 1)
@@ -345,7 +344,7 @@ class TestMoEForward:
             assert p.grad is None and p.grad_rows is None
 
     def test_no_grad_keeps_nothing(self, rng):
-        head = MoEHead(tiny_config(), rng)
+        head = MoEHead(tiny_config(), 6, rng)
         x = Tensor(rng.normal((3, 6)), requires_grad=True)
         decision = noisy_gate(head.router, x, 2, True, RngState(1))
         tracked = moe_forward(head.experts, decision, x)
@@ -403,7 +402,7 @@ class TestLoadProbability:
         assert p.data[0, 0] > 0.9999
 
     def test_requires_noise_path(self, rng):
-        router = Router(tiny_config())
+        router = Router(tiny_config(), 6)
         decision = noisy_gate(router, Tensor(rng.normal((2, 6))), 2, False)
         with pytest.raises(ConfigError):
             load_probability(decision, 2)
@@ -519,17 +518,17 @@ class TestGradientRouting:
 class TestExpertBank:
     def test_seeded_init_equals_per_expert_dense_draws(self):
         config = tiny_config(n_experts=5)
-        bank = ExpertBank(config, RngState(7))
+        bank = ExpertBank(config, 6, RngState(7))
         rng = RngState(7)
         for i in range(config.n_experts):
-            hidden = Dense(config.input_dim, config.expert_hidden, rng)
+            hidden = Dense(6, config.expert_hidden, rng)
             out = Dense(config.expert_hidden, config.n_classes, rng)
             for layer, (weight, bias) in ((hidden, (bank.w1, bank.b1)), (out, (bank.w2, bank.b2))):
                 np.testing.assert_array_equal(weight.data[i], layer.weight.data)
                 np.testing.assert_array_equal(bias.data[i], layer.bias.data)
 
     def test_views_read_and_write_the_bank(self, rng):
-        bank = ExpertBank(tiny_config(), rng)
+        bank = ExpertBank(tiny_config(), 6, rng)
         assert len(bank) == 4 and len(list(bank)) == 4
         assert bank[3].hidden.weight.data.shape == (3, 6)
         assert bank[3].out.bias.data.shape == (5,)
@@ -540,7 +539,7 @@ class TestExpertBank:
             bank[4]
 
     def test_state_is_the_four_stacked_arrays(self, rng):
-        head = MoEHead(tiny_config(), rng)
+        head = MoEHead(tiny_config(), 6, rng)
         assert len(head.parameters()) == 6
         assert sorted(k for k in head.state_dict() if k.startswith("experts.")) == \
             ["experts.b1", "experts.b2", "experts.w1", "experts.w2"]
@@ -548,7 +547,7 @@ class TestExpertBank:
 
 class TestMoEHead:
     def test_eval_is_deterministic_and_noise_free(self, rng):
-        head = MoEHead(tiny_config(), rng)
+        head = MoEHead(tiny_config(), 6, rng)
         head.router.w_gate.data = rng.normal((6, 4))
         head.eval()
         x = Tensor(rng.normal((3, 6)))
@@ -559,22 +558,22 @@ class TestMoEHead:
         assert info.load_p is None
 
     def test_train_mode_produces_load_p(self, rng):
-        head = MoEHead(tiny_config(), rng)
+        head = MoEHead(tiny_config(), 6, rng)
         logits, info = head(Tensor(rng.normal((3, 6))), RngState(0))
         assert logits.data.shape == (3, 5)
         assert info.load_p is not None
         assert info.load_p.data.shape == (3, 4)
 
     def test_k_equals_n_skips_load(self, rng):
-        head = MoEHead(tiny_config(n_experts=3, top_k=3), rng)
+        head = MoEHead(tiny_config(n_experts=3, top_k=3), 6, rng)
         _, info = head(Tensor(rng.normal((2, 6))), RngState(0))
         assert info.load_p is None
 
     def test_zero_weight_skips_load(self, rng):
-        head = MoEHead(tiny_config(w_load=0.0), rng)
+        head = MoEHead(tiny_config(disable_balancing_losses=True), 6, rng)
         _, info = head(Tensor(rng.normal((2, 6))), RngState(0))
         assert info.load_p is None
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            MoEConfig(n_experts=4, top_k=5)
+            TrainConfig(n_experts=4, top_k=5)

@@ -12,8 +12,8 @@ from flowmoe.checkpoint import load_checkpoint, save_checkpoint
 from flowmoe.cli import main
 from flowmoe.errors import CheckpointVersionError, ConfigError, TrainingDivergedError
 from flowmoe.metrics import EvalReport, weighted_mean
-from flowmoe.model import ModelConfig, build_model
-from flowmoe.moe import MoEConfig, MoEHead, Router, moe_forward, noisy_gate
+from flowmoe.model import build_model
+from flowmoe.moe import MoEHead, Router, moe_forward, noisy_gate
 from flowmoe.pipeline import EncodedDataset, prepare_dataset, save_dataset_cache
 from flowmoe.synthetic import make_blobs
 from flowmoe.tensor import RngState, Tensor
@@ -214,7 +214,7 @@ class TestEvaluate:
                 <= report.f1[present].max() + 1e-12
 
     def test_empty_set_rejected(self, rng):
-        model = build_model(ModelConfig(variant="dense"), rng)
+        model = build_model(TrainConfig(disable_cnn=True), rng)
         empty = EncodedDataset(x=np.zeros((0, 6, 13)), y=np.zeros(0, dtype=np.int64),
                                class_names=("a",))
         with pytest.raises(ConfigError):
@@ -246,8 +246,8 @@ class TestAdam:
             np.testing.assert_array_equal(optimizer.v[0], v)
 
     def test_expert_without_rows_keeps_weights_and_moments(self, rng):
-        config = MoEConfig(n_experts=4, top_k=4, input_dim=6, expert_hidden=3, n_classes=5)
-        bank = MoEHead(config, rng).experts
+        config = TrainConfig(n_experts=4, top_k=4, expert_hidden=3, n_classes=5)
+        bank = MoEHead(config, 6, rng).experts
         params = [bank.w1, bank.b1, bank.w2, bank.b2]
         optimizer = Adam(params, lr=1e-2)
         x = Tensor(np.abs(rng.normal((8, 6))) + 0.1)
@@ -257,7 +257,7 @@ class TestAdam:
             optimizer.zero_grad()
             loss = Tensor(0.0)
             for experts in routes:
-                router = Router(config)
+                router = Router(config, 6)
                 router.w_gate.data[:] = -1.0
                 router.w_gate.data[:, list(experts)] = 1.0
                 out = moe_forward(bank, noisy_gate(router, x, len(experts), False), x)
@@ -304,9 +304,9 @@ class TestCheckpoint:
         path = tmp_path / "default.ckpt"
         save_checkpoint(path, model, config)
         loaded = load_checkpoint(path)
-        assert loaded.train_config.n_experts == 128
-        assert loaded.train_config.top_k == 32
-        assert loaded.model_config.n_experts == 128
+        assert loaded.config.n_experts == 128
+        assert loaded.config.top_k == 32
+        assert loaded.config.n_experts == 128
 
     def test_same_seed_identical_bytes(self, tmp_path):
         train_set, _ = tiny_blob_split(n=360)
@@ -319,7 +319,8 @@ class TestCheckpoint:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_version_1_rejected(self, tmp_path):
-        # a v1 file held one tensor per expert layer; v2 stores the stacked bank
+        # a v1 file held one tensor per expert layer and v2 a model and a train
+        # config; v3 stores the stacked bank under one config
         config = TrainConfig(seed=2, **TINY)
         model = build_model(model_config_for(config), RngState(2))
         path = tmp_path / "model.ckpt"
@@ -327,11 +328,12 @@ class TestCheckpoint:
         assert {"head.experts.w1", "head.experts.b1", "head.experts.w2",
                 "head.experts.b2"} <= set(load_checkpoint(path).model.state_dict())
         payload = bytearray(path.read_bytes()[:-32])
-        assert struct.unpack_from("<I", payload, 8) == (2,)
-        struct.pack_into("<I", payload, 8, 1)
-        path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
-        with pytest.raises(CheckpointVersionError):
-            load_checkpoint(path)
+        assert struct.unpack_from("<I", payload, 8) == (3,)
+        for old in (2, 1):
+            struct.pack_into("<I", payload, 8, old)
+            path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
+            with pytest.raises(CheckpointVersionError):
+                load_checkpoint(path)
         cache = tmp_path / "data.cache"
         save_dataset_cache(cache, prepare_dataset(
             write_flow_csv(tmp_path / "flows.csv", fixture_rows(120)), seed=4), "fp")
@@ -350,8 +352,8 @@ class TestUtilization:
         assert len(summary["importance"]) == config.n_experts
 
     def test_k_equals_n_is_uniform(self, rng):
-        config = ModelConfig(variant="cnn_moe", cnn_filters=(4, 4, 4, 8),
-                             n_experts=4, top_k=4, expert_hidden=4)
+        config = TrainConfig(cnn_filters=(4, 4, 4, 8), n_experts=4, top_k=4,
+                             expert_hidden=4)
         model = build_model(config, rng)
         data = make_blobs(60, seed=2)
         summary = expert_utilization(model, data)
@@ -360,8 +362,8 @@ class TestUtilization:
         assert summary["load_cv_sq"] == pytest.approx(0.0, abs=1e-20)
 
     def test_noise_scale_floor_keeps_load_finite(self, rng):
-        config = ModelConfig(variant="cnn_moe", cnn_filters=(4, 4, 4, 8),
-                             n_experts=4, top_k=2, expert_hidden=4)
+        config = TrainConfig(cnn_filters=(4, 4, 4, 8), n_experts=4, top_k=2,
+                             expert_hidden=4)
         model = build_model(config, rng)
         # softplus underflows to 0 on every row with a positive feature, and
         # the zero gate weights tie every clean score
@@ -371,7 +373,7 @@ class TestUtilization:
         assert math.isfinite(summary["load_cv_sq"])
 
     def test_requires_expert_head(self, rng):
-        model = build_model(ModelConfig(variant="dense"), rng)
+        model = build_model(TrainConfig(disable_cnn=True), rng)
         with pytest.raises(ConfigError):
             expert_utilization(model, make_blobs(10, seed=0))
 
