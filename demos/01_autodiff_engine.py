@@ -6,8 +6,7 @@ Run: python demos/01_autodiff_engine.py
 
 import numpy as np
 
-from flowmoe import Tensor, RngState, matmul, softmax, softplus, normal_cdf, \
-    coefficient_of_variation_sq
+from flowmoe import Tensor, RngState, matmul, softmax, softplus, coefficient_of_variation_sq
 
 # Every value in the model is a Tensor: a float64 array plus an optional
 # gradient. Operations record how to push gradients back to their inputs.
@@ -38,10 +37,6 @@ print("\nsoftmax([3, -inf, 2]) =", softmax(masked).data)
 # softplus is the noise-scale nonlinearity: smooth, positive, overflow-safe.
 print("softplus(-30, 0, 30) =",
       [float(softplus(Tensor(v)).data) for v in (-30.0, 0.0, 30.0)])
-
-# The normal CDF turns a margin-over-threshold into a selection probability.
-print("normal_cdf(0, 1.96) =",
-      [float(normal_cdf(Tensor(v)).data) for v in (0.0, 1.96)])
 
 # The squared coefficient of variation powers both balancing losses:
 # 0 for perfectly even statistics, 1 when one of two experts gets everything.

@@ -100,7 +100,6 @@ from .tensor import (
     Tensor,
     coefficient_of_variation_sq,
     matmul,
-    normal_cdf,
     softmax,
     softplus,
     standard_normal_sample,

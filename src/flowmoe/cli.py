@@ -149,6 +149,12 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(config, name)
         if value is not None and value not in allowed:
             raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+    if not 0.0 < config.train_fraction < 1.0:  # NaN included
+        raise ConfigError(f"train_fraction must be in (0, 1), got {config.train_fraction}")
+    for name in ("dataset", "cache", "checkpoint"):
+        path = getattr(config, name)
+        if path and not Path(path).is_file():
+            raise ConfigError(f"--{name} {path} is not a file")
     config.train_config  # built, and so checked, before any command touches a file
     return config
 

@@ -56,6 +56,8 @@ class TrainConfig:
                               f"got {self.learning_rate}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        if self.seed < 0:  # numpy's seed sequence refuses it
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def variant(self) -> str:

@@ -19,18 +19,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import ConfigError, DimensionError
 from .tensor import (
     RngState,
     Tensor,
     coefficient_of_variation_sq,
-    gather,
     matmul,
     softmax,
     softplus,
     standard_normal_sample,
-    normal_cdf,
     is_grad_enabled,
 )
 from .layers import Module
@@ -42,6 +41,8 @@ if TYPE_CHECKING:
 # underflows to exactly 0 for very negative inputs, which would turn the
 # load probability's margin / scale into 0/0.
 NOISE_STD_FLOOR = 1e-2
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -286,6 +287,12 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
     expert i's clean score clears that threshold is the normal CDF of the
     margin divided by the noise scale.  Smooth in the clean scores, so
     under-selected experts still receive gradient through this path.
+
+    One ``load_probability`` node over the clean scores, the noisy scores
+    and the noise scale.  With z = margin / std, the backward gives the
+    clean scores phi(z) * grad / std and the noise scale -phi(z) * grad * z
+    / std; each threshold score gets minus the clean term, summed over the
+    experts that compared against it.
     """
     if decision.noise_std is None:
         raise ConfigError("load probability requires the noise path (noise_std)")
@@ -303,9 +310,21 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
     kth_col = order[:, k - 1][:, None]
     k1th_col = order[:, k][:, None]
     threshold_cols = np.where(in_top_k, k1th_col, kth_col)
-    rows = np.broadcast_to(np.arange(batch)[:, None], (batch, n))
-    thresholds = gather(noisy, rows, threshold_cols)
-    return normal_cdf((decision.clean_logits - thresholds) / decision.noise_std)
+    clean, std = decision.clean_logits, decision.noise_std
+    rows = np.arange(batch)[:, None]
+    z = (clean.data - noisy.data[rows, threshold_cols]) / std.data
+    out = Tensor.result_of(ndtr(z), (clean, noisy, std), "load_probability")
+    if out.requires_grad:
+        flat = (rows * n + threshold_cols).ravel()
+
+        def _backward(grad):
+            d_clean = _INV_SQRT_2PI * np.exp(-0.5 * z * z) * grad / std.data
+            clean.accumulate_grad(d_clean)
+            std.accumulate_grad(-d_clean * z)
+            noisy.accumulate_grad(np.bincount(flat, weights=-d_clean.ravel(),
+                                              minlength=noisy.data.size).reshape(batch, n))
+        out._backward = _backward
+    return out
 
 
 def load_loss(load_p: Tensor, w_load: float = 1.0) -> Tensor:

@@ -15,14 +15,11 @@ randomness goes through an explicit :class:`RngState`.  Inside
 from __future__ import annotations
 
 import contextlib
-import math
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import expit
 
 from .errors import DegenerateInputError, DimensionError
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Epsilon added to the mean in the coefficient-of-variation denominator so
 # the balancing losses stay finite on all-zero statistics.
@@ -211,14 +208,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        out = Tensor.result_of(-self.data, (self,), "neg")
-        if out.requires_grad:
-            def _backward(grad):
-                self.accumulate_grad(-grad)
-            out._backward = _backward
-        return out
-
     def __sub__(self, other):
         other = _as_tensor(other)
         out = Tensor.result_of(self.data - other.data, (self, other), "-")
@@ -226,32 +215,6 @@ class Tensor:
             def _backward(grad):
                 self.accumulate_grad(grad)
                 other.accumulate_grad(-grad)
-            out._backward = _backward
-        return out
-
-    def __rsub__(self, other):
-        return _as_tensor(other) - self
-
-    def __truediv__(self, other):
-        other = _as_tensor(other)
-        out = Tensor.result_of(self.data / other.data, (self, other), "/")
-        if out.requires_grad:
-            def _backward(grad):
-                self.accumulate_grad(grad / other.data)
-                other.accumulate_grad(-grad * self.data / (other.data * other.data))
-            out._backward = _backward
-        return out
-
-    def __rtruediv__(self, other):
-        return _as_tensor(other) / self
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = Tensor.result_of(self.data ** exponent, (self,), f"**{exponent}")
-        if out.requires_grad:
-            def _backward(grad):
-                self.accumulate_grad(grad * exponent * self.data ** (exponent - 1))
             out._backward = _backward
         return out
 
@@ -295,49 +258,8 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        elif isinstance(axis, tuple):
-            count = int(np.prod([self.data.shape[a] for a in axis]))
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
 
 # -- elementwise functions ---------------------------------------------------
-
-
-def exp(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    data = np.exp(t.data)
-    out = Tensor.result_of(data, (t,), "exp")
-    if out.requires_grad:
-        def _backward(grad):
-            t.accumulate_grad(grad * data)
-        out._backward = _backward
-    return out
-
-
-def log(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    out = Tensor.result_of(np.log(t.data), (t,), "log")
-    if out.requires_grad:
-        def _backward(grad):
-            t.accumulate_grad(grad / t.data)
-        out._backward = _backward
-    return out
-
-
-def sqrt(t: Tensor) -> Tensor:
-    t = _as_tensor(t)
-    data = np.sqrt(t.data)
-    out = Tensor.result_of(data, (t,), "sqrt")
-    if out.requires_grad:
-        def _backward(grad):
-            t.accumulate_grad(grad * 0.5 / data)
-        out._backward = _backward
-    return out
 
 
 def softplus(t: Tensor) -> Tensor:
@@ -347,21 +269,6 @@ def softplus(t: Tensor) -> Tensor:
     if out.requires_grad:
         def _backward(grad):
             t.accumulate_grad(grad * expit(t.data))
-        out._backward = _backward
-    return out
-
-
-def normal_cdf(t: Tensor) -> Tensor:
-    """Standard normal CDF, evaluated through the error function.
-
-    Differentiable: the backward pass uses the normal density.
-    """
-    t = _as_tensor(t)
-    out = Tensor.result_of(ndtr(t.data), (t,), "normal_cdf")
-    if out.requires_grad:
-        def _backward(grad):
-            density = _INV_SQRT_2PI * np.exp(-0.5 * t.data * t.data)
-            t.accumulate_grad(grad * density)
         out._backward = _backward
     return out
 
@@ -415,32 +322,22 @@ def coefficient_of_variation_sq(t: Tensor, eps: float = CV_EPSILON) -> Tensor:
     Uses the population variance and guards the denominator with `eps`, so
     constant vectors (all-zero included) give zero and the result stays
     differentiable everywhere.  Equals (Std(v) / (Mean(v) + eps))^2.
+
+    One ``cv_sq`` node.  With c = v - m and d = m + eps its backward is
+    (2 / n) * grad * (c / d^2 - var / d^3).
     """
     t = _as_tensor(t)
-    flat = t.reshape(-1) if t.data.ndim != 1 else t
-    m = flat.mean()
-    var = ((flat - m) ** 2).mean()
-    return var / (m + eps) ** 2
-
-
-# -- indexed access ----------------------------------------------------------
-
-
-def gather(t: Tensor, rows, cols) -> Tensor:
-    """Fancy-indexed read t[rows, cols] of a matrix; duplicates accumulate
-    on backward, in index order (as ``np.add.at`` would add them)."""
-    t = _as_tensor(t)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    out = Tensor.result_of(t.data[rows, cols], (t,), "gather")
+    flat = t.data.reshape(-1)
+    n = flat.size
+    m = flat.sum() * (1.0 / n)
+    centered = flat - m
+    var = (centered ** 2).sum() * (1.0 / n)
+    d = m + eps
+    out = Tensor.result_of(var / d ** 2, (t,), "cv_sq")
     if out.requires_grad:
-        # the forward read rejected out-of-range indices; "wrap" maps the
-        # negative ones as indexing does
-        flat = np.ravel_multi_index((rows, cols), t.data.shape, mode="wrap").ravel()
-
         def _backward(grad):
-            t.accumulate_grad(np.bincount(flat, weights=grad.ravel(), minlength=t.data.size)
-                              .reshape(t.data.shape))
+            dv = (2.0 / n) * grad * (centered / d ** 2 - var / d ** 3)
+            t.accumulate_grad(dv.reshape(t.data.shape))
         out._backward = _backward
     return out
 

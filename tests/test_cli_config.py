@@ -30,6 +30,8 @@ def test_config_file_value_outside_choices_exits_2(tmp_path, line):
     ["--epochs", "0"],
     ["--ablate", "no_cnn", "--experts", "4", "--top-k", "8"],
     ["--expert-grid", "4:2,2:4"],
+    ["--seed", "-1"],
+    ["--train-fraction", "nan"],
 ], ids=" ".join)
 def test_unusable_training_values_exit_2_before_any_file(tmp_path, flags):
     """Training values are checked before a run directory or cache is written."""
@@ -38,3 +40,32 @@ def test_unusable_training_values_exit_2_before_any_file(tmp_path, flags):
     assert main(["train", "--dataset", str(csv), "--out", str(out), "--epochs", "1",
                  "--batch-size", "32", "--experts", "4", "--top-k", "2", *flags]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"],
+    ["--train-fraction", "1.5"],
+    ["--train-fraction", "0"],
+    ["--train-fraction", "nan"],
+], ids=" ".join)
+def test_unusable_preprocess_values_exit_2_before_any_file(tmp_path, flags):
+    csv = write_flow_csv(tmp_path / "flows.csv", fixture_rows(20))
+    out = tmp_path / "out"
+    assert main(["preprocess", "--dataset", str(csv), "--out", str(out), *flags]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess", "--dataset", "missing.csv"],
+    ["train", "--dataset", "missing.csv"],
+    ["train", "--cache", "missing.cache"],
+    ["evaluate", "--checkpoint", "missing.ckpt", "--dataset", "missing.csv"],
+    ["gating-report", "--checkpoint", "."],
+], ids=" ".join)
+def test_missing_input_file_exits_2_before_any_file(tmp_path, monkeypatch, caplog, argv):
+    """A path that is not a file is named, not met with a traceback."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "is not a file" in caplog.text

@@ -50,6 +50,7 @@ def test_dict_round_trip(variant):
     {"alpha": float("nan")},
     {"alpha": float("inf")},
     {"disable_cnn": True, "n_experts": 4, "top_k": 8},
+    {"seed": -1},
 ], ids=str)
 def test_unusable_values_rejected(values):
     with pytest.raises(ConfigError):

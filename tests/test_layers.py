@@ -18,7 +18,7 @@ from flowmoe.layers import (
     maxpool1d,
     relu,
 )
-from flowmoe.tensor import RngState, Tensor, sqrt
+from flowmoe.tensor import RngState, Tensor
 
 from conftest import spaced_logits
 from fd import check_gradients
@@ -171,19 +171,18 @@ class TestBatchNorm:
         out = layer(Tensor(x, requires_grad=True))
         assert out._op == "batchnorm" and len(out._parents) == 3
 
-        tx = Tensor(x)
-        mean = tx.mean(axis=(0, 2), keepdims=True)
-        var = ((tx - mean) ** 2).mean(axis=(0, 2), keepdims=True)
-        x_hat = (tx - mean) / sqrt(var + layer.eps)
+        count = 1.0 / (shape[0] * shape[2])
+        mean = x.sum(axis=(0, 2), keepdims=True) * count
+        var = ((x - mean) ** 2).sum(axis=(0, 2), keepdims=True) * count
+        x_hat = (x - mean) / np.sqrt(var + layer.eps)
         channel = (1, shape[1], 1)
-        expected = x_hat * Tensor(layer.gamma.data.reshape(channel)) \
-            + Tensor(layer.beta.data.reshape(channel))
-        np.testing.assert_array_equal(out.data, expected.data)
+        expected = x_hat * layer.gamma.data.reshape(channel) + layer.beta.data.reshape(channel)
+        np.testing.assert_array_equal(out.data, expected)
         m = layer.momentum
         np.testing.assert_array_equal(
-            layer.running_mean, (1 - m) * before[0] + m * mean.data.reshape(-1))
+            layer.running_mean, (1 - m) * before[0] + m * mean.reshape(-1))
         np.testing.assert_array_equal(
-            layer.running_var, (1 - m) * before[1] + m * var.data.reshape(-1))
+            layer.running_var, (1 - m) * before[1] + m * var.reshape(-1))
 
 
 class TestMaxPool:

@@ -470,6 +470,70 @@ class TestLoadProbability:
 
         check_gradients(build, [clean, std_raw])
 
+    @staticmethod
+    def leaf_decision(clean, noisy, std, k):
+        """Decision whose clean scores, noisy scores and noise scale are
+        three independent leaves."""
+        clean_t, noisy_t, std_t = (Tensor(a, requires_grad=True) for a in (clean, noisy, std))
+        order = np.argsort(-noisy, axis=1, kind="stable")
+        return GateDecision(clean_logits=clean_t, noise_std=std_t, noisy_logits=noisy_t,
+                            gates=Tensor(np.zeros_like(noisy)),
+                            selected_indices=order[:, :k], top_k=k)
+
+    @staticmethod
+    def threshold_cols(noisy, k):
+        full = np.argsort(-noisy, axis=1, kind="stable")
+        keep = np.zeros(noisy.shape, dtype=bool)
+        np.put_along_axis(keep, full[:, :k], True, axis=1)
+        return np.where(keep, full[:, [k]], full[:, [k - 1]])
+
+    def test_one_node_matches_composite_formula(self):
+        case_rng = RngState(41)
+        clean = case_rng.normal((5, 7))
+        noisy = spaced_logits(case_rng, (5, 7))
+        std = 0.2 + np.abs(case_rng.normal((5, 7)))
+        p = load_probability(self.leaf_decision(clean, noisy, std, 3), 3)
+        assert p._op == "load_probability" and len(p._parents) == 3
+        # the gather, subtract, divide and normal-CDF graph the node replaced
+        rows = np.broadcast_to(np.arange(5)[:, None], (5, 7))
+        thresholds = noisy[rows, self.threshold_cols(noisy, 3)]
+        np.testing.assert_array_equal(p.data, ndtr((clean - thresholds) / std))
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_gradient_of_each_parent(self, k):
+        # six experts over two threshold columns per row: each threshold
+        # score collects the gradient of several experts
+        case_rng = RngState(42 + k)
+        clean = case_rng.normal((3, 6))
+        noisy = spaced_logits(case_rng, (3, 6))
+        std = 0.5 + np.abs(case_rng.normal((3, 6)))
+        probe = case_rng.normal((3, 6))
+
+        def build():
+            decision = self.leaf_decision(clean, noisy, std, k)
+            loss = (load_probability(decision, k) * Tensor(probe)).sum()
+            return loss, [decision.clean_logits, decision.noisy_logits, decision.noise_std]
+
+        check_gradients(build, [clean, noisy, std])
+
+    def test_noisy_gradient_is_add_at_of_entry_terms(self):
+        case_rng = RngState(43)
+        clean = case_rng.normal((4, 9))
+        noisy = spaced_logits(case_rng, (4, 9))
+        std = 0.5 + np.abs(case_rng.normal((4, 9)))
+        decision = self.leaf_decision(clean, noisy, std, 3)
+        (load_probability(decision, 3) * Tensor(case_rng.normal((4, 9)))).sum().backward()
+        cols = self.threshold_cols(noisy, 3)
+        assert len(np.unique(cols)) < cols.size
+        # each entry's threshold term is minus its clean term
+        expected = np.zeros_like(noisy)
+        np.add.at(expected, (np.broadcast_to(np.arange(4)[:, None], cols.shape), cols),
+                  -decision.clean_logits.grad)
+        np.testing.assert_array_equal(decision.noisy_logits.grad, expected)
+        z = (clean - np.take_along_axis(noisy, cols, axis=1)) / std
+        np.testing.assert_allclose(decision.noise_std.grad, -decision.clean_logits.grad * z,
+                                   rtol=1e-15, atol=0.0)
+
 
 class TestLoadLoss:
     def test_identical_columns_zero(self, rng):

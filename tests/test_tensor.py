@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from flowmoe.errors import DegenerateInputError, DimensionError
 from flowmoe.tensor import (
+    CV_EPSILON,
     RngState,
     Tensor,
     coefficient_of_variation_sq,
-    gather,
     is_grad_enabled,
     matmul,
     no_grad,
-    normal_cdf,
     softmax,
     softplus,
-    sqrt,
     standard_normal_sample,
 )
 
@@ -66,25 +63,6 @@ class TestArithmetic:
     def test_backward_requires_scalar(self):
         with pytest.raises(DimensionError):
             Tensor(np.zeros(3), requires_grad=True).backward()
-
-    def test_div_pow_sqrt_gradients(self, rng):
-        a = np.abs(rng.normal((4,))) + 0.5
-        b = np.abs(rng.normal((4,))) + 0.5
-
-        def build():
-            ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-            return (sqrt(ta) / tb + ta ** 3).sum(), [ta, tb]
-
-        check_gradients(build, [a, b])
-
-    def test_reduction_gradients(self, rng):
-        x = rng.normal((2, 3, 4))
-
-        def build():
-            t = Tensor(x, requires_grad=True)
-            return (t.mean(axis=(0, 2), keepdims=True) * 2.0).sum(), [t]
-
-        check_gradients(build, [x])
 
     def test_reshape_transpose_gradients(self, rng):
         x = rng.normal((3, 4))
@@ -169,30 +147,6 @@ class TestSoftplus:
         check_gradients(build, [x])
 
 
-class TestNormalCdf:
-    def test_symmetry(self):
-        assert normal_cdf(Tensor(0.0)).item() == pytest.approx(0.5, abs=1e-15)
-        for z in (0.3, 1.1, 2.7):
-            assert normal_cdf(Tensor(-z)).item() == pytest.approx(
-                1.0 - normal_cdf(Tensor(z)).item(), abs=1e-12)
-
-    def test_against_quadrature(self):
-        density = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
-        for z in (-2.5, -1.0, 0.0, 0.5, 1.96, 3.0):
-            expected = 0.5 + quad(density, 0.0, z)[0]
-            assert normal_cdf(Tensor(z)).item() == pytest.approx(expected, abs=1e-7)
-        assert normal_cdf(Tensor(1.96)).item() == pytest.approx(0.975002, abs=1e-5)
-
-    def test_gradient(self, rng):
-        x = rng.normal((5,))
-
-        def build():
-            t = Tensor(x, requires_grad=True)
-            return normal_cdf(t).sum(), [t]
-
-        check_gradients(build, [x])
-
-
 class TestCoefficientOfVariationSq:
     @given(st.floats(0.01, 1e6), st.integers(2, 12))
     @settings(max_examples=40, deadline=None)
@@ -227,6 +181,25 @@ class TestCoefficientOfVariationSq:
 
         check_gradients(build, [v])
 
+    def test_gradient_of_matrix_input(self, rng):
+        v = np.abs(rng.normal((2, 3))) + 0.2
+
+        def build():
+            t = Tensor(v, requires_grad=True)
+            return coefficient_of_variation_sq(t) * 3.0, [t]
+
+        check_gradients(build, [v])
+
+    def test_one_node_matches_composite_formula(self, rng):
+        # the mean, subtract, square and divide graph the node replaced
+        for v in (np.abs(rng.normal((128,))) * 40.0, np.zeros(5), rng.normal((3, 4))):
+            out = coefficient_of_variation_sq(Tensor(v, requires_grad=True))
+            assert out._op == "cv_sq" and out.data.shape == ()
+            flat = v.reshape(-1)
+            m = flat.sum() * (1.0 / flat.size)
+            var = ((flat - m) ** 2).sum() * (1.0 / flat.size)
+            np.testing.assert_array_equal(out.data, var / (m + CV_EPSILON) ** 2)
+
 
 class TestSampling:
     def test_same_seed_identical(self):
@@ -246,33 +219,6 @@ class TestSampling:
         first = RngState(99).normal((10,))
         second = RngState(99).normal((10,))
         assert first.tobytes() == second.tobytes()
-
-
-class TestIndexedOps:
-    def test_gather_gradient_with_duplicates(self, rng):
-        x = rng.normal((4, 6))
-        rows = np.array([0, 0, 1, 3])
-        cols = np.array([2, 2, 5, 0])
-
-        def build():
-            t = Tensor(x, requires_grad=True)
-            return (gather(t, rows, cols) ** 2).sum(), [t]
-
-        check_gradients(build, [x])
-
-    def test_gather_backward_is_add_at(self, rng):
-        # broadcast rows, many duplicates and negative columns, as indexing allows
-        x = rng.normal((5, 7))
-        rows = np.broadcast_to(np.arange(5)[:, None], (5, 40))
-        cols = (rng.uniform(0, 7, (5, 40)).astype(np.intp) - 3)
-        grad = rng.normal((5, 40))
-        t = Tensor(x, requires_grad=True)
-        out = gather(t, rows, cols)
-        np.testing.assert_array_equal(out.data, x[rows, cols])
-        (out * Tensor(grad)).sum().backward()
-        expected = np.zeros_like(x)
-        np.add.at(expected, (rows, cols), grad)
-        np.testing.assert_array_equal(t.grad, expected)
 
 
 class TestNoGrad:

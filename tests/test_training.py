@@ -434,8 +434,10 @@ class TestFullScaleStep:
         nodes = record_graph_nodes(monkeypatch)
         train(model, EncodedDataset(x=data.x, y=data.y, class_names=data.class_names),
               config, RngState(3))
-        assert len(nodes) <= 55
+        assert len(nodes) <= 40
         assert nodes.count("batchnorm") == 4 and nodes.count("expert_mixture") == 1
+        assert nodes.count("cv_sq") == 2 and nodes.count("load_probability") == 1
+        assert not {"gather", "normal_cdf", "/", "**2"} & set(nodes)
 
 
 class TestGraphFreeEval:
