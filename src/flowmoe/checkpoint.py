@@ -4,33 +4,27 @@ Byte layout (all integers little-endian):
 
     offset  size  field
     0       8     magic ``b"FLOWMOE\\0"``
-    8       4     format version (uint32, currently 3)
+    8       4     format version (uint32, currently 4)
     12      4     header length H (uint32)
     16      H     header: UTF-8 JSON with config (the run's TrainConfig),
-                  pipeline_stats (nullable) and metadata
-    16+H    4     tensor count T (uint32)
-    ...           T blocks, each:
-                      2  name length N (uint16)
-                      N  name (UTF-8)
-                      1  rank R (uint8)
-                      4R dimensions (uint32 each)
-                      8*prod(dims) float64 data
+                  pipeline_stats (nullable), metadata, and shapes (each
+                  state_dict name's dims)
+    16+H    ...   float64 tensors in sorted-name order, back to back
     end-32  32    SHA-256 of every preceding byte
 
-Everything but the tensor blocks is the envelope of :mod:`flowmoe.container`,
-shared with the dataset cache.  A malformed file raises
-``CheckpointIntegrityError``, another format version ``CheckpointVersionError``.
+Everything but the header's keys is the envelope and array body of
+:mod:`flowmoe.container`, shared with the dataset cache.  A malformed file
+raises ``CheckpointIntegrityError``, another format version
+``CheckpointVersionError``.
 
-The tensor blocks carry the full ``state_dict`` (parameters and batch-norm
-running statistics), so ``load(save(model))`` reproduces eval-mode outputs
+The tensors are the full ``state_dict`` (parameters and batch-norm running
+statistics), so ``load(save(model))`` reproduces eval-mode outputs
 bit-exactly.  Nothing time-dependent is written: two identically seeded runs
 produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +37,7 @@ from .pipeline import PipelineStats
 from .tensor import RngState
 
 MAGIC = b"FLOWMOE\x00"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -60,44 +54,16 @@ def save_checkpoint(path, model: Module, config: TrainConfig,
     """Write ``model`` with ``config``, which must be the one it was built from."""
     if config != model.config:
         raise ConfigError("the config to save differs from the one the model was built from")
+    state = model.state_dict()
+    names = sorted(state)
     header = {
         "config": config.to_dict(),
         "pipeline_stats": pipeline_stats.to_dict() if pipeline_stats else None,
         "metadata": metadata or {},
+        "shapes": {name: list(state[name].shape) for name in names},
     }
-    container.write(path, MAGIC, FORMAT_VERSION, header, _tensor_blocks(model.state_dict()))
-
-
-def _tensor_blocks(state: dict[str, np.ndarray]):
-    yield struct.pack("<I", len(state))
-    for name in sorted(state):
-        array = np.ascontiguousarray(state[name], dtype=np.float64)
-        encoded = name.encode()
-        yield struct.pack(f"<H{len(encoded)}sB{array.ndim}I",
-                          len(encoded), encoded, array.ndim, *array.shape)
-        yield array
-
-
-def _read_tensor_blocks(body: memoryview) -> dict[str, np.ndarray]:
-    offset = 0
-
-    def take(size: int) -> memoryview:
-        nonlocal offset
-        if offset + size > len(body):
-            raise CheckpointIntegrityError("checkpoint tensor blocks run past the file's end")
-        offset += size
-        return body[offset - size:offset]
-
-    state: dict[str, np.ndarray] = {}
-    for _ in range(*struct.unpack("<I", take(4))):
-        name = bytes(take(*struct.unpack("<H", take(2)))).decode()
-        rank, = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-        state[name] = data.reshape(shape).copy()
-    if offset != len(body):
-        raise CheckpointIntegrityError(f"{len(body) - offset} bytes follow the last tensor")
-    return state
+    container.write(path, MAGIC, FORMAT_VERSION, header,
+                    (np.ascontiguousarray(state[name], "<f8") for name in names))
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
@@ -110,8 +76,12 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         stats = PipelineStats.from_dict(header["pipeline_stats"]) \
             if header["pipeline_stats"] else None
         metadata = header["metadata"]
+        names = sorted(header["shapes"])
+        tensors = container.arrays(
+            body, [("<f8", header["shapes"][name]) for name in names],
+            lambda message: CheckpointIntegrityError(f"{path}: {message}"))
         model = build_model(config, RngState(0))
-        model.load_state_dict(_read_tensor_blocks(body))
+        model.load_state_dict(dict(zip(names, tensors)))
     except (LookupError, TypeError, ValueError) as exc:
         raise CheckpointIntegrityError(f"{path} is malformed: {exc!r}") from exc
     model.eval()

@@ -118,8 +118,12 @@ def _coerce(name: str, raw: str):
 
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"--config {path} cannot be read: {exc}") from exc
     values = {}
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for i, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -155,6 +159,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         path = getattr(config, name)
         if path and not Path(path).is_file():
             raise ConfigError(f"--{name} {path} is not a file")
+    out = Path(config.out)
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out} cannot be made: {nearest} is not a directory")
     config.train_config  # built, and so checked, before any command touches a file
     return config
 
@@ -238,7 +246,6 @@ def cmd_preprocess(config: RunConfig) -> int:
     if not config.dataset:
         raise ConfigError("preprocess requires --dataset")
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     schema = FlowSchema(label_column=config.label_column)
     fingerprint = dataset_fingerprint(
         config.dataset, schema, config.imputation, config.train_fraction, config.seed)
@@ -257,6 +264,7 @@ def cmd_preprocess(config: RunConfig) -> int:
         config.dataset, schema, protocol=config.imputation,
         train_fraction=config.train_fraction, seed=config.seed,
     )
+    out.mkdir(parents=True, exist_ok=True)
     save_dataset_cache(cache_path, prepared, fingerprint)
     (out / STATS_FILENAME).write_text(prepared.stats.to_json())
     (out / SUMMARY_FILENAME).write_text(json.dumps(prepared.summary, indent=2, sort_keys=True))

@@ -1,13 +1,17 @@
 """The envelope shared by checkpoints and the dataset cache: an 8-byte magic,
 the format version and header length H (little-endian uint32 each), H bytes
-of UTF-8 JSON header with sorted keys, the owning format's body, and the
-SHA-256 of every preceding byte."""
+of UTF-8 JSON header with sorted keys, the body, and the SHA-256 of every
+preceding byte.  The body is raw little-endian arrays back to back, whose
+shapes the owning format's header declares."""
 
 import hashlib
 import itertools
 import json
+import math
 import struct
 from pathlib import Path
+
+import numpy as np
 
 _PREFIX = struct.Struct("<8sII")
 
@@ -45,3 +49,24 @@ def read(path, magic: bytes, version: int, corrupt_error, version_error):
     if start > len(payload) or not isinstance(header, dict):
         raise corrupt_error(f"{path}: the header is not a UTF-8 JSON object within the file")
     return header, payload[start:]
+
+
+def arrays(body, specs, corrupt_error) -> list:
+    """Copies of the arrays laid back to back in ``body``, one per
+    ``(dtype, shape)`` of ``specs`` with dtype ``"<f8"`` or ``"<i8"``.
+    Raises ``corrupt_error`` unless every shape is a list of non-negative
+    ints and their sizes add up to ``len(body)`` exactly."""
+    for _, shape in specs:
+        if not (isinstance(shape, list) and all(type(dim) is int and dim >= 0
+                                                for dim in shape)):
+            raise corrupt_error(f"array shape {shape!r} is not a list of non-negative ints")
+    # math.prod of Python ints cannot overflow, however large a hostile dim
+    counts = [math.prod(shape) for _, shape in specs]
+    if 8 * sum(counts) != len(body):
+        raise corrupt_error(f"a {len(body)}-byte body does not hold arrays of shapes "
+                            f"{[shape for _, shape in specs]}")
+    out, offset = [], 0
+    for (dtype, shape), count in zip(specs, counts):
+        out.append(np.frombuffer(body, dtype, count, offset).reshape(shape).copy())
+        offset += 8 * count
+    return out

@@ -613,15 +613,9 @@ def load_dataset_cache(path):
     if not all(isinstance(header.get(key), str) for key in ("schema_hash", "fingerprint")):
         raise CacheIntegrityError(f"{path}: cache header lacks a string schema_hash "
                                   "or fingerprint")
-    if not all(isinstance(v, int) and v >= 0 for v in (n_train, n_test, rows, cols)) \
-            or (n_train + n_test) * (rows * cols + 1) * 8 != len(body):
-        raise CacheIntegrityError(f"{path}: a {len(body)}-byte body does not hold "
-                                  f"{n_train} + {n_test} samples of {rows}x{cols}")
-    datasets, offset = [], 0
-    for count in (n_train, n_test):
-        x = np.frombuffer(body, np.float64, count * rows * cols, offset)
-        y = np.frombuffer(body, np.int64, count, offset + x.nbytes)
-        offset += x.nbytes + y.nbytes
-        datasets.append(EncodedDataset(x=x.reshape(count, rows, cols).copy(), y=y.copy(),
-                                       class_names=class_names))
-    return datasets[0], datasets[1], header
+    specs = [("<f8", [n_train, rows, cols]), ("<i8", [n_train]),
+             ("<f8", [n_test, rows, cols]), ("<i8", [n_test])]
+    train_x, train_y, test_x, test_y = container.arrays(
+        body, specs, lambda message: CacheIntegrityError(f"{path}: {message}"))
+    return (EncodedDataset(x=train_x, y=train_y, class_names=class_names),
+            EncodedDataset(x=test_x, y=test_y, class_names=class_names), header)

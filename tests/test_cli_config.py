@@ -1,6 +1,10 @@
 import pytest
 
+from flowmoe.checkpoint import save_checkpoint
 from flowmoe.cli import main
+from flowmoe.model import TrainConfig, build_model
+from flowmoe.pipeline import prepare_dataset, save_dataset_cache
+from flowmoe.tensor import RngState
 
 from csv_fixture import fixture_rows, write_flow_csv
 
@@ -69,3 +73,43 @@ def test_missing_input_file_exits_2_before_any_file(tmp_path, monkeypatch, caplo
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert "is not a file" in caplog.text
+
+
+@pytest.mark.parametrize("config_bytes", [None, b"seed = \xff\n"], ids=["missing", "not_utf8"])
+def test_unreadable_config_file_exits_2(tmp_path, caplog, config_bytes):
+    cfg = tmp_path / "run.cfg"
+    if config_bytes is not None:
+        cfg.write_bytes(config_bytes)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "cannot be read" in caplog.text
+
+
+@pytest.mark.parametrize("command", [
+    ["preprocess", "--dataset", "flows.csv"],
+    ["train", "--cache", "data.cache"],
+    ["evaluate", "--checkpoint", "model.ckpt", "--cache", "data.cache"],
+    ["ablate", "--cache", "data.cache"],
+    ["gating-report", "--checkpoint", "model.ckpt", "--cache", "data.cache"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_naming_a_file_exits_2_before_any_file(tmp_path, monkeypatch, command, out):
+    monkeypatch.chdir(tmp_path)
+    csv = write_flow_csv(tmp_path / "flows.csv", fixture_rows(120))
+    save_dataset_cache(tmp_path / "data.cache", prepare_dataset(csv, seed=4))
+    config = TrainConfig(n_experts=4, top_k=2, cnn_filters=(4, 4, 4, 8), expert_hidden=4)
+    save_checkpoint(tmp_path / "model.ckpt", build_model(config, RngState(0)), config)
+    (tmp_path / "taken").write_text("keep\n")
+    before = sorted(tmp_path.iterdir())
+    assert main([*command, "--out", out]) == 2
+    assert sorted(tmp_path.iterdir()) == before
+    assert (tmp_path / "taken").read_text() == "keep\n"
+
+
+def test_preprocess_schema_error_leaves_no_out_directory(tmp_path):
+    csv = write_flow_csv(tmp_path / "flows.csv", fixture_rows(20))
+    out = tmp_path / "out"
+    assert main(["preprocess", "--dataset", str(csv), "--out", str(out),
+                 "--label-column", "nope"]) == 3
+    assert not out.exists()

@@ -9,8 +9,10 @@ import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
 
+from flowmoe import container
 from flowmoe.checkpoint import load_checkpoint, save_checkpoint
 from flowmoe.cli import main
 from flowmoe.errors import (
@@ -193,3 +195,47 @@ def test_cli_exits_4_on_checkpoint_config(tmp_path, edit):
     code = main(["evaluate", "--checkpoint", str(checkpoint), "--cache", str(cache),
                  "--out", str(tmp_path / "eval")])
     assert code == 4
+
+
+# Each leaves a checksummed checkpoint whose declared shapes do not describe
+# its body or its model; every edit but the first keeps the declared byte count.
+SHAPES_EDITS = {
+    "shapes_missing": lambda h: h.pop("shapes"),
+    "negative_dims": lambda h: h["shapes"].update({"head.experts.b1": [-4, -4]}),
+    "bool_dim": lambda h: h["shapes"].update({"head.experts.b1": [4, 4, True]}),
+    "name_the_model_lacks": lambda h: h["shapes"].update(
+        {"head.experts.b3": h["shapes"].pop("head.experts.b1")}),
+    "matrix_dims_swapped": lambda h: h["shapes"].update({"head.router.w_gate": [4, 8]}),
+}
+
+
+@pytest.mark.parametrize("edit", SHAPES_EDITS)
+def test_checkpoint_shapes_are_checked_on_load(tmp_path, edit):
+    path = _write_checkpoint(tmp_path)
+    assert load_checkpoint(path).model.state_dict()["head.router.w_gate"].shape == (8, 4)
+    _edit_header(path, SHAPES_EDITS[edit])
+    with pytest.raises(CheckpointIntegrityError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape, nbytes", [
+    ([True], 8),          # a bool is not a dim, though Python counts it an int
+    ((1,), 8),            # JSON decodes a shape to a list
+    ([1.0], 8),
+    ([-1, -1], 8),
+    ([2**32, 2**32], 0),  # 8 * 2**64 bytes, which wraps to 0 in int64
+], ids=repr)
+def test_arrays_rejects_hostile_shapes(shape, nbytes):
+    with pytest.raises(CacheIntegrityError):
+        container.arrays(memoryview(bytes(nbytes)), [("<f8", shape)], CacheIntegrityError)
+
+
+def test_arrays_splits_a_body_into_copies():
+    x = np.arange(6, dtype="<f8").reshape(2, 3)
+    y = np.array([7, -1], dtype="<i8")
+    body = memoryview(x.tobytes() + y.tobytes())
+    got_x, got_y = container.arrays(body, [("<f8", [2, 3]), ("<i8", [2])],
+                                    CacheIntegrityError)
+    np.testing.assert_array_equal(got_x, x)
+    np.testing.assert_array_equal(got_y, y)
+    assert got_x.flags.owndata and got_y.flags.owndata

@@ -319,8 +319,9 @@ class TestCheckpoint:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_version_1_rejected(self, tmp_path):
-        # a v1 file held one tensor per expert layer and v2 a model and a train
-        # config; v3 stores the stacked bank under one config
+        # a v1 file held one tensor per expert layer, v2 a model and a train
+        # config, and v3 length-prefixed tensor blocks; v4 declares the
+        # stacked bank's shapes in the header beside one config
         config = TrainConfig(seed=2, **TINY)
         model = build_model(model_config_for(config), RngState(2))
         path = tmp_path / "model.ckpt"
@@ -328,17 +329,17 @@ class TestCheckpoint:
         assert {"head.experts.w1", "head.experts.b1", "head.experts.w2",
                 "head.experts.b2"} <= set(load_checkpoint(path).model.state_dict())
         payload = bytearray(path.read_bytes()[:-32])
-        assert struct.unpack_from("<I", payload, 8) == (3,)
-        for old in (2, 1):
+        assert struct.unpack_from("<I", payload, 8) == (4,)
+        cache = tmp_path / "data.cache"
+        save_dataset_cache(cache, prepare_dataset(
+            write_flow_csv(tmp_path / "flows.csv", fixture_rows(120)), seed=4), "fp")
+        for old in (3, 2, 1):
             struct.pack_into("<I", payload, 8, old)
             path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
             with pytest.raises(CheckpointVersionError):
                 load_checkpoint(path)
-        cache = tmp_path / "data.cache"
-        save_dataset_cache(cache, prepare_dataset(
-            write_flow_csv(tmp_path / "flows.csv", fixture_rows(120)), seed=4), "fp")
-        assert main(["evaluate", "--checkpoint", str(path), "--cache", str(cache),
-                     "--out", str(tmp_path / "eval")]) == 4
+            assert main(["evaluate", "--checkpoint", str(path), "--cache", str(cache),
+                         "--out", str(tmp_path / "eval")]) == 4
 
 
 class TestUtilization:
