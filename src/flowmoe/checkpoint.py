@@ -34,7 +34,6 @@ from .errors import CheckpointIntegrityError, CheckpointVersionError, ConfigErro
 from .layers import Module
 from .model import TrainConfig, build_model
 from .pipeline import PipelineStats
-from .tensor import RngState
 
 MAGIC = b"FLOWMOE\x00"
 FORMAT_VERSION = 4
@@ -80,7 +79,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         tensors = container.arrays(
             body, [("<f8", header["shapes"][name]) for name in names],
             lambda message: CheckpointIntegrityError(f"{path}: {message}"))
-        model = build_model(config, RngState(0))
+        model = build_model(config, None)
         model.load_state_dict(dict(zip(names, tensors)))
     except (LookupError, TypeError, ValueError) as exc:
         raise CheckpointIntegrityError(f"{path} is malformed: {exc!r}") from exc

@@ -148,7 +148,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     out = Tensor.result_of(data, (x, weight, bias), "conv1d")
     if out.requires_grad:
         def _backward(grad):  # grad: (batch, out_ch, out_len)
-            bias.accumulate_grad(grad.sum(axis=(0, 2)))
+            bias.accumulate_grad(grad.sum(axis=0).sum(axis=1))
             g2 = grad.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
             weight.accumulate_grad((g2.T @ cols).reshape(out_ch, in_ch, kernel))
             if x.requires_grad:
@@ -207,18 +207,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     """
     data = x.data
     count = data.shape[0] * data.shape[2]
-    mean = data.sum(axis=(0, 2), keepdims=True) * (1.0 / count)
+    shape = (1, -1, 1)
+    # summing the batch axis first is several times faster than
+    # sum(axis=(0, 2)) at short lengths
+    mean = (data.sum(axis=0).sum(axis=1) * (1.0 / count)).reshape(shape)
     centered = data - mean
-    var = (centered ** 2).sum(axis=(0, 2), keepdims=True) * (1.0 / count)
+    var = ((centered ** 2).sum(axis=0).sum(axis=1) * (1.0 / count)).reshape(shape)
     std = np.sqrt(var + eps)
     x_hat = centered / std
-    shape = (1, -1, 1)
     out = Tensor.result_of(x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape),
                            (x, gamma, beta), "batchnorm")
     if out.requires_grad:
         def _backward(grad):
-            # summing the batch axis first is several times faster than
-            # sum(axis=(0, 2)) at short lengths
             d_beta = grad.sum(axis=0).sum(axis=1)
             d_gamma = (grad * x_hat).sum(axis=0).sum(axis=1)
             beta.accumulate_grad(d_beta)
@@ -281,13 +281,17 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # -- layer modules -----------------------------------------------------------
 
 
-def _uniform_init(rng: RngState, shape, fan_in: int) -> Tensor:
+def _uniform_init(rng: RngState | None, shape, fan_in: int) -> Tensor:
+    """U(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws, or zeros when ``rng`` is
+    None: a skeleton parameter that draws nothing, to be loaded over."""
+    if rng is None:
+        return Tensor(np.zeros(shape), requires_grad=True)
     bound = 1.0 / math.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
 
 class Conv1d(Module):
-    def __init__(self, in_channels: int, out_channels: int, rng: RngState,
+    def __init__(self, in_channels: int, out_channels: int, rng: RngState | None,
                  kernel_size: int = 3, padding: int = 1):
         super().__init__()
         self.in_channels = in_channels
@@ -343,7 +347,7 @@ class BatchNorm1d(Module):
 
 
 class Dense(Module):
-    def __init__(self, in_dim: int, out_dim: int, rng: RngState):
+    def __init__(self, in_dim: int, out_dim: int, rng: RngState | None):
         super().__init__()
         self.in_dim = in_dim
         self.out_dim = out_dim
@@ -363,7 +367,7 @@ class ConvCell(Module):
     values are computed on every call, so they never go stale.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, rng: RngState,
+    def __init__(self, in_channels: int, out_channels: int, rng: RngState | None,
                  pooled: bool, bn_momentum: float = 0.1, bn_eps: float = 1e-5):
         super().__init__()
         self.conv = Conv1d(in_channels, out_channels, rng)
@@ -390,7 +394,7 @@ class CnnBackbone(Module):
     a (batch, 128, 1) map that flattens to 128 features.
     """
 
-    def __init__(self, rng: RngState, in_channels: int = 6, seq_len: int = 13,
+    def __init__(self, rng: RngState | None, in_channels: int = 6, seq_len: int = 13,
                  filters=(16, 32, 64, 128), bn_momentum: float = 0.1, bn_eps: float = 1e-5):
         super().__init__()
         self.in_channels = in_channels

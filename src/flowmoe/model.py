@@ -96,7 +96,7 @@ def _typed(name: str, kind: str, value):
     raise ConfigError(f"config field {name!r} must be {kind}, got {value!r}")
 
 
-def _backbone(config: TrainConfig, rng: RngState) -> CnnBackbone:
+def _backbone(config: TrainConfig, rng: RngState | None) -> CnnBackbone:
     rows, cols = config.input_shape
     return CnnBackbone(rng, in_channels=rows, seq_len=cols, filters=config.cnn_filters,
                        bn_momentum=config.bn_momentum, bn_eps=config.bn_eps)
@@ -105,7 +105,7 @@ def _backbone(config: TrainConfig, rng: RngState) -> CnnBackbone:
 class CnnMoEClassifier(Module):
     """Full architecture: conv backbone into the sparse expert head."""
 
-    def __init__(self, config: TrainConfig, rng: RngState):
+    def __init__(self, config: TrainConfig, rng: RngState | None):
         super().__init__()
         self.config = config
         self.backbone = _backbone(config, rng)
@@ -119,7 +119,7 @@ class CnnMoEClassifier(Module):
 class CnnDenseClassifier(Module):
     """Ablation: the expert head replaced by a single dense layer."""
 
-    def __init__(self, config: TrainConfig, rng: RngState):
+    def __init__(self, config: TrainConfig, rng: RngState | None):
         super().__init__()
         self.config = config
         self.backbone = _backbone(config, rng)
@@ -132,7 +132,7 @@ class CnnDenseClassifier(Module):
 class DenseClassifier(Module):
     """Ablation: one affine layer on the flattened feature vector."""
 
-    def __init__(self, config: TrainConfig, rng: RngState):
+    def __init__(self, config: TrainConfig, rng: RngState | None):
         super().__init__()
         self.config = config
         rows, cols = config.input_shape
@@ -148,6 +148,8 @@ CLASSIFIERS = {"cnn_moe": CnnMoEClassifier, "cnn_dense": CnnDenseClassifier,
                "dense": DenseClassifier}
 
 
-def build_model(config: TrainConfig, rng: RngState) -> Module:
-    """The classifier of ``config.variant``, initialised from ``rng``."""
+def build_model(config: TrainConfig, rng: RngState | None) -> Module:
+    """The classifier of ``config.variant``, initialised from ``rng``; with
+    ``rng`` None, a skeleton that draws nothing (zero weights) for
+    ``load_state_dict`` to fill."""
     return CLASSIFIERS[config.variant](config, rng)

@@ -3,8 +3,10 @@
 A linear router scores every expert per sample; input-dependent Gaussian
 noise is added to the scores during training, everything outside the top k
 is masked to -inf, and a softmax over the masked scores produces the gate
-weights.  Only the k selected experts run, and their class-logit outputs are
-combined with the gate weights.
+weights.  The class-logit outputs of the k selected experts are combined
+with the gate weights; large batches run each expert on its routed rows
+only, small ones run every expert at once and select (see
+:func:`moe_forward`).
 
 Two auxiliary losses keep the routing balanced over a batch: one penalizes
 uneven total gate mass per expert ("importance"), the other penalizes uneven
@@ -44,6 +46,14 @@ NOISE_STD_FLOOR = 1e-2
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Below this many routed rows per expert (batch * top_k / n_experts) the
+# mixture evaluates every expert on every row in a few array products, which
+# beats a Python loop over the experts; from here on the loop over each
+# expert's own rows does less arithmetic and wins.  Timed at full scale
+# (128 experts, k = 32) with routing spread over the experts, the crossover
+# lies between batch 192 and 256 (48 and 64 rows per expert).
+DENSE_ROWS_PER_EXPERT = 48
+
 
 @dataclass(frozen=True)
 class DenseView:
@@ -70,19 +80,21 @@ class ExpertBank(Module):
     store each expert's hidden and class layers as (out, in), like
     :class:`Dense`, and are filled from the same draws in the same order as
     per-expert ``Dense`` layers would be: per expert, hidden weight, hidden
-    bias, out weight, out bias.  Indexing or iterating yields
-    :class:`ExpertView` s over the current arrays.
+    bias, out weight, out bias.  With ``rng`` None they stay zero and
+    nothing is drawn.  Indexing or iterating yields :class:`ExpertView` s
+    over the current arrays.
     """
 
-    def __init__(self, config: TrainConfig, input_dim: int, rng: RngState):
+    def __init__(self, config: TrainConfig, input_dim: int, rng: RngState | None):
         super().__init__()
         n, d, h, c = config.n_experts, input_dim, config.expert_hidden, config.n_classes
-        w1, b1 = np.empty((n, h, d)), np.empty((n, h))
-        w2, b2 = np.empty((n, c, h)), np.empty((n, c))
-        for i in range(n):
-            for target, fan_in in ((w1, d), (b1, d), (w2, h), (b2, h)):
-                bound = 1.0 / math.sqrt(fan_in)
-                target[i] = rng.uniform(-bound, bound, target.shape[1:])
+        w1, b1 = np.zeros((n, h, d)), np.zeros((n, h))
+        w2, b2 = np.zeros((n, c, h)), np.zeros((n, c))
+        if rng is not None:
+            for i in range(n):
+                for target, fan_in in ((w1, d), (b1, d), (w2, h), (b2, h)):
+                    bound = 1.0 / math.sqrt(fan_in)
+                    target[i] = rng.uniform(-bound, bound, target.shape[1:])
         self.w1 = Tensor(w1, requires_grad=True)
         self.b1 = Tensor(b1, requires_grad=True)
         self.w2 = Tensor(w2, requires_grad=True)
@@ -214,35 +226,59 @@ def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
 
 
 def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
-    """Gate-weighted sum of expert outputs, evaluating only selected experts.
+    """Gate-weighted sum of expert outputs, by one of two evaluations chosen
+    by shape alone.
+
+    With fewer than :data:`DENSE_ROWS_PER_EXPERT` routed rows per expert
+    (batch * top_k / n_experts), every expert runs on every row as three
+    products over the stacked bank, and the gates select which outputs are
+    summed: an unrouted expert's output is replaced by zero, not multiplied
+    by it, so a NaN there cannot leak.  Otherwise each expert sees just the
+    rows that routed to it (nonzero gate), in a loop over the experts.  The
+    two agree to float precision; the choice never looks at grad mode, so a
+    ``no_grad`` forward is bit-equal to a tracked one.
 
     One ``expert_mixture`` graph node over x, the gates and the bank's four
-    stacked parameters.  Each expert sees just the rows that routed to it
-    (nonzero gate), which agrees with the dense sum over all experts
-    (zero-gated terms included) to float precision.  The backward marks
-    the experts that received rows in each parameter's ``grad_rows``, so
-    an expert that receives none is left alone by the optimizer, as if it
-    were not in the layer.  Outside the graph (under ``no_grad``) nothing
-    is kept for a backward.
+    stacked parameters.  The backward runs per routed expert on its rows, and
+    marks the experts that received rows in each parameter's ``grad_rows``,
+    so an expert that receives none is left alone by the optimizer, as if it
+    were not in the layer.  Outside the graph (under ``no_grad``) nothing is
+    kept for a backward.
     """
     gates = decision.gates
     weights = gates.data
     w1, b1, w2, b2 = bank.w1, bank.b1, bank.w2, bank.b2
     track = is_grad_enabled()
-    mixed = np.zeros((x.data.shape[0], w2.data.shape[1]))
-    routed = []  # per evaluated expert: what its backward pass reads
+    batch, n_experts = weights.shape
     # (expert, row) pairs of the nonzero gates, grouped by expert
     expert_of, row_of = np.nonzero(weights.T != 0)
-    bounds = np.searchsorted(expert_of, np.arange(len(bank) + 1))
+    bounds = np.searchsorted(expert_of, np.arange(n_experts + 1))
     active = bounds[1:] > bounds[:-1]
-    for i in np.flatnonzero(active):
-        rows = row_of[bounds[i]:bounds[i + 1]]
-        sub = x.data[rows]
-        hidden = np.maximum(sub @ w1.data[i].T + b1.data[i], 0.0)
-        y = hidden @ w2.data[i].T + b2.data[i]
-        mixed[rows] += weights[rows, i, None] * y
+    routes = [(i, row_of[bounds[i]:bounds[i + 1]]) for i in np.flatnonzero(active)]
+    routed = []  # per routed expert: what its backward pass reads
+    if batch * decision.top_k < DENSE_ROWS_PER_EXPERT * n_experts:
+        # (E, H, batch) hidden and (E, C, batch) outputs, contiguous per expert
+        hidden = (w1.data.reshape(-1, w1.data.shape[2]) @ x.data.T).reshape(
+            n_experts, -1, batch)
+        hidden += b1.data[:, :, None]
+        np.maximum(hidden, 0.0, out=hidden)
+        y = w2.data @ hidden
+        y += b2.data[:, :, None]
+        weighted = y * weights.T[:, None, :]
+        np.copyto(weighted, 0.0, where=(weights.T == 0)[:, None, :])
+        mixed = np.ascontiguousarray(weighted.sum(axis=0).T)
         if track:
-            routed.append((i, rows, sub, hidden, y))
+            routed = [(i, rows, x.data[rows], hidden[i][:, rows].T, y[i][:, rows].T)
+                      for i, rows in routes]
+    else:
+        mixed = np.zeros((batch, w2.data.shape[1]))
+        for i, rows in routes:
+            sub = x.data[rows]
+            hidden = np.maximum(sub @ w1.data[i].T + b1.data[i], 0.0)
+            y = hidden @ w2.data[i].T + b2.data[i]
+            mixed[rows] += weights[rows, i, None] * y
+            if track:
+                routed.append((i, rows, sub, hidden, y))
     out = Tensor.result_of(mixed, (x, gates, w1, b1, w2, b2), "expert_mixture")
     if out.requires_grad:
         w1_data, w2_data = w1.data, w2.data
@@ -347,7 +383,7 @@ class MoEHead(Module):
     evaluation routes with clean scores and is deterministic.
     """
 
-    def __init__(self, config: TrainConfig, input_dim: int, rng: RngState):
+    def __init__(self, config: TrainConfig, input_dim: int, rng: RngState | None):
         super().__init__()
         self.config = config
         self.router = Router(config, input_dim)

@@ -172,12 +172,20 @@ class TestBatchNorm:
         assert out._op == "batchnorm" and len(out._parents) == 3
 
         count = 1.0 / (shape[0] * shape[2])
-        mean = x.sum(axis=(0, 2), keepdims=True) * count
-        var = ((x - mean) ** 2).sum(axis=(0, 2), keepdims=True) * count
-        x_hat = (x - mean) / np.sqrt(var + layer.eps)
         channel = (1, shape[1], 1)
+        # per-channel sums over the batch axis first, then the length axis
+        mean = (x.sum(axis=0).sum(axis=1) * count).reshape(channel)
+        var = (((x - mean) ** 2).sum(axis=0).sum(axis=1) * count).reshape(channel)
+        x_hat = (x - mean) / np.sqrt(var + layer.eps)
         expected = x_hat * layer.gamma.data.reshape(channel) + layer.beta.data.reshape(channel)
         np.testing.assert_array_equal(out.data, expected)
+        # the same statistics summed over both axes at once differ in the last bits only
+        joint_mean = x.sum(axis=(0, 2), keepdims=True) * count
+        joint_var = ((x - joint_mean) ** 2).sum(axis=(0, 2), keepdims=True) * count
+        joint = (x - joint_mean) / np.sqrt(joint_var + layer.eps)
+        np.testing.assert_allclose(
+            out.data, joint * layer.gamma.data.reshape(channel) + layer.beta.data.reshape(channel),
+            rtol=1e-12, atol=1e-12)
         m = layer.momentum
         np.testing.assert_array_equal(
             layer.running_mean, (1 - m) * before[0] + m * mean.reshape(-1))

@@ -7,7 +7,9 @@ from scipy.special import ndtr
 from flowmoe.errors import ConfigError
 from flowmoe.layers import Dense
 from flowmoe.model import TrainConfig
+from flowmoe import moe
 from flowmoe.moe import (
+    DENSE_ROWS_PER_EXPERT,
     NOISE_STD_FLOOR,
     ExpertBank,
     ExpertView,
@@ -321,6 +323,72 @@ class TestMoEForward:
             np.testing.assert_array_equal(p.grad_rows, routed)
             assert not p.grad[~routed].any()
         check_gradients(build, [x, logits] + [p.data for p in params])
+
+    @staticmethod
+    def mixture_case(rng, batch, n_experts=4, top_k=2, idle=3):
+        """A bank, inputs, gate scores with expert ``idle`` never routed, a
+        probe, and a builder of the probed mixture loss for check_gradients."""
+        bank = MoEHead(tiny_config(n_experts=n_experts, top_k=top_k), 4, rng).experts
+        params = [bank.w1, bank.b1, bank.w2, bank.b2]
+        x = rng.normal((batch, 4))
+        logits = spaced_logits(rng, (batch, n_experts))
+        logits[:, idle] = -100.0
+        probe = rng.normal((batch, 5))
+        no_noise = np.zeros_like(logits)
+
+        def build():
+            for p in params:
+                p.zero_grad()
+            tx = Tensor(x, requires_grad=True)
+            decision = make_decision(logits, no_noise, no_noise, top_k)
+            out = moe_forward(bank, decision, tx)
+            return (out * Tensor(probe)).sum(), [tx, decision.clean_logits, *params]
+
+        return [x, logits] + [p.data for p in params], build
+
+    # with 4 experts and k = 2, a batch of 2 * DENSE_ROWS_PER_EXPERT rows is
+    # the smallest that takes the loop over routed rows
+    @pytest.mark.parametrize("branch, batch", [("dense", 2 * DENSE_ROWS_PER_EXPERT - 1),
+                                               ("routed", 2 * DENSE_ROWS_PER_EXPERT)])
+    def test_gradient_at_each_branch(self, rng, branch, batch):
+        assert (batch * 2 < DENSE_ROWS_PER_EXPERT * 4) == (branch == "dense")
+        arrays, build = self.mixture_case(rng, batch)
+        loss, params = build()
+        loss.backward()
+        for p in params[2:]:
+            np.testing.assert_array_equal(p.grad_rows, [True, True, True, False])
+            assert not p.grad[3].any()
+        check_gradients(build, arrays)
+
+    def test_branches_agree(self, rng, monkeypatch):
+        arrays, build = self.mixture_case(rng, 2 * DENSE_ROWS_PER_EXPERT)
+        runs = []
+        for rows_per_expert in (0, np.inf):  # always the loop, then always dense
+            monkeypatch.setattr(moe, "DENSE_ROWS_PER_EXPERT", rows_per_expert)
+            loss, params = build()
+            loss.backward()
+            runs.append([loss.data] + [p.grad for p in params])
+        for routed, dense in zip(*runs):
+            np.testing.assert_allclose(dense, routed, rtol=1e-12, atol=1e-12)
+
+    def test_dense_branch_skips_unrouted_nan_at_full_scale(self, rng):
+        config = TrainConfig()
+        n, k, batch, idle = config.n_experts, config.top_k, 64, 5
+        assert batch * k < DENSE_ROWS_PER_EXPERT * n
+        bank = ExpertBank(config, 128, rng)
+        x = Tensor(rng.normal((batch, 128)))
+        logits = rng.normal((batch, n))
+        logits[:, idle] = -100.0
+        no_noise = np.zeros_like(logits)
+        decision = make_decision(logits, no_noise, no_noise, k)
+        assert 0 < np.count_nonzero(decision.gates.data.any(axis=0)) < n
+        with no_grad():
+            clean = moe_forward(bank, decision, x).data
+            bank.w1.data[idle] = np.nan  # would poison every row if summed
+            bank.b2.data[idle] = np.nan
+            poisoned = moe_forward(bank, decision, x).data
+        assert np.all(np.isfinite(poisoned))
+        np.testing.assert_array_equal(poisoned, clean)
 
     def test_one_graph_node(self, rng):
         head = MoEHead(tiny_config(), 6, rng)

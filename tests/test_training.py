@@ -298,6 +298,18 @@ class TestCheckpoint:
         logits_after, _ = loaded.model(x)
         np.testing.assert_array_equal(logits_before.data, logits_after.data)
 
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        model, _, path, test_set = self._trained(tmp_path)
+
+        def no_draws(*_args, **_kwargs):
+            raise AssertionError("load_checkpoint drew from an RngState")
+
+        for method in ("uniform", "normal", "permutation"):
+            monkeypatch.setattr(RngState, method, no_draws)
+        loaded = load_checkpoint(path)
+        x = Tensor(test_set.x[:8])
+        np.testing.assert_array_equal(loaded.model(x)[0].data, model.eval()(x)[0].data)
+
     def test_default_config_recorded(self, tmp_path):
         config = TrainConfig()
         model = build_model(model_config_for(config), RngState(0))
@@ -455,6 +467,15 @@ class TestGraphFreeEval:
         assert len(np.unique(bulk)) > 1
         np.testing.assert_array_equal(predict(full_scale_model, x, batch_size=64), bulk)
         np.testing.assert_array_equal(predict(full_scale_model, x, batch_size=1), bulk)
+
+    @pytest.mark.parametrize("batch_size", [96, 128, 256])
+    def test_predictions_either_side_of_the_dense_crossover(self, full_scale_model,
+                                                            batch_size):
+        # 96 and 128 rows evaluate every expert at once, 256 and 1024 loop
+        # over each expert's routed rows
+        x = make_blobs(1024, seed=24).x
+        bulk = predict(full_scale_model, x, batch_size=1024)
+        np.testing.assert_array_equal(predict(full_scale_model, x, batch_size=batch_size), bulk)
 
     def test_expert_utilization_builds_no_graph(self, full_scale_model, monkeypatch):
         nodes = record_graph_nodes(monkeypatch)
