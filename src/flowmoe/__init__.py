@@ -81,6 +81,7 @@ from .pipeline import (
     EncodedDataset,
     FlowRecord,
     FlowSchema,
+    FlowTable,
     ImputationTable,
     PipelineStats,
     PreparedData,

@@ -338,9 +338,9 @@ def _evaluation_data(config: RunConfig):
             )
         stats = loaded.pipeline_stats
         parsed = parse_flow_csv(config.dataset, stats.schema)
-        records = apply_imputers(parsed.records, stats.imputation, stats.schema,
-                                 use_labels=False)
-        return loaded, encode(records, stats)
+        table = apply_imputers(parsed.table, stats.imputation, stats.schema,
+                               use_labels=False)
+        return loaded, encode(table, stats)
     raise ConfigError("--cache or --dataset is required")
 
 

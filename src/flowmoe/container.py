@@ -52,10 +52,11 @@ def read(path, magic: bytes, version: int, corrupt_error, version_error):
 
 
 def arrays(body, specs, corrupt_error) -> list:
-    """Copies of the arrays laid back to back in ``body``, one per
-    ``(dtype, shape)`` of ``specs`` with dtype ``"<f8"`` or ``"<i8"``.
-    Raises ``corrupt_error`` unless every shape is a list of non-negative
-    ints and their sizes add up to ``len(body)`` exactly."""
+    """Read-only views of the arrays laid back to back in ``body``, one per
+    ``(dtype, shape)`` of ``specs`` with dtype ``"<f8"`` or ``"<i8"``; they
+    need not be aligned, so a caller that keeps one copies it.  Raises
+    ``corrupt_error`` unless every shape is a list of non-negative ints and
+    their sizes add up to ``len(body)`` exactly."""
     for _, shape in specs:
         if not (isinstance(shape, list) and all(type(dim) is int and dim >= 0
                                                 for dim in shape)):
@@ -67,6 +68,8 @@ def arrays(body, specs, corrupt_error) -> list:
                             f"{[shape for _, shape in specs]}")
     out, offset = [], 0
     for (dtype, shape), count in zip(specs, counts):
-        out.append(np.frombuffer(body, dtype, count, offset).reshape(shape).copy())
+        view = np.frombuffer(body, dtype, count, offset).reshape(shape)
+        view.flags.writeable = False
+        out.append(view)
         offset += 8 * count
     return out

@@ -85,7 +85,9 @@ class Module:
                 f"state mismatch: missing={sorted(missing)}, unexpected={sorted(extra)}"
             )
         for name, (holder, attr) in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
+            # the one copy between ``state`` and the model: the model never
+            # shares memory with its input, which may be a read-only view
+            value = np.array(state[name], dtype=np.float64)
             current = getattr(holder, attr)
             target_shape = current.data.shape if isinstance(current, Tensor) else current.shape
             if value.shape != target_shape:
@@ -93,9 +95,9 @@ class Module:
                     f"state entry {name!r} has shape {value.shape}, expected {target_shape}"
                 )
             if isinstance(current, Tensor):
-                current.data = value.copy()
+                current.data = value
             else:
-                setattr(holder, attr, value.copy())
+                setattr(holder, attr, value)
 
     def _named_slots(self, prefix: str = "") -> dict:
         """Dotted name -> (owner, attribute) for every parameter (grad-tracked

@@ -19,7 +19,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,15 +29,6 @@ from .errors import CacheIntegrityError, ConfigError, SchemaError, Stratificatio
 from .tensor import RngState
 
 log = logging.getLogger("flowmoe.pipeline")
-
-NUMERIC_FEATURES = (
-    "Seq", "Dur", "RunTime", "Mean", "Sum", "Min", "Max", "sTos", "dTos",
-    "sTtl", "dTtl", "sHops", "dHops", "TotPkts", "SrcPkts", "DstPkts",
-    "TotBytes", "SrcBytes", "DstBytes", "Offset", "sMeanPktSz", "dMeanPktSz",
-    "Load", "SrcLoad", "DstLoad", "Loss", "SrcLoss", "DstLoss", "pLoss",
-    "SrcGap", "DstGap", "Rate", "SrcRate", "DstRate", "SrcWin", "DstWin",
-    "sVid", "dVid", "SrcTCPBase", "DstTCPBase", "TcpRtt", "SynAck", "AckDat",
-)
 
 # Post-encoding widths of the categorical features (vocabulary size minus
 # the dropped first level).
@@ -53,6 +44,8 @@ FEATURE_ORDER = (
     "SrcRate", "DstRate", "State", "SrcWin", "DstWin", "sVid", "dVid",
     "SrcTCPBase", "DstTCPBase", "TcpRtt", "SynAck", "AckDat",
 )
+
+NUMERIC_FEATURES = tuple(f for f in FEATURE_ORDER if f not in CATEGORICAL_WIDTHS)
 
 CLASS_NAMES = (
     "Benign", "SYN Scan", "TCP Connect Scan", "UDP Scan", "ICPM flood",
@@ -114,14 +107,7 @@ class FlowSchema:
         return self._class_of.get(_canon(raw))
 
     def to_dict(self) -> dict:
-        return {
-            "numeric_features": list(self.numeric_features),
-            "categorical_widths": dict(self.categorical_widths),
-            "feature_order": list(self.feature_order),
-            "label_column": self.label_column,
-            "class_names": list(self.class_names),
-            "target_shape": list(self.target_shape),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FlowSchema":
@@ -148,68 +134,147 @@ class FlowRecord:
 
 
 @dataclass
+class FlowTable:
+    """Typed flow rows by column: ``numeric`` is (len(numeric_features), n)
+    float64, each feature's row contiguous, NaN where missing;
+    ``categorical`` maps a feature to an (n,) object array of strings, None
+    where missing; ``labels`` holds the int64 class indices."""
+
+    numeric: np.ndarray
+    categorical: dict
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def take(self, index) -> "FlowTable":
+        """A copy holding the rows at the integer positions ``index``."""
+        index = np.asarray(index, dtype=np.intp)
+        return FlowTable(numeric=self.numeric[:, index],
+                         categorical={f: col[index] for f, col in self.categorical.items()},
+                         labels=self.labels[index])
+
+
+@dataclass
 class ParseResult:
-    records: list
+    table: FlowTable
     skipped: list  # (line number, reason) pairs
+    schema: FlowSchema
+
+    @property
+    def records(self) -> list:
+        """The table as one FlowRecord per row, built anew on each access."""
+        table, order = self.table, self.schema.feature_order
+        columns = dict(zip(self.schema.numeric_features,
+                           np.where(np.isnan(table.numeric), None, table.numeric)),
+                       **table.categorical)
+        rows = zip(*(columns[feat].tolist() for feat in order))
+        return [FlowRecord(dict(zip(order, cells)), label)
+                for cells, label in zip(rows, table.labels.tolist())]
+
+
+# Rows typed per block, so that at most this many rows are held as strings.
+_BLOCK_ROWS = 8192
+
+
+def _parse_numeric(cells, feature: str, problems: dict) -> np.ndarray:
+    """Floats of one numeric column, NaN where missing; the first problem of
+    each bad row goes into ``problems``."""
+    floats, rest = [], iter(cells)
+    while True:
+        try:
+            # float() runs over the cells at C speed; a cell it rejects stops
+            # the extend with the values before it already appended
+            floats.extend(map(float, rest))
+            break
+        except ValueError:
+            k = len(floats)
+            floats.append(math.nan)
+            text = cells[k].strip()
+            if text.lower() not in _MISSING_MARKERS:
+                problems.setdefault(k, f"unparseable numeric cell {feature}={text!r}")
+    values = np.array(floats, dtype=np.float64)
+    # any spelling of NaN (e.g. "-nan") is a missing cell; an infinity is not
+    for k in np.flatnonzero(np.isinf(values)).tolist():
+        problems.setdefault(k, f"non-finite numeric cell {feature}={cells[k].strip()!r}")
+    return values
+
+
+def _parse_block(rows: list, lines: list, schema: FlowSchema, position: dict,
+                 skipped: list) -> FlowTable:
+    """The well-formed rows of one block; the others go into ``skipped``."""
+    # a short row reads as missing cells, as csv.DictReader's restval does
+    width = max(position.values()) + 1
+    if rows and min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    columns = list(zip(*rows)) or [()] * width
+    problems: dict = {}  # row -> its first problem in feature order
+    numeric_row = {feat: j for j, feat in enumerate(schema.numeric_features)}
+    numeric = np.empty((len(numeric_row), len(rows)))
+    categorical = {}
+    for feat in schema.feature_order:
+        cells = columns[position[feat]]
+        if feat in numeric_row:
+            numeric[numeric_row[feat]] = _parse_numeric(cells, feat, problems)
+        else:
+            typed = {cell: None if cell.strip().lower() in _MISSING_MARKERS else cell.strip()
+                     for cell in set(cells)}
+            categorical[feat] = np.array([typed[cell] for cell in cells], dtype=object)
+    cells = columns[position[schema.label_column]]
+    label_of = {cell: schema.label_index(cell) for cell in set(cells)}
+    label_of = {cell: -1 if label is None else label for cell, label in label_of.items()}
+    labels = np.array([label_of[cell] for cell in cells], dtype=np.int64)
+    for k in np.flatnonzero(labels < 0).tolist():
+        problems.setdefault(k, f"unknown class label {cells[k].strip()!r}")
+    for k in sorted(problems):
+        skipped.append((lines[k], problems[k]))
+        log.warning("skipping line %d: %s", lines[k], problems[k])
+    keep = np.ones(len(rows), dtype=bool)
+    keep[list(problems)] = False
+    return FlowTable(numeric=numeric[:, keep],
+                     categorical={f: col[keep] for f, col in categorical.items()},
+                     labels=labels[keep])
 
 
 def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
-    """Read and type a flow CSV.
+    """Read and type a flow CSV into a FlowTable, a block of rows at a time.
 
-    Unknown columns are ignored; a missing schema column is a hard error.
-    Rows with an unparseable or infinite numeric cell (``inf``, or a value
-    such as ``1e400`` that overflows) or an unknown label are skipped with a
-    logged warning and show up in the result's skipped list.
+    Unknown columns are ignored, a missing schema column is a hard error, and
+    the last of repeated columns counts.  Rows with an unparseable or infinite
+    numeric cell (``inf``, or a value such as ``1e400`` that overflows) or an
+    unknown label are skipped with a logged warning and listed in the result;
+    the reason names the first bad numeric cell in feature order, else the label.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+    blocks, skipped = [], []
+    with Path(path).open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
         required = list(schema.feature_order) + [schema.label_column]
         for column in required:
             if column not in header:
                 raise SchemaError(f"CSV is missing required column {column!r}")
-        records: list[FlowRecord] = []
-        skipped: list[tuple[int, str]] = []
-        numeric = set(schema.numeric_features)
-        label_of: dict = {}  # raw label -> class index (or None), memoised
+        position = {name: i for i, name in enumerate(header) if name in required}
+        rows, lines, line = [], [], 0
         for row in reader:
-            line = reader.line_num
-            values: dict = {}
-            problem = None
-            for feature in schema.feature_order:
-                cell = (row[feature] or "").strip()
-                if cell.lower() in _MISSING_MARKERS:
-                    values[feature] = None
-                elif feature in numeric:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        problem = f"unparseable numeric cell {feature}={cell!r}"
-                        break
-                    if math.isinf(value):
-                        problem = f"non-finite numeric cell {feature}={cell!r}"
-                        break
-                    # any spelling of NaN (e.g. "-nan") is a missing cell
-                    values[feature] = None if math.isnan(value) else value
-                else:
-                    values[feature] = cell
-            if problem is None:
-                raw_label = (row[schema.label_column] or "").strip()
-                if raw_label not in label_of:
-                    label_of[raw_label] = schema.label_index(raw_label)
-                label = label_of[raw_label]
-                if label is None:
-                    problem = f"unknown class label {raw_label!r}"
-            if problem is not None:
-                skipped.append((line, problem))
-                log.warning("skipping line %d: %s", line, problem)
-                continue
-            records.append(FlowRecord(values=values, label=label))
+            # csv.DictReader's numbering: a row after blank lines gets the first's
+            line = line or reader.line_num
+            if row:
+                rows.append(row)
+                lines.append(line)
+                line = 0
+            if len(rows) == _BLOCK_ROWS:
+                blocks.append(_parse_block(rows, lines, schema, position, skipped))
+                rows, lines = [], []
+        blocks.append(_parse_block(rows, lines, schema, position, skipped))
+    table = FlowTable(
+        numeric=np.concatenate([b.numeric for b in blocks], axis=1),
+        categorical={f: np.concatenate([b.categorical[f] for b in blocks])
+                     for f in schema.categorical_features},
+        labels=np.concatenate([b.labels for b in blocks]))
     if skipped:
         log.warning("skipped %d of %d rows while parsing %s",
-                    len(skipped), len(skipped) + len(records), path)
-    return ParseResult(records=records, skipped=skipped)
+                    len(skipped), len(skipped) + len(table), path)
+    return ParseResult(table=table, skipped=skipped, schema=schema)
 
 
 @dataclass
@@ -221,116 +286,84 @@ class ImputationTable:
     global_numeric_mean: dict
     global_categorical_mode: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "class_numeric_mean": self.class_numeric_mean,
-            "class_categorical_mode": self.class_categorical_mode,
-            "global_numeric_mean": self.global_numeric_mean,
-            "global_categorical_mode": self.global_categorical_mode,
-        }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ImputationTable":
-        return cls(**raw)
-
-
-def _mode(values: list) -> str:
-    """Most frequent value; ties broken by the lexicographically smallest."""
-    counts: dict[str, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    top = max(counts.values())
-    return min(v for v, c in counts.items() if c == top)
-
-
-def fit_imputers(records, schema: FlowSchema) -> ImputationTable:
-    """Fit the per-class imputation rule on (training) records.
+def fit_imputers(table: FlowTable, schema: FlowSchema) -> ImputationTable:
+    """Fit the per-class imputation rule on (training) rows.
 
     Numeric features impute with the class mean, categorical ones with the
-    class mode.  A (class, feature) pair with no observed values falls back
-    to the global statistic with a warning.
+    class mode (ties broken by the lexicographically smallest).  A (class,
+    feature) pair with no observed values falls back to the global statistic
+    with a warning.
     """
-    numeric = schema.numeric_features
-    categorical = schema.categorical_features
-    by_class: dict[int, list[FlowRecord]] = {}
-    for rec in records:
-        by_class.setdefault(rec.label, []).append(rec)
+    observed = ~np.isnan(table.numeric)
+    # each categorical column as codes into its sorted levels, so that the
+    # smallest code among the most frequent is the tie-break
+    coded = {}
+    for feat, column in table.categorical.items():
+        present = np.not_equal(column, None)
+        code = {level: i for i, level in enumerate(sorted(set(column[present])))}
+        codes = np.array([code[v] for v in column[present]], dtype=np.intp)
+        coded[feat] = list(code), codes, present
 
-    global_numeric: dict[str, float] = {}
-    for feat in numeric:
-        observed = [r.values[feat] for r in records if r.values[feat] is not None]
-        if observed:
-            global_numeric[feat] = float(np.mean(observed))
-        else:
-            log.warning("feature %s has no observed values at all; imputing 0.0", feat)
-            global_numeric[feat] = 0.0
-    global_categorical: dict[str, str] = {}
-    for feat in categorical:
-        observed = [r.values[feat] for r in records if r.values[feat] is not None]
-        if observed:
-            global_categorical[feat] = _mode(observed)
-        else:
-            log.warning("feature %s has no observed values at all; imputing ''", feat)
-            global_categorical[feat] = ""
+    def fit(rows, means: dict, modes: dict, warn) -> tuple:
+        """Means and modes over ``rows``, in place of the given fallbacks;
+        ``warn`` hears of each feature that keeps its fallback."""
+        means, modes = dict(means), dict(modes)
+        for j, feat in enumerate(schema.numeric_features):
+            # np.mean of the gathered 1-D values sums pairwise in row order
+            values = table.numeric[j][observed[j] & rows]
+            if values.size:
+                means[feat] = float(np.mean(values))
+            else:
+                warn(feat, "mean", means[feat])
+        for feat, (levels, codes, present) in coded.items():
+            counts = np.bincount(codes[rows[present]], minlength=len(levels))
+            if counts.any():
+                modes[feat] = levels[counts.argmax()]
+            else:
+                warn(feat, "mode", modes[feat])
+        return means, modes
 
-    class_numeric: dict[str, dict] = {}
-    class_categorical: dict[str, dict] = {}
-    for label, recs in sorted(by_class.items()):
+    global_numeric, global_categorical = fit(
+        np.ones(len(table), dtype=bool), dict.fromkeys(schema.numeric_features, 0.0),
+        dict.fromkeys(schema.categorical_features, ""),
+        lambda feat, _, value: log.warning(
+            "feature %s has no observed values at all; imputing %r", feat, value))
+    class_numeric, class_categorical = {}, {}
+    for label in np.unique(table.labels).tolist():
         name = schema.class_names[label]
-        class_numeric[name] = {}
-        class_categorical[name] = {}
-        for feat in numeric:
-            observed = [r.values[feat] for r in recs if r.values[feat] is not None]
-            if observed:
-                class_numeric[name][feat] = float(np.mean(observed))
-            else:
-                log.warning("class %s has no observed %s; using global mean", name, feat)
-                class_numeric[name][feat] = global_numeric[feat]
-        for feat in categorical:
-            observed = [r.values[feat] for r in recs if r.values[feat] is not None]
-            if observed:
-                class_categorical[name][feat] = _mode(observed)
-            else:
-                log.warning("class %s has no observed %s; using global mode", name, feat)
-                class_categorical[name][feat] = global_categorical[feat]
-
-    return ImputationTable(
-        class_numeric_mean=class_numeric,
-        class_categorical_mode=class_categorical,
-        global_numeric_mean=global_numeric,
-        global_categorical_mode=global_categorical,
-    )
+        class_numeric[name], class_categorical[name] = fit(
+            table.labels == label, global_numeric, global_categorical,
+            lambda feat, kind, _: log.warning(
+                "class %s has no observed %s; using global %s", name, feat, kind))
+    return ImputationTable(class_numeric, class_categorical,
+                           global_numeric, global_categorical)
 
 
-def apply_imputers(records, table: ImputationTable, schema: FlowSchema,
-                   use_labels: bool) -> list:
-    """Fill missing values; returns new records, never mutates the input.
+def apply_imputers(table: FlowTable, imputation: ImputationTable, schema: FlowSchema,
+                   use_labels: bool) -> FlowTable:
+    """Fill missing values; returns a new table, never mutates the input.
 
     With use_labels the per-class statistics are used (training data); without,
     the global fallbacks apply, so held-out labels are never consulted.
     """
-    numeric = set(schema.numeric_features)
-    out = []
-    for rec in records:
-        filled = dict(rec.values)
-        class_name = None
-        if use_labels and rec.label is not None:
-            class_name = schema.class_names[rec.label]
-        for feat, value in filled.items():
-            if value is not None:
-                continue
-            if feat in numeric:
-                if class_name is not None and class_name in table.class_numeric_mean:
-                    filled[feat] = table.class_numeric_mean[class_name][feat]
-                else:
-                    filled[feat] = table.global_numeric_mean[feat]
-            else:
-                if class_name is not None and class_name in table.class_categorical_mode:
-                    filled[feat] = table.class_categorical_mode[class_name][feat]
-                else:
-                    filled[feat] = table.global_categorical_mode[feat]
-        out.append(FlowRecord(values=filled, label=rec.label))
-    return out
+    def fill(column, missing, by_class: dict, fallback: dict, feat: str) -> np.ndarray:
+        """A copy of ``column`` with each missing cell set to its class's value."""
+        values = [by_class[name][feat] if use_labels and name in by_class else fallback[feat]
+                  for name in schema.class_names]
+        column = column.copy()
+        column[missing] = np.array(values, dtype=column.dtype)[table.labels[missing]]
+        return column
+
+    numeric = np.array([fill(row, np.isnan(row), imputation.class_numeric_mean,
+                             imputation.global_numeric_mean, feat)
+                        for feat, row in zip(schema.numeric_features, table.numeric)])
+    categorical = {
+        feat: fill(column, np.equal(column, None), imputation.class_categorical_mode,
+                   imputation.global_categorical_mode, feat)
+        for feat, column in table.categorical.items()}
+    return FlowTable(numeric=numeric.reshape(table.numeric.shape), categorical=categorical,
+                     labels=table.labels.copy())
 
 
 @dataclass
@@ -355,15 +388,7 @@ class PipelineStats:
         return widths
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema.to_dict(),
-            "schema_hash": self.schema_hash,
-            "numeric_min": self.numeric_min,
-            "numeric_max": self.numeric_max,
-            "vocab": self.vocab,
-            "imputation": self.imputation.to_dict(),
-            "fitted_on": self.fitted_on,
-        }
+        return {**asdict(self), "schema_hash": self.schema_hash}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -375,38 +400,24 @@ class PipelineStats:
             numeric_min=raw["numeric_min"],
             numeric_max=raw["numeric_max"],
             vocab=raw["vocab"],
-            imputation=ImputationTable.from_dict(raw["imputation"]),
+            imputation=ImputationTable(**raw["imputation"]),
             fitted_on=raw["fitted_on"],
         )
 
 
-def fit_pipeline_stats(records, schema: FlowSchema,
+def fit_pipeline_stats(table: FlowTable, schema: FlowSchema,
                        imputation: ImputationTable) -> PipelineStats:
     """Freeze min/max ranges and category vocabularies from training rows."""
-    numeric_min: dict[str, float] = {}
-    numeric_max: dict[str, float] = {}
-    for feat in schema.numeric_features:
-        observed = [r.values[feat] for r in records if r.values[feat] is not None]
-        if not observed:
-            numeric_min[feat] = 0.0
-            numeric_max[feat] = 0.0
-        else:
-            numeric_min[feat] = float(min(observed))
-            numeric_max[feat] = float(max(observed))
-    vocab: dict[str, list] = {feat: [] for feat in schema.categorical_features}
-    for rec in records:
-        for feat in schema.categorical_features:
-            value = rec.values[feat]
-            if value is not None and value not in vocab[feat]:
-                vocab[feat].append(value)
-    return PipelineStats(
-        schema=schema,
-        numeric_min=numeric_min,
-        numeric_max=numeric_max,
-        vocab=vocab,
-        imputation=imputation,
-        fitted_on=len(records),
-    )
+    observed = [row[~np.isnan(row)] for row in table.numeric]
+    # the first of equal extremes, as Python's min and max keep: it fixes a zero's sign
+    numeric_min = {feat: float(values[values.argmin()]) if values.size else 0.0
+                   for feat, values in zip(schema.numeric_features, observed)}
+    numeric_max = {feat: float(values[values.argmax()]) if values.size else 0.0
+                   for feat, values in zip(schema.numeric_features, observed)}
+    vocab = {feat: list(dict.fromkeys(column[np.not_equal(column, None)].tolist()))
+             for feat, column in table.categorical.items()}
+    return PipelineStats(schema=schema, numeric_min=numeric_min, numeric_max=numeric_max,
+                         vocab=vocab, imputation=imputation, fitted_on=len(table))
 
 
 @dataclass
@@ -421,7 +432,7 @@ class EncodedDataset:
         return self.x.shape[0]
 
 
-def encode(records, stats: PipelineStats) -> EncodedDataset:
+def encode(table: FlowTable, stats: PipelineStats) -> EncodedDataset:
     """Scale, one-hot, concatenate to 78 values, and reshape to 6x13.
 
     Numeric features map to (x - min) / (max - min) with zero-width training
@@ -434,64 +445,56 @@ def encode(records, stats: PipelineStats) -> EncodedDataset:
     widths = stats.encoded_widths()
     total = sum(widths.values())
     if total != schema.total_width:
-        raise SchemaError(
-            f"encoded width {total} != schema width {schema.total_width}; "
-            f"per-feature widths: {widths}"
-        )
-    numeric = set(schema.numeric_features)
-    flat = np.zeros((len(records), total))
+        raise SchemaError(f"encoded width {total} != schema width {schema.total_width}; "
+                          f"per-feature widths: {widths}")
+    numeric_row = {feat: j for j, feat in enumerate(schema.numeric_features)}
+    flat = np.zeros((len(table), total))
     cursor = 0
     for feat in schema.feature_order:
-        column = [rec.values[feat] for rec in records]
-        if feat in numeric:
-            if None in column:
-                raise SchemaError(
-                    f"numeric feature {feat} is missing; run imputation before encode"
-                )
+        if feat in numeric_row:
+            column = table.numeric[numeric_row[feat]]
+            if np.isnan(column).any():
+                raise SchemaError(f"numeric feature {feat} is missing; "
+                                  "run imputation before encode")
             lo, hi = stats.numeric_min[feat], stats.numeric_max[feat]
             if hi != lo:
-                flat[:, cursor] = (np.asarray(column, dtype=np.float64) - lo) / (hi - lo)
+                flat[:, cursor] = (column - lo) / (hi - lo)
         else:
             # the first level is dropped, so vocab[i] sets slot i - 1
             slots = {value: i for i, value in enumerate(stats.vocab[feat][1:])}
-            slot = np.asarray([slots.get(value, -1) for value in column], dtype=np.int64)
+            slot = np.asarray([slots.get(value, -1) for value in table.categorical[feat]],
+                              dtype=np.int64)
             hit = np.nonzero(slot >= 0)[0]
             flat[hit, cursor + slot[hit]] = 1.0
         cursor += widths[feat]
     return EncodedDataset(
-        x=flat.reshape(len(records), *schema.target_shape),
-        y=np.asarray([rec.label for rec in records], dtype=np.int64),
+        x=flat.reshape(len(table), *schema.target_shape),
+        y=table.labels.astype(np.int64),
         class_names=tuple(schema.class_names),
     )
 
 
-def stratified_split(items, train_fraction: float = 0.6, seed: int = 0):
+def stratified_split(table: FlowTable, train_fraction: float = 0.6, seed: int = 0):
     """Deterministic per-class split preserving class proportions.
 
-    Each class contributes floor(fraction * count) items to the training
+    Each class contributes floor(fraction * count) rows to the training
     side; the remainder goes to test.  Output order follows the input order
     within each side.
     """
     if not (0.0 < train_fraction < 1.0):
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    items = list(items)
-    labels = np.asarray([item.label for item in items])
     rng = RngState(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for cls in np.unique(labels):
-        idx = np.nonzero(labels == cls)[0]
+    train_idx, test_idx = [], []
+    for cls in np.unique(table.labels):
+        idx = np.nonzero(table.labels == cls)[0]
         if idx.size < 2:
-            raise StratificationError(
-                f"class {cls} has {idx.size} sample(s); need at least 2 to split"
-            )
+            raise StratificationError(f"class {cls} has {idx.size} sample(s); "
+                                      "need at least 2 to split")
         shuffled = idx[rng.permutation(idx.size)]
         n_train = int(np.floor(train_fraction * idx.size))
         train_idx.extend(shuffled[:n_train].tolist())
         test_idx.extend(shuffled[n_train:].tolist())
-    train_idx.sort()
-    test_idx.sort()
-    return [items[i] for i in train_idx], [items[i] for i in test_idx]
+    return table.take(sorted(train_idx)), table.take(sorted(test_idx))
 
 
 @dataclass
@@ -516,40 +519,38 @@ def prepare_dataset(csv_path, schema: FlowSchema | None = None,
     """
     schema = schema or FlowSchema()
     if protocol not in IMPUTATION_PROTOCOLS:
-        raise ConfigError(
-            f"unknown imputation protocol {protocol!r}; expected one of {IMPUTATION_PROTOCOLS}"
-        )
+        raise ConfigError(f"unknown imputation protocol {protocol!r}; "
+                          f"expected one of {IMPUTATION_PROTOCOLS}")
     parsed = parse_flow_csv(csv_path, schema)
-    records = parsed.records
+    table = parsed.table
     if protocol == "verbatim":
-        table = fit_imputers(records, schema)
-        filled = apply_imputers(records, table, schema, use_labels=True)
-        train_records, test_records = stratified_split(filled, train_fraction, seed)
+        imputation = fit_imputers(table, schema)
+        filled = apply_imputers(table, imputation, schema, use_labels=True)
+        train_table, test_table = stratified_split(filled, train_fraction, seed)
     else:
-        train_records, test_records = stratified_split(records, train_fraction, seed)
-        table = fit_imputers(train_records, schema)
-        train_records = apply_imputers(train_records, table, schema, use_labels=True)
-        test_records = apply_imputers(test_records, table, schema, use_labels=False)
-    stats = fit_pipeline_stats(train_records, schema, table)
-    train = encode(train_records, stats)
-    test = encode(test_records, stats)
+        train_table, test_table = stratified_split(table, train_fraction, seed)
+        imputation = fit_imputers(train_table, schema)
+        train_table = apply_imputers(train_table, imputation, schema, use_labels=True)
+        test_table = apply_imputers(test_table, imputation, schema, use_labels=False)
+    stats = fit_pipeline_stats(train_table, schema, imputation)
+    train = encode(train_table, stats)
+    test = encode(test_table, stats)
 
-    class_counts = {name: 0 for name in schema.class_names}
-    for rec in records:
-        class_counts[schema.class_names[rec.label]] += 1
-    missing_counts = {feat: 0 for feat in schema.feature_order}
-    for rec in records:
-        for feat, value in rec.values.items():
-            if value is None:
-                missing_counts[feat] += 1
+    class_counts = dict.fromkeys(schema.class_names, 0)
+    counts = np.bincount(table.labels, minlength=len(schema.class_names))
+    for name, count in zip(schema.class_names, counts.tolist()):
+        class_counts[name] += count  # a repeated class name sums its counts
+    missing = dict(zip(schema.numeric_features, np.isnan(table.numeric).sum(axis=1).tolist()))
+    missing.update((f, int(np.equal(col, None).sum())) for f, col in table.categorical.items())
     summary = {
         "protocol": protocol,
         "train_fraction": train_fraction,
         "seed": seed,
-        "rows_parsed": len(records),
+        "rows_parsed": len(table),
         "rows_skipped": len(parsed.skipped),
         "rows_per_class": class_counts,
-        "missing_values_per_feature": {k: v for k, v in missing_counts.items() if v},
+        "missing_values_per_feature": {f: missing[f] for f in schema.feature_order
+                                       if missing[f]},
         "train_rows": len(train),
         "test_rows": len(test),
     }
@@ -565,14 +566,10 @@ _CACHE_VERSION = 1
 def dataset_fingerprint(csv_path, schema: FlowSchema, protocol: str,
                         train_fraction: float, seed: int) -> str:
     """Hash of the inputs that determine the encoded dataset."""
-    digest = hashlib.sha256()
-    digest.update(Path(csv_path).read_bytes())
-    meta = json.dumps(
-        {"protocol": protocol, "train_fraction": train_fraction, "seed": seed,
-         "schema": schema.schema_hash()},
-        sort_keys=True,
-    )
-    digest.update(meta.encode())
+    digest = hashlib.sha256(Path(csv_path).read_bytes())
+    digest.update(json.dumps({"protocol": protocol, "train_fraction": train_fraction,
+                              "seed": seed, "schema": schema.schema_hash()},
+                             sort_keys=True).encode())
     return digest.hexdigest()
 
 
@@ -615,7 +612,8 @@ def load_dataset_cache(path):
                                   "or fingerprint")
     specs = [("<f8", [n_train, rows, cols]), ("<i8", [n_train]),
              ("<f8", [n_test, rows, cols]), ("<i8", [n_test])]
-    train_x, train_y, test_x, test_y = container.arrays(
-        body, specs, lambda message: CacheIntegrityError(f"{path}: {message}"))
+    # one copy each, as the views lie unaligned within the file's bytes
+    train_x, train_y, test_x, test_y = (np.array(view) for view in container.arrays(
+        body, specs, lambda message: CacheIntegrityError(f"{path}: {message}")))
     return (EncodedDataset(x=train_x, y=train_y, class_names=class_names),
             EncodedDataset(x=test_x, y=test_y, class_names=class_names), header)

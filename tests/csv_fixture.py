@@ -7,6 +7,7 @@ is exactly 78.
 """
 
 import csv
+import random
 from pathlib import Path
 
 from flowmoe.pipeline import CLASS_NAMES, FEATURE_ORDER, NUMERIC_FEATURES
@@ -56,6 +57,52 @@ def fixture_rows(n_rows: int = 20) -> list:
                 row[feature] = str(numeric_value(i, numeric_index[feature]))
         row[LABEL_COLUMN] = LABELS[i % len(LABELS)]
         rows.append(row)
+    return rows
+
+
+# Every spelling the parser reads as a missing cell; the numeric-only ones
+# are NaN spellings that float() accepts.
+MISSING_SPELLINGS = ("", "nan", "NA", "-", "null", " None ")
+NUMERIC_NAN_SPELLINGS = ("-nan", "NaN")
+
+
+def gappy_rows(n_rows: int = 120, seed: int = 0) -> list:
+    """``fixture_rows`` with the flaws of a real export, drawn from ``seed``.
+
+    About 5% of feature cells are missing, in every spelling; 2% are padded
+    with blanks.  Every row misses ``AckDat`` (the global mean falls back to
+    0.0), every Slow rate DoS row misses ``Dur`` and every HTTP flood row
+    ``Cause`` (the class statistics fall back to the global ones).  Half the
+    ICPM flood rows are spelled ``ICMP flood``.  Six rows are malformed:
+    unparseable or infinite numeric cells, one after a missing cell, and
+    unknown labels, one in a row that also holds a bad numeric cell.
+    """
+    rng = random.Random(seed)
+    rows = fixture_rows(n_rows)
+    for row in rows:
+        for feature in FEATURE_ORDER:
+            draw = rng.random()
+            if draw < 0.05:
+                spellings = MISSING_SPELLINGS
+                if feature in NUMERIC_FEATURES:
+                    spellings += NUMERIC_NAN_SPELLINGS
+                row[feature] = spellings[rng.randrange(len(spellings))]
+            elif draw < 0.07:
+                row[feature] = f" {row[feature]} "
+        row["AckDat"] = ""
+        if row[LABEL_COLUMN] == "Slow rate DoS":
+            row["Dur"] = "NA"
+        if row[LABEL_COLUMN] == "HTTP flood":
+            row["Cause"] = "-"
+        if row[LABEL_COLUMN] == "ICPM flood" and rng.random() < 0.5:
+            row[LABEL_COLUMN] = "ICMP flood"
+    bad = rng.sample(range(n_rows), 6)
+    rows[bad[0]]["TotBytes"] = "x7"
+    rows[bad[1]]["Load"] = "inf"
+    rows[bad[2]]["Rate"] = "1e400"
+    rows[bad[3]]["Sum"], rows[bad[3]]["SrcGap"] = "", "1.2.3"
+    rows[bad[4]][LABEL_COLUMN] = "Port Sweep"
+    rows[bad[5]]["Mean"], rows[bad[5]][LABEL_COLUMN] = "-inf", "Botnet"
     return rows
 
 

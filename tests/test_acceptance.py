@@ -336,13 +336,13 @@ def test_c07_pipeline_shape_contract(tmp_path):
     schema = FlowSchema()
     rows = fixture_rows(20)
     path = write_flow_csv(tmp_path / "fixture.csv", rows)
-    records = parse_flow_csv(path, schema).records
-    assert len(records) == 20
-    table = fit_imputers(records, schema)
-    records = apply_imputers(records, table, schema, use_labels=True)
-    stats = fit_pipeline_stats(records, schema, table)
+    table = parse_flow_csv(path, schema).table
+    assert len(table) == 20
+    imputation = fit_imputers(table, schema)
+    table = apply_imputers(table, imputation, schema, use_labels=True)
+    stats = fit_pipeline_stats(table, schema, imputation)
     assert sum(stats.encoded_widths().values()) == 78
-    data = encode(records, stats)
+    data = encode(table, stats)
     for i in range(len(data)):
         assert data.x[i].shape == (6, 13)
         flat = data.x[i].reshape(-1)
@@ -356,12 +356,12 @@ def test_c07_pipeline_shape_contract(tmp_path):
         if row["Proto"] == "rtp":
             row["Proto"] = "tcp"
     path2 = write_flow_csv(tmp_path / "drift.csv", drifted)
-    records2 = parse_flow_csv(path2, schema).records
-    table2 = fit_imputers(records2, schema)
-    records2 = apply_imputers(records2, table2, schema, use_labels=True)
-    stats2 = fit_pipeline_stats(records2, schema, table2)
+    table2 = parse_flow_csv(path2, schema).table
+    imputation2 = fit_imputers(table2, schema)
+    table2 = apply_imputers(table2, imputation2, schema, use_labels=True)
+    stats2 = fit_pipeline_stats(table2, schema, imputation2)
     with pytest.raises(SchemaError, match="77"):
-        encode(records2, stats2)
+        encode(table2, stats2)
 
 
 @criterion(8, "synthetic 9-class end-to-end (n=16, k=4): test accuracy "
@@ -399,18 +399,18 @@ def test_c09_benchmark_reproduction(tmp_path):
     schema = FlowSchema()
     parsed = parse_flow_csv(csv_path, schema)
     if os.environ.get("FLOWMOE_5GNIDD_FULL") == "1":
-        records = parsed.records
+        table = parsed.table
         epochs, bar = 40, 0.995
     else:
-        records, _ = stratified_split(parsed.records, train_fraction=0.05, seed=9)
+        table, _ = stratified_split(parsed.table, train_fraction=0.05, seed=9)
         epochs, bar = 10, 0.98
-    train_records, test_records = stratified_split(records, 0.6, seed=9)
-    table = fit_imputers(train_records, schema)
-    train_records = apply_imputers(train_records, table, schema, use_labels=True)
-    test_records = apply_imputers(test_records, table, schema, use_labels=False)
-    stats = fit_pipeline_stats(train_records, schema, table)
-    train_set = encode(train_records, stats)
-    test_set = encode(test_records, stats)
+    train_table, test_table = stratified_split(table, 0.6, seed=9)
+    imputation = fit_imputers(train_table, schema)
+    train_table = apply_imputers(train_table, imputation, schema, use_labels=True)
+    test_table = apply_imputers(test_table, imputation, schema, use_labels=False)
+    stats = fit_pipeline_stats(train_table, schema, imputation)
+    train_set = encode(train_table, stats)
+    test_set = encode(test_table, stats)
     config = TrainConfig(max_epochs=epochs, seed=9)
     model, _ = fit(train_set, config)
     report = evaluate(model, test_set)

@@ -22,7 +22,7 @@ from flowmoe.errors import (
 )
 from flowmoe.model import build_model
 from flowmoe.pipeline import load_dataset_cache, prepare_dataset, save_dataset_cache
-from flowmoe.tensor import RngState
+from flowmoe.tensor import RngState, Tensor
 from flowmoe.training import TrainConfig, model_config_for
 
 from csv_fixture import fixture_rows, write_flow_csv
@@ -230,12 +230,46 @@ def test_arrays_rejects_hostile_shapes(shape, nbytes):
         container.arrays(memoryview(bytes(nbytes)), [("<f8", shape)], CacheIntegrityError)
 
 
-def test_arrays_splits_a_body_into_copies():
+def test_arrays_splits_a_body_into_read_only_views():
     x = np.arange(6, dtype="<f8").reshape(2, 3)
     y = np.array([7, -1], dtype="<i8")
-    body = memoryview(x.tobytes() + y.tobytes())
-    got_x, got_y = container.arrays(body, [("<f8", [2, 3]), ("<i8", [2])],
+    raw = bytearray(x.tobytes() + y.tobytes())
+    got_x, got_y = container.arrays(memoryview(raw), [("<f8", [2, 3]), ("<i8", [2])],
                                     CacheIntegrityError)
     np.testing.assert_array_equal(got_x, x)
     np.testing.assert_array_equal(got_y, y)
-    assert got_x.flags.owndata and got_y.flags.owndata
+    # views of the body, not copies, and read-only even over a writable buffer
+    raw[0:8] = np.float64(-5.0).tobytes()
+    assert got_x[0, 0] == -5.0
+    assert not got_x.flags.writeable and not got_y.flags.writeable
+
+
+def _model_arrays(model):
+    """Every parameter and buffer array the model holds."""
+    arrays = (getattr(owner, attr) for owner, attr in model._named_slots().values())
+    return [array.data if isinstance(array, Tensor) else array for array in arrays]
+
+
+def test_loaded_checkpoint_owns_writable_parameters(tmp_path):
+    # load_state_dict makes the one copy out of the file's read-only views
+    loaded = load_checkpoint(_write_checkpoint(tmp_path))
+    assert all(a.flags.owndata and a.flags.writeable for a in _model_arrays(loaded.model))
+
+
+def test_loaded_cache_arrays_are_aligned_and_writable(tmp_path):
+    # the body's views are unaligned within the file; the loader copies them
+    train, test, _ = load_dataset_cache(_write_cache(tmp_path))
+    for array in (train.x, train.y, test.x, test.y):
+        assert array.flags.aligned and array.flags.writeable
+
+
+def test_load_state_dict_does_not_alias_its_input():
+    config = TrainConfig(n_experts=4, top_k=2, cnn_filters=(4, 4, 4, 8), expert_hidden=4)
+    model = build_model(config, RngState(0))
+    state = model.state_dict()
+    before = {name: value.copy() for name, value in state.items()}
+    model.load_state_dict(state)
+    for array in _model_arrays(model):
+        array += 1.0
+    for name, value in state.items():
+        np.testing.assert_array_equal(value, before[name])
