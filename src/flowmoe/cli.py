@@ -11,15 +11,14 @@ verbosity.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import functools
 import json
 import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .ablation import DEFAULT_CLI_GRID, NAMED_VARIANTS, ablation_config, run_ablation
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -58,18 +57,52 @@ CACHE_FILENAME = "dataset.cache"
 STATS_FILENAME = "pipeline_stats.json"
 SUMMARY_FILENAME = "preprocess_summary.json"
 
-# Allowed values of the options that take one, whether set by flag or config file.
-_CHOICES = {
-    "imputation": IMPUTATION_PROTOCOLS,
-    "report_format": ("text", "json", "both"),
-    "ablate": NAMED_VARIANTS,
-}
+
+class Option(NamedTuple):
+    """One run option.  ``name`` is the flag without its leading dashes and
+    with ``_`` for ``-``; it is also the config-file key (spelt with either)
+    and the ``effective_config.txt`` key."""
+
+    name: str
+    kind: type = str
+    choices: tuple | None = None
+    train_field: str | None = None  # the TrainConfig field set; else RunConfig's ``name``
+    bare: str | None = None  # the value of the flag given without one
+    help: str | None = None
+
+    def value(self, config: "RunConfig"):
+        if self.train_field:
+            return getattr(config.train, self.train_field)
+        return getattr(config, self.name)
+
+
+# In effective_config.txt order.  Training options take TrainConfig's defaults.
+OPTIONS = {option.name: option for option in (
+    Option("dataset", help="flow CSV path"),
+    Option("cache", help="encoded dataset cache from 'preprocess'"),
+    Option("checkpoint", help="model checkpoint path"),
+    Option("label_column"),
+    Option("out", help="output directory"),
+    Option("imputation", choices=IMPUTATION_PROTOCOLS),
+    Option("train_fraction", float),
+    Option("report_format", choices=("text", "json", "both")),
+    Option("ablate", choices=NAMED_VARIANTS),
+    Option("expert_grid", bare="default",
+           help="comma-separated n:k pairs, or bare for the default sweep"),
+    Option("batch_size", int, train_field="batch_size"),
+    Option("epochs", int, train_field="max_epochs"),
+    Option("alpha", float, train_field="alpha"),
+    Option("experts", int, train_field="n_experts"),
+    Option("top_k", int, train_field="top_k"),
+    Option("learning_rate", float, train_field="learning_rate"),
+    Option("seed", int, train_field="seed"),
+)}
 
 
 @dataclass
 class RunConfig:
-    """Everything a command needs; training fields default to the
-    full-scale setup (128 experts, k=32, alpha 0.1, batch 1024, 40 epochs)."""
+    """Everything a command needs: its inputs, outputs and data options, and
+    the run's TrainConfig (full-scale by default)."""
 
     dataset: str | None = None
     cache: str | None = None
@@ -81,43 +114,11 @@ class RunConfig:
     report_format: str = "both"
     ablate: str | None = None
     expert_grid: str | None = None
-    batch_size: int = 1024
-    epochs: int = 40
-    alpha: float = 0.1
-    experts: int = 128
-    top_k: int = 32
-    learning_rate: float = 1e-3
-    seed: int = 0
-
-    @functools.cached_property
-    def train_config(self) -> TrainConfig:
-        """The library config of the training fields, checked once by
-        :func:`build_run_config` before any command runs."""
-        return TrainConfig(
-            batch_size=self.batch_size,
-            max_epochs=self.epochs,
-            alpha=self.alpha,
-            n_experts=self.experts,
-            top_k=self.top_k,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-        )
-
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-
-def _coerce(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    train: TrainConfig = field(default_factory=TrainConfig)
 
 
 def parse_config_file(path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+    """Parse ``key = value`` lines into option values; '#' starts a comment."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -130,29 +131,31 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{i}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in _FIELD_TYPES:
+        option = OPTIONS.get(key.replace("-", "_"))
+        if option is None:
             raise ConfigError(f"{path}:{i}: unknown option {key!r}")
         try:
-            values[key] = _coerce(key, raw)
+            value = option.kind(raw)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{i}: bad value for {key}: {exc}") from exc
+            raise ConfigError(f"{path}:{i}: bad value for {option.name}: {exc}") from exc
+        if option.choices and value not in option.choices:  # argparse checks the flags
+            raise ConfigError(f"{path}:{i}: {option.name} must be one of "
+                              f"{option.choices}, got {value!r}")
+        values[option.name] = value
     return values
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(parse_config_file(args.config))
-    for name in _FIELD_TYPES:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            merged[name] = flag_value
-    config = RunConfig(**merged)
-    for name, allowed in _CHOICES.items():
-        value = getattr(config, name)
-        if value is not None and value not in allowed:
-            raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+    """The RunConfig of defaults, then the ``--config`` file, then flags;
+    every value is checked before any command touches a file."""
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for name in OPTIONS:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    train = {OPTIONS[name].train_field: value for name, value in values.items()
+             if OPTIONS[name].train_field}
+    run = {name: value for name, value in values.items() if not OPTIONS[name].train_field}
+    config = RunConfig(**run, train=TrainConfig(**train))
     if not 0.0 < config.train_fraction < 1.0:  # NaN included
         raise ConfigError(f"train_fraction must be in (0, 1), got {config.train_fraction}")
     for name in ("dataset", "cache", "checkpoint"):
@@ -163,23 +166,20 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     nearest = next(path for path in (out, *out.parents) if path.exists())
     if not nearest.is_dir():
         raise ConfigError(f"--out {out} cannot be made: {nearest} is not a directory")
-    config.train_config  # built, and so checked, before any command touches a file
     return config
 
 
 def effective_config_text(config: RunConfig) -> str:
-    lines = [f"{field.name} = {getattr(config, field.name)}"
-             for field in dataclasses.fields(RunConfig)]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name} = {option.value(config)}\n" for name, option in OPTIONS.items())
 
 
 def _make_run_dir(config: RunConfig) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = Path(config.out)
-    run_dir = base / f"run-{stamp}-seed{config.seed}"
+    run_dir = base / f"run-{stamp}-seed{config.train.seed}"
     suffix = 1
     while run_dir.exists():
-        run_dir = base / f"run-{stamp}-seed{config.seed}.{suffix}"
+        run_dir = base / f"run-{stamp}-seed{config.train.seed}.{suffix}"
         suffix += 1
     run_dir.mkdir(parents=True)
     (run_dir / "effective_config.txt").write_text(effective_config_text(config))
@@ -218,10 +218,10 @@ def _load_splits(config: RunConfig, run_dir: Path):
     schema = FlowSchema(label_column=config.label_column)
     prepared = prepare_dataset(
         config.dataset, schema, protocol=config.imputation,
-        train_fraction=config.train_fraction, seed=config.seed,
+        train_fraction=config.train_fraction, seed=config.train.seed,
     )
     fingerprint = dataset_fingerprint(
-        config.dataset, schema, config.imputation, config.train_fraction, config.seed)
+        config.dataset, schema, config.imputation, config.train_fraction, config.train.seed)
     save_dataset_cache(run_dir / CACHE_FILENAME, prepared, fingerprint)
     return prepared.train, prepared.test, prepared.stats
 
@@ -248,7 +248,7 @@ def cmd_preprocess(config: RunConfig) -> int:
     out = Path(config.out)
     schema = FlowSchema(label_column=config.label_column)
     fingerprint = dataset_fingerprint(
-        config.dataset, schema, config.imputation, config.train_fraction, config.seed)
+        config.dataset, schema, config.imputation, config.train_fraction, config.train.seed)
     cache_path = out / CACHE_FILENAME
     if cache_path.exists():
         try:
@@ -262,7 +262,7 @@ def cmd_preprocess(config: RunConfig) -> int:
             return 0
     prepared = prepare_dataset(
         config.dataset, schema, protocol=config.imputation,
-        train_fraction=config.train_fraction, seed=config.seed,
+        train_fraction=config.train_fraction, seed=config.train.seed,
     )
     out.mkdir(parents=True, exist_ok=True)
     save_dataset_cache(cache_path, prepared, fingerprint)
@@ -279,7 +279,7 @@ def cmd_preprocess(config: RunConfig) -> int:
 def _run_variants(config: RunConfig, variants) -> int:
     """Train and evaluate each variant into its own subdirectory of one run
     directory (checkpoint, history, report), printing one summary row each."""
-    base = config.train_config
+    base = config.train
     for variant in variants:  # an impossible (n, k) pair fails before any file is written
         ablation_config(base, variant)
     run_dir = _make_run_dir(config)
@@ -303,7 +303,7 @@ def cmd_train(config: RunConfig) -> int:
         return _run_variants(config, pairs)
     run_dir = _make_run_dir(config)
     train_set, _, stats = _load_splits(config, run_dir)
-    base = config.train_config
+    base = config.train
     if config.ablate:
         base = ablation_config(base, config.ablate)
     model, history = fit(train_set, base)
@@ -346,7 +346,7 @@ def _evaluation_data(config: RunConfig):
 
 def cmd_evaluate(config: RunConfig) -> int:
     loaded, data = _evaluation_data(config)
-    report = evaluate(loaded.model, data, batch_size=config.batch_size)
+    report = evaluate(loaded.model, data, batch_size=config.train.batch_size)
     path = Path(config.out) / "evaluation_report.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     if config.report_format in ("text", "both"):
@@ -367,7 +367,7 @@ def cmd_ablate(config: RunConfig) -> int:
 
 def cmd_gating_report(config: RunConfig) -> int:
     loaded, data = _evaluation_data(config)
-    summary = expert_utilization(loaded.model, data, batch_size=config.batch_size)
+    summary = expert_utilization(loaded.model, data, batch_size=config.train.batch_size)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "gating_report.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
@@ -387,25 +387,15 @@ def cmd_gating_report(config: RunConfig) -> int:
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value config file; flags override it")
-    sub.add_argument("--dataset", help="flow CSV path")
-    sub.add_argument("--cache", help="encoded dataset cache from 'preprocess'")
-    sub.add_argument("--label-column", dest="label_column")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--imputation", choices=_CHOICES["imputation"])
-    sub.add_argument("--train-fraction", dest="train_fraction", type=float)
-    sub.add_argument("--report-format", dest="report_format",
-                     choices=_CHOICES["report_format"])
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--experts", type=int)
-    sub.add_argument("--top-k", dest="top_k", type=int)
-    sub.add_argument("--learning-rate", dest="learning_rate", type=float)
-    sub.add_argument("--ablate", choices=_CHOICES["ablate"])
-    sub.add_argument("--expert-grid", dest="expert_grid", nargs="?", const="default",
-                     help="comma-separated n:k pairs, or bare for the default sweep")
-    sub.add_argument("--checkpoint", help="model checkpoint path")
+    for option in OPTIONS.values():
+        help_text = option.help
+        if option.train_field:
+            help_text = (f"TrainConfig.{option.train_field} "
+                         f"(default {getattr(TrainConfig, option.train_field)})")
+        sub.add_argument("--" + option.name.replace("_", "-"), dest=option.name,
+                         type=option.kind, choices=option.choices,
+                         nargs="?" if option.bare else None, const=option.bare,
+                         help=help_text)
 
 
 def make_parser() -> argparse.ArgumentParser:

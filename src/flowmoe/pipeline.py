@@ -242,8 +242,9 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
     Unknown columns are ignored, a missing schema column is a hard error, and
     the last of repeated columns counts.  Rows with an unparseable or infinite
     numeric cell (``inf``, or a value such as ``1e400`` that overflows) or an
-    unknown label are skipped with a logged warning and listed in the result;
-    the reason names the first bad numeric cell in feature order, else the label.
+    unknown label are skipped with a logged warning and listed in the result
+    under the physical line the row ends on; the reason names the first bad
+    numeric cell in feature order, else the label.
     """
     blocks, skipped = [], []
     with Path(path).open(newline="", encoding="utf-8") as handle:
@@ -254,14 +255,11 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
             if column not in header:
                 raise SchemaError(f"CSV is missing required column {column!r}")
         position = {name: i for i, name in enumerate(header) if name in required}
-        rows, lines, line = [], [], 0
+        rows, lines = [], []
         for row in reader:
-            # csv.DictReader's numbering: a row after blank lines gets the first's
-            line = line or reader.line_num
             if row:
                 rows.append(row)
-                lines.append(line)
-                line = 0
+                lines.append(reader.line_num)
             if len(rows) == _BLOCK_ROWS:
                 blocks.append(_parse_block(rows, lines, schema, position, skipped))
                 rows, lines = [], []
@@ -566,7 +564,10 @@ _CACHE_VERSION = 1
 def dataset_fingerprint(csv_path, schema: FlowSchema, protocol: str,
                         train_fraction: float, seed: int) -> str:
     """Hash of the inputs that determine the encoded dataset."""
-    digest = hashlib.sha256(Path(csv_path).read_bytes())
+    digest = hashlib.sha256()
+    with Path(csv_path).open("rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
     digest.update(json.dumps({"protocol": protocol, "train_fraction": train_fraction,
                               "seed": seed, "schema": schema.schema_hash()},
                              sort_keys=True).encode())

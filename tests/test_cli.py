@@ -25,11 +25,11 @@ def run_dirs(out):
 class TestDefaults:
     def test_full_scale_defaults(self):
         config = RunConfig()
-        assert config.experts == 128
-        assert config.top_k == 32
-        assert config.alpha == 0.1
-        assert config.batch_size == 1024
-        assert config.epochs == 40
+        assert config.train.n_experts == 128
+        assert config.train.top_k == 32
+        assert config.train.alpha == 0.1
+        assert config.train.batch_size == 1024
+        assert config.train.max_epochs == 40
         assert config.imputation == "leak-free"
 
     def test_config_file_and_flag_precedence(self, tmp_path, big_csv):

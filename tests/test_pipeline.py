@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ class TestParse:
         result = parse_flow_csv(path, schema)
         assert result.skipped == []
         assert result.records[2].values["Dur"] is None
+
+    @pytest.mark.parametrize("blanks", [1, 3])
+    def test_bad_row_after_blank_lines_is_skipped_under_its_own_line(self, tmp_path, schema,
+                                                                    blanks):
+        rows = fixture_rows(4)
+        rows[2]["Dur"] = "bad"
+        path = write_flow_csv(tmp_path / "blank.csv", rows)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3]) + "\n" * blanks + "".join(lines[3:]))
+        result = parse_flow_csv(path, schema)
+        # header, two rows, the blank lines, then the bad row
+        assert result.skipped == [(4 + blanks, "unparseable numeric cell Dur='bad'")]
+        assert len(result.records) == 3
 
     def test_unknown_label_skips_row(self, tmp_path, flow_rows, schema):
         flow_rows[0][LABEL_COLUMN] = "Quantum flood"
@@ -479,6 +493,19 @@ class TestCache:
         assert dataset_fingerprint(flow_csv, schema, "leak-free", 0.6, 4) == base
         assert dataset_fingerprint(flow_csv, schema, "verbatim", 0.6, 4) != base
         assert dataset_fingerprint(flow_csv, schema, "leak-free", 0.6, 5) != base
+
+    def test_fingerprint_reads_the_csv_in_chunks(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_bytes(bytes(range(256)) * (1 << 14))  # 4 MiB
+        tracemalloc.start()
+        try:
+            fp = dataset_fingerprint(path, FlowSchema(), "leak-free", 0.6, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size // 16
+        # recorded from whole-file hashing: reading in chunks changes no digest
+        assert fp == "45feda771f06a133ad94fb04e11e3ff16e2b3a3c74d1a665f8964401509e30fe"
 
     def test_preprocess_outputs_are_byte_identical(self, tmp_path):
         # recorded SHA-256s: a change to parsing, imputation, encoding or the
