@@ -34,7 +34,6 @@ from .pipeline import (
     DEFAULT_LABEL_COLUMN,
     FlowSchema,
     IMPUTATION_PROTOCOLS,
-    PipelineStats,
     apply_imputers,
     dataset_fingerprint,
     encode,
@@ -206,13 +205,13 @@ def _parse_grid(text: str):
     return tuple(pairs)
 
 
-def _load_splits(config: RunConfig, run_dir: Path):
-    """Encoded (train, test, stats) from a cache file, or from the CSV, whose
-    cache is then written into ``run_dir``."""
+def _start_run(config: RunConfig):
+    """A new run directory and the encoded (train, test, stats) from a cache
+    file, or from the CSV, whose cache is written into the run directory.
+    The directory is made only once the data has loaded."""
     if config.cache:
         train, test, header = load_dataset_cache(config.cache)
-        stats = PipelineStats.from_dict(header["stats"])
-        return train, test, stats
+        return _make_run_dir(config), train, test, header["stats"]
     if not config.dataset:
         raise ConfigError("either --cache or --dataset is required")
     schema = FlowSchema(label_column=config.label_column)
@@ -222,8 +221,9 @@ def _load_splits(config: RunConfig, run_dir: Path):
     )
     fingerprint = dataset_fingerprint(
         config.dataset, schema, config.imputation, config.train_fraction, config.train.seed)
+    run_dir = _make_run_dir(config)
     save_dataset_cache(run_dir / CACHE_FILENAME, prepared, fingerprint)
-    return prepared.train, prepared.test, prepared.stats
+    return run_dir, prepared.train, prepared.test, prepared.stats
 
 
 def _save_run(run_dir: Path, model, config: TrainConfig, history, stats) -> None:
@@ -282,8 +282,7 @@ def _run_variants(config: RunConfig, variants) -> int:
     base = config.train
     for variant in variants:  # an impossible (n, k) pair fails before any file is written
         ablation_config(base, variant)
-    run_dir = _make_run_dir(config)
-    train_set, test_set, stats = _load_splits(config, run_dir)
+    run_dir, train_set, test_set, stats = _start_run(config)
     print(f"{'variant':<24} {'accuracy':>10} {'weighted F1':>12}")
     for variant in variants:
         result = run_ablation(base, variant, train_set, test_set)
@@ -301,8 +300,7 @@ def cmd_train(config: RunConfig) -> int:
         pairs = _parse_grid(config.expert_grid)
         log.info("running expert grid over %s", pairs)
         return _run_variants(config, pairs)
-    run_dir = _make_run_dir(config)
-    train_set, _, stats = _load_splits(config, run_dir)
+    run_dir, train_set, _, stats = _start_run(config)
     base = config.train
     if config.ablate:
         base = ablation_config(base, config.ablate)

@@ -2,16 +2,22 @@
 the format version and header length H (little-endian uint32 each), H bytes
 of UTF-8 JSON header with sorted keys, the body, and the SHA-256 of every
 preceding byte.  The body is raw little-endian arrays back to back, whose
-shapes the owning format's header declares."""
+shapes the owning format's header declares.  ``decode`` turns the records a
+header holds back into their dataclasses."""
 
+import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ConfigError
 
 _PREFIX = struct.Struct("<8sII")
 
@@ -73,3 +79,40 @@ def arrays(body, specs, corrupt_error) -> list:
         out.append(view)
         offset += 8 * count
     return out
+
+
+@functools.cache
+def _field_types(kind) -> dict:
+    return {f.name: typing.get_type_hints(kind)[f.name] for f in dataclasses.fields(kind)}
+
+
+def decode(kind, value, name: str):
+    """``value``, decoded from JSON, as a ``kind``: a dataclass from an object
+    with exactly its fields, each decoded by its declared type; a tuple or
+    list from an array (or a tuple), a ``dict[str, T]`` from an object, an
+    ``np.ndarray`` from an array of numbers; an int for a float, but no bool
+    for an int.  Else raises ``ConfigError`` naming the dotted path ``name``."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if dataclasses.is_dataclass(kind) and isinstance(value, dict):
+        types = _field_types(kind)
+        if value.keys() != types.keys():
+            raise ConfigError(f"{name} keys: missing {sorted(types.keys() - value.keys())}, "
+                              f"unknown {sorted(value.keys() - types.keys())}")
+        return kind(**{key: decode(item, value[key], f"{name}.{key}")
+                       for key, item in types.items()})
+    if origin in (tuple, list) and isinstance(value, (list, tuple)):
+        return origin(decode(args[0], item, f"{name}[{i}]") for i, item in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        return {key: decode(args[1], item, f"{name}.{key}") for key, item in value.items()}
+    if kind is np.ndarray and isinstance(value, (list, tuple)):
+        try:
+            array = np.asarray(value)
+        except ValueError as exc:  # a ragged array
+            raise ConfigError(f"{name} is not an array of numbers") from exc
+        if array.dtype.kind in "if":
+            return array
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is kind:
+        return value
+    raise ConfigError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import container
 from .errors import LabelError
 
 
@@ -57,19 +58,11 @@ class EvalReport:
         tp = np.diag(matrix).astype(np.float64)
         predicted = matrix.sum(axis=0).astype(np.float64)
         support = matrix.sum(axis=1)
-        flagged = []
-        precision = np.zeros(n)
-        recall = np.zeros(n)
-        f1 = np.zeros(n)
-        for c in range(n):
-            if predicted[c] > 0:
-                precision[c] = tp[c] / predicted[c]
-            if support[c] > 0:
-                recall[c] = tp[c] / support[c]
-            if predicted[c] == 0 or support[c] == 0:
-                flagged.append(class_names[c])
-            if precision[c] + recall[c] > 0:
-                f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
+        precision = np.divide(tp, predicted, out=np.zeros(n), where=predicted > 0)
+        recall = np.divide(tp, support, out=np.zeros(n), where=support > 0)
+        both = precision + recall
+        f1 = np.divide(2 * precision * recall, both, out=np.zeros(n), where=both > 0)
+        flagged = [class_names[c] for c in np.flatnonzero((predicted == 0) | (support == 0))]
         total = matrix.sum()
         accuracy = float(np.trace(matrix) / total) if total else 0.0
         return cls(
@@ -85,35 +78,15 @@ class EvalReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "class_names": self.class_names,
-            "confusion": self.confusion.tolist(),
-            "precision": self.precision.tolist(),
-            "recall": self.recall.tolist(),
-            "f1": self.f1.tolist(),
-            "support": self.support.tolist(),
-            "accuracy": self.accuracy,
-            "weighted_f1": self.weighted_f1,
-            "zero_division_classes": self.zero_division_classes,
-        }
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in asdict(self).items()}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        raw = json.loads(text)
-        return cls(
-            class_names=raw["class_names"],
-            confusion=np.asarray(raw["confusion"], dtype=np.int64),
-            precision=np.asarray(raw["precision"]),
-            recall=np.asarray(raw["recall"]),
-            f1=np.asarray(raw["f1"]),
-            support=np.asarray(raw["support"], dtype=np.int64),
-            accuracy=raw["accuracy"],
-            weighted_f1=raw["weighted_f1"],
-            zero_division_classes=raw["zero_division_classes"],
-        )
+        return container.decode(cls, json.loads(text), "report")
 
     def format_table(self) -> str:
         lines = [

@@ -4,8 +4,9 @@ expert head, plus the reduced architectures used by the ablation study."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
+from . import container
 from .errors import ConfigError
 from .layers import CnnBackbone, Dense, Module
 from .moe import GateInfo, MoEHead
@@ -33,8 +34,8 @@ class TrainConfig:
     disable_cnn: bool = False
     expert_hidden: int = 16
     n_classes: int = 9
-    input_shape: tuple = (6, 13)
-    cnn_filters: tuple = (16, 32, 64, 128)
+    input_shape: tuple[int, ...] = (6, 13)
+    cnn_filters: tuple[int, ...] = (16, 32, 64, 128)
     noise_enabled: bool = True
     bn_momentum: float = 0.1
     bn_eps: float = 1e-5
@@ -78,22 +79,7 @@ class TrainConfig:
     def from_dict(cls, raw: dict) -> "TrainConfig":
         """Inverse of :meth:`to_dict` for decoded JSON: exactly the fields,
         each of its declared type (a bool is no int; an int is a float)."""
-        kinds = {f.name: f.type for f in fields(cls)}
-        if set(raw) != kinds.keys():
-            raise ConfigError(f"config keys: missing {sorted(kinds.keys() - set(raw))}, "
-                              f"unknown {sorted(set(raw) - kinds.keys())}")
-        return cls(**{name: _typed(name, kind, raw[name]) for name, kind in kinds.items()})
-
-
-def _typed(name: str, kind: str, value):
-    """``value`` as a field of type ``kind``; a tuple holds ints."""
-    if kind == "tuple" and isinstance(value, (list, tuple)):
-        return tuple(_typed(name, "int", item) for item in value)
-    if kind == "float" and type(value) in (int, float):
-        return float(value)
-    if type(value).__name__ == kind:
-        return value
-    raise ConfigError(f"config field {name!r} must be {kind}, got {value!r}")
+        return container.decode(cls, raw, "config")
 
 
 def _backbone(config: TrainConfig, rng: RngState | None) -> CnnBackbone:

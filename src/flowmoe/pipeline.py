@@ -72,12 +72,12 @@ def _canon(label: str) -> str:
 class FlowSchema:
     """Feature layout of the flow CSV and its encoded form."""
 
-    numeric_features: tuple = NUMERIC_FEATURES
-    categorical_widths: dict = field(default_factory=lambda: dict(CATEGORICAL_WIDTHS))
-    feature_order: tuple = FEATURE_ORDER
+    numeric_features: tuple[str, ...] = NUMERIC_FEATURES
+    categorical_widths: dict[str, int] = field(default_factory=CATEGORICAL_WIDTHS.copy)
+    feature_order: tuple[str, ...] = FEATURE_ORDER
     label_column: str = DEFAULT_LABEL_COLUMN
-    class_names: tuple = CLASS_NAMES
-    target_shape: tuple = (6, 13)
+    class_names: tuple[str, ...] = CLASS_NAMES
+    target_shape: tuple[int, ...] = (6, 13)
 
     def __post_init__(self):
         expected = self.target_shape[0] * self.target_shape[1]
@@ -106,22 +106,8 @@ class FlowSchema:
     def label_index(self, raw: str) -> int | None:
         return self._class_of.get(_canon(raw))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "FlowSchema":
-        return cls(
-            numeric_features=tuple(raw["numeric_features"]),
-            categorical_widths=dict(raw["categorical_widths"]),
-            feature_order=tuple(raw["feature_order"]),
-            label_column=raw["label_column"],
-            class_names=tuple(raw["class_names"]),
-            target_shape=tuple(raw["target_shape"]),
-        )
-
     def schema_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        canonical = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -279,10 +265,10 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
 class ImputationTable:
     """Per-class means/modes with label-free global fallbacks."""
 
-    class_numeric_mean: dict
-    class_categorical_mode: dict
-    global_numeric_mean: dict
-    global_categorical_mode: dict
+    class_numeric_mean: dict[str, dict[str, float]]
+    class_categorical_mode: dict[str, dict[str, str]]
+    global_numeric_mean: dict[str, float]
+    global_categorical_mode: dict[str, str]
 
 
 def fit_imputers(table: FlowTable, schema: FlowSchema) -> ImputationTable:
@@ -369,11 +355,26 @@ class PipelineStats:
     """Everything needed to encode new rows exactly like the training split."""
 
     schema: FlowSchema
-    numeric_min: dict
-    numeric_max: dict
-    vocab: dict  # feature -> categories in first-seen order; vocab[f][0] is dropped
+    numeric_min: dict[str, float]
+    numeric_max: dict[str, float]
+    vocab: dict[str, list[str]]  # categories in first-seen order; vocab[f][0] is dropped
     imputation: ImputationTable
     fitted_on: int
+
+    def __post_init__(self):
+        """Each table names exactly the schema's numeric or categorical features."""
+        imp = self.imputation
+        numeric = {"numeric_min": self.numeric_min, "numeric_max": self.numeric_max,
+                   "global_numeric_mean": imp.global_numeric_mean, **imp.class_numeric_mean}
+        categorical = {"vocab": self.vocab, "global_categorical_mode": imp.global_categorical_mode,
+                       **imp.class_categorical_mode}  # a class's tables go by its name
+        for features, tables in ((set(self.schema.numeric_features), numeric),
+                                 (set(self.schema.categorical_features), categorical)):
+            for name, table in tables.items():
+                if table.keys() != features:
+                    raise SchemaError(f"{name} statistics: missing features "
+                                      f"{sorted(features - table.keys())}, "
+                                      f"unknown {sorted(table.keys() - features)}")
 
     @property
     def schema_hash(self) -> str:
@@ -393,14 +394,11 @@ class PipelineStats:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineStats":
-        return cls(
-            schema=FlowSchema.from_dict(raw["schema"]),
-            numeric_min=raw["numeric_min"],
-            numeric_max=raw["numeric_max"],
-            vocab=raw["vocab"],
-            imputation=ImputationTable(**raw["imputation"]),
-            fitted_on=raw["fitted_on"],
-        )
+        """Inverse of :meth:`to_dict` for decoded JSON; the derived
+        ``schema_hash`` is ignored."""
+        if isinstance(raw, dict):
+            raw = {key: value for key, value in raw.items() if key != "schema_hash"}
+        return container.decode(cls, raw, "pipeline_stats")
 
 
 def fit_pipeline_stats(table: FlowTable, schema: FlowSchema,
@@ -595,9 +593,9 @@ def save_dataset_cache(path, prepared: PreparedData, fingerprint: str = "") -> N
 def load_dataset_cache(path):
     """Load a cache file; returns (train, test, header dict).
 
-    Besides the sizes, the header's ``stats`` must parse into PipelineStats
-    and its ``schema_hash`` and ``fingerprint`` must be strings, so callers
-    can read those keys unchecked.
+    Besides the sizes, the header's ``stats`` must decode into the
+    PipelineStats it then holds, and its ``schema_hash`` and ``fingerprint``
+    must be strings, so callers can read those keys unchecked.
     """
     header, body = container.read(path, _CACHE_MAGIC, _CACHE_VERSION,
                                   CacheIntegrityError, CacheIntegrityError)
@@ -605,7 +603,7 @@ def load_dataset_cache(path):
         n_train, n_test = header["n_train"], header["n_test"]
         rows, cols = header["sample_shape"]
         class_names = tuple(header["class_names"])
-        PipelineStats.from_dict(header["stats"])
+        header["stats"] = PipelineStats.from_dict(header["stats"])
     except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise CacheIntegrityError(f"{path}: malformed cache header ({exc!r})") from exc
     if not all(isinstance(header.get(key), str) for key in ("schema_hash", "fingerprint")):

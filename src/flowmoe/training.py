@@ -212,7 +212,7 @@ def expert_utilization(model: Module, dataset: EncodedDataset,
     with no_grad():
         for start in range(0, len(dataset), batch_size):
             x = Tensor(dataset.x[start:start + batch_size])
-            features = model.backbone(x) if hasattr(model, "backbone") else x
+            features = model.backbone(x)
             decision = noisy_gate(model.head.router, features, cfg.top_k, False)
             importance += decision.gates.data.sum(axis=0)
             np.add.at(selections, decision.selected_indices.reshape(-1), 1)

@@ -113,3 +113,23 @@ def test_preprocess_schema_error_leaves_no_out_directory(tmp_path):
     assert main(["preprocess", "--dataset", str(csv), "--out", str(out),
                  "--label-column", "nope"]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    ["ablate", "--experts", "4", "--top-k", "2"],
+], ids=" ".join)
+def test_run_without_data_exits_2_before_any_file(tmp_path, argv):
+    """A run directory is made only once its data has loaded."""
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_run_schema_error_leaves_no_out_directory(tmp_path, command):
+    csv = write_flow_csv(tmp_path / "flows.csv", fixture_rows(20))
+    out = tmp_path / "out"
+    assert main([command, "--dataset", str(csv), "--out", str(out), "--label-column", "nope",
+                 "--experts", "4", "--top-k", "2"]) == 3
+    assert not out.exists()

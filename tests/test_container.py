@@ -19,7 +19,9 @@ from flowmoe.errors import (
     CacheIntegrityError,
     CheckpointIntegrityError,
     CheckpointVersionError,
+    ConfigError,
 )
+from flowmoe.metrics import EvalReport
 from flowmoe.model import build_model
 from flowmoe.pipeline import load_dataset_cache, prepare_dataset, save_dataset_cache
 from flowmoe.tensor import RngState, Tensor
@@ -28,12 +30,17 @@ from flowmoe.training import TrainConfig, model_config_for
 from csv_fixture import fixture_rows, write_flow_csv
 
 
-def _write_checkpoint(tmp_path):
+def _write_checkpoint(tmp_path, stats=None):
     config = TrainConfig(n_experts=4, top_k=2, cnn_filters=(4, 4, 4, 8), expert_hidden=4)
     model = build_model(model_config_for(config), RngState(0))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, config)
+    save_checkpoint(path, model, config, stats)
     return path
+
+
+def _write_checkpoint_with_stats(tmp_path):
+    csv = write_flow_csv(tmp_path / "flows.csv", fixture_rows(120))
+    return _write_checkpoint(tmp_path, prepare_dataset(csv, seed=4).stats)
 
 
 def _write_cache(tmp_path):
@@ -195,6 +202,72 @@ def test_cli_exits_4_on_checkpoint_config(tmp_path, edit):
     code = main(["evaluate", "--checkpoint", str(checkpoint), "--cache", str(cache),
                  "--out", str(tmp_path / "eval")])
     assert code == 4
+
+
+# Each leaves checksummed pipeline statistics of a wrong type or naming the
+# wrong features.
+STATS_EDITS = {
+    "string_in_numeric_min": lambda s: s["numeric_min"].update(Dur="0.5"),
+    "vocab_entry_not_a_list": lambda s: s["vocab"].update(Proto="tcp"),
+    "fitted_on_a_bool": lambda s: s.update(fitted_on=True),
+    "feature_key_missing": lambda s: s["imputation"]["global_numeric_mean"].pop("Dur"),
+    "class_key_missing": lambda s: s["imputation"]["class_numeric_mean"]["Benign"].pop("Dur"),
+    "vocab_key_unknown": lambda s: s["vocab"].update(Extra=["a"]),
+    "unknown_field": lambda s: s.update(note="x"),
+}
+
+# format -> (writer of a file holding statistics, the header key that holds them)
+STATS_FORMATS = {"checkpoint": (_write_checkpoint_with_stats, "pipeline_stats"),
+                 "cache": (_write_cache, "stats")}
+
+
+@pytest.mark.parametrize("edit", STATS_EDITS)
+@pytest.mark.parametrize("fmt", STATS_FORMATS)
+def test_pipeline_stats_are_checked_on_load(tmp_path, fmt, edit):
+    write, key = STATS_FORMATS[fmt]
+    _, load, corrupt_error, _ = FORMATS[fmt]
+    path = write(tmp_path)
+    load(path)
+    _edit_header(path, lambda h: STATS_EDITS[edit](h[key]))
+    with pytest.raises(corrupt_error):
+        load(path)
+
+
+@pytest.mark.parametrize("edit", ["string_in_numeric_min", "vocab_entry_not_a_list",
+                                  "feature_key_missing"])
+def test_cli_evaluate_dataset_exits_4_on_checkpoint_stats(tmp_path, edit):
+    checkpoint = _write_checkpoint_with_stats(tmp_path)
+    argv = ["evaluate", "--checkpoint", str(checkpoint),
+            "--dataset", str(tmp_path / "flows.csv"), "--out", str(tmp_path / "eval")]
+    assert main(argv) == 0
+    _edit_header(checkpoint, lambda h: STATS_EDITS[edit](h["pipeline_stats"]))
+    assert main(argv) == 4
+
+
+REPORT_EDITS = {
+    "ragged_array": (lambda r: r.update(confusion=[[1, 0], [0]]), r"report\.confusion"),
+    "string_in_array": (lambda r: r.update(f1=["high", 1.0]), r"report\.f1"),
+    "int_in_string_list": (lambda r: r["class_names"].append(3), r"report\.class_names\[2\]"),
+    "bool_for_float": (lambda r: r.update(accuracy=True), r"report\.accuracy"),
+    "object_for_list": (lambda r: r.update(class_names={"a": 0}), r"report\.class_names"),
+}
+
+
+@pytest.mark.parametrize("edit", REPORT_EDITS)
+def test_decode_names_the_path_of_a_bad_value(edit):
+    change, path = REPORT_EDITS[edit]
+    raw = EvalReport.from_predictions([0, 1, 1], [0, 1, 0], ["a", "b"]).to_dict()
+    change(raw)
+    with pytest.raises(ConfigError, match=path):
+        EvalReport.from_json(json.dumps(raw))
+
+
+def test_decoded_report_keeps_integer_counts():
+    report = EvalReport.from_predictions([0, 1, 1], [0, 1, 0], ["a", "b"])
+    again = EvalReport.from_json(report.to_json())
+    assert again.confusion.dtype == again.support.dtype == np.int64
+    assert again.f1.dtype == np.float64
+    assert again.format_table() == report.format_table()
 
 
 # Each leaves a checksummed checkpoint whose declared shapes do not describe
