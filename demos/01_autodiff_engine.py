@@ -15,7 +15,9 @@ b = Tensor([[1.0], [1.0]], requires_grad=True)
 product = matmul(a, b)
 print("A @ b =", product.data.ravel())
 
-# backward() from a scalar fills .grad on everything that requires it.
+# backward() from a scalar fills .grad on the leaves that require it (a and b)
+# and releases the graph as it goes: `product` keeps its values but no .grad,
+# and backpropagating the same loss again raises GraphReleasedError.
 loss = (product * product).sum()
 loss.backward()
 print("d(sum((A@b)^2))/dA =\n", a.grad)

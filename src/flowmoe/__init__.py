@@ -35,6 +35,7 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     FlowMoeError,
+    GraphReleasedError,
     LabelError,
     SchemaError,
     StratificationError,

@@ -81,38 +81,69 @@ def arrays(body, specs, corrupt_error) -> list:
     return out
 
 
-@functools.cache
-def _field_types(kind) -> dict:
-    return {f.name: typing.get_type_hints(kind)[f.name] for f in dataclasses.fields(kind)}
-
-
 def decode(kind, value, name: str):
     """``value``, decoded from JSON, as a ``kind``: a dataclass from an object
     with exactly its fields, each decoded by its declared type; a tuple or
     list from an array (or a tuple), a ``dict[str, T]`` from an object, an
     ``np.ndarray`` from an array of numbers; an int for a float, but no bool
     for an int.  Else raises ``ConfigError`` naming the dotted path ``name``."""
+    return _decoder(kind)(value, name)
+
+
+@functools.cache
+def _decoder(kind):
+    """The function ``(value, name)`` that :func:`decode` applies for ``kind``,
+    built once per type together with the decoders of the types it holds."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if dataclasses.is_dataclass(kind) and isinstance(value, dict):
-        types = _field_types(kind)
-        if value.keys() != types.keys():
-            raise ConfigError(f"{name} keys: missing {sorted(types.keys() - value.keys())}, "
-                              f"unknown {sorted(value.keys() - types.keys())}")
-        return kind(**{key: decode(item, value[key], f"{name}.{key}")
-                       for key, item in types.items()})
-    if origin in (tuple, list) and isinstance(value, (list, tuple)):
-        return origin(decode(args[0], item, f"{name}[{i}]") for i, item in enumerate(value))
-    if origin is dict and isinstance(value, dict):
-        return {key: decode(args[1], item, f"{name}.{key}") for key, item in value.items()}
-    if kind is np.ndarray and isinstance(value, (list, tuple)):
-        try:
-            array = np.asarray(value)
-        except ValueError as exc:  # a ragged array
-            raise ConfigError(f"{name} is not an array of numbers") from exc
-        if array.dtype.kind in "if":
-            return array
-    if kind is float and type(value) is int:
-        return float(value)
-    if type(value) is kind:
-        return value
-    raise ConfigError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
+    label = getattr(kind, "__name__", kind)
+
+    def other(value, name):
+        if type(value) is kind:
+            return value
+        raise ConfigError(f"{name} must be {label}, got {value!r}")
+
+    if dataclasses.is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        fields = {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(kind)}
+
+        def record(value, name):
+            if not isinstance(value, dict):
+                return other(value, name)
+            if value.keys() != fields.keys():
+                raise ConfigError(f"{name} keys: missing {sorted(fields.keys() - value.keys())}, "
+                                  f"unknown {sorted(value.keys() - fields.keys())}")
+            return kind(**{key: item(value[key], f"{name}.{key}")
+                           for key, item in fields.items()})
+        return record
+    if origin in (tuple, list):
+        item = _decoder(args[0])
+
+        def sequence(value, name):
+            if not isinstance(value, (list, tuple)):
+                return other(value, name)
+            return origin([item(entry, f"{name}[{i}]") for i, entry in enumerate(value)])
+        return sequence
+    if origin is dict:
+        item = _decoder(args[1])
+
+        def mapping(value, name):
+            if not isinstance(value, dict):
+                return other(value, name)
+            return {key: item(entry, f"{name}.{key}") for key, entry in value.items()}
+        return mapping
+    if kind is np.ndarray:
+        def array(value, name):
+            if isinstance(value, (list, tuple)):
+                try:
+                    result = np.asarray(value)
+                except ValueError as exc:  # a ragged array
+                    raise ConfigError(f"{name} is not an array of numbers") from exc
+                if result.dtype.kind in "if":
+                    return result
+            return other(value, name)
+        return array
+    if kind is float:
+        def number(value, name):
+            return float(value) if type(value) is int else other(value, name)
+        return number
+    return other

@@ -34,6 +34,11 @@ class StratificationError(FlowMoeError, ValueError):
     """A class has too few samples to be split."""
 
 
+class GraphReleasedError(FlowMoeError, RuntimeError):
+    """A backward pass reached part of an autodiff graph that an earlier
+    backward pass already consumed and released."""
+
+
 class TrainingDivergedError(FlowMoeError, RuntimeError):
     """A loss component became non-finite during training."""
 

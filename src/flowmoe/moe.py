@@ -225,6 +225,17 @@ def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
     )
 
 
+def _routes(weights: np.ndarray) -> tuple[np.ndarray, list]:
+    """The experts with a nonzero gate on some row, as a mask, and each such
+    expert's ``(i, rows)``, rows ascending, experts in index order."""
+    n_experts = weights.shape[1]
+    # (expert, row) pairs of the nonzero gates, grouped by expert
+    expert_of, row_of = np.nonzero(weights.T != 0)
+    bounds = np.searchsorted(expert_of, np.arange(n_experts + 1))
+    active = bounds[1:] > bounds[:-1]
+    return active, [(i, row_of[bounds[i]:bounds[i + 1]]) for i in np.flatnonzero(active)]
+
+
 def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
     """Gate-weighted sum of expert outputs, by one of two evaluations chosen
     by shape alone.
@@ -242,20 +253,18 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
     stacked parameters.  The backward runs per routed expert on its rows, and
     marks the experts that received rows in each parameter's ``grad_rows``,
     so an expert that receives none is left alone by the optimizer, as if it
-    were not in the layer.  Outside the graph (under ``no_grad``) nothing is
-    kept for a backward.
+    were not in the layer.  The node keeps each routed expert's rows, hidden
+    activations and outputs, but no copy of its input rows: the backward
+    gathers them from ``x`` again.  Outside the graph (under ``no_grad``)
+    nothing is kept for a backward, and the dense evaluation does no per-expert
+    routing bookkeeping at all.
     """
     gates = decision.gates
     weights = gates.data
     w1, b1, w2, b2 = bank.w1, bank.b1, bank.w2, bank.b2
     track = is_grad_enabled()
     batch, n_experts = weights.shape
-    # (expert, row) pairs of the nonzero gates, grouped by expert
-    expert_of, row_of = np.nonzero(weights.T != 0)
-    bounds = np.searchsorted(expert_of, np.arange(n_experts + 1))
-    active = bounds[1:] > bounds[:-1]
-    routes = [(i, row_of[bounds[i]:bounds[i + 1]]) for i in np.flatnonzero(active)]
-    routed = []  # per routed expert: what its backward pass reads
+    routed = []  # per routed expert: (i, rows, hidden, y), what its backward reads
     if batch * decision.top_k < DENSE_ROWS_PER_EXPERT * n_experts:
         # (E, H, batch) hidden and (E, C, batch) outputs, contiguous per expert
         hidden = (w1.data.reshape(-1, w1.data.shape[2]) @ x.data.T).reshape(
@@ -268,17 +277,17 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
         np.copyto(weighted, 0.0, where=(weights.T == 0)[:, None, :])
         mixed = np.ascontiguousarray(weighted.sum(axis=0).T)
         if track:
-            routed = [(i, rows, x.data[rows], hidden[i][:, rows].T, y[i][:, rows].T)
-                      for i, rows in routes]
+            active, routes = _routes(weights)
+            routed = [(i, rows, hidden[i][:, rows].T, y[i][:, rows].T) for i, rows in routes]
     else:
+        active, routes = _routes(weights)
         mixed = np.zeros((batch, w2.data.shape[1]))
         for i, rows in routes:
-            sub = x.data[rows]
-            hidden = np.maximum(sub @ w1.data[i].T + b1.data[i], 0.0)
+            hidden = np.maximum(x.data[rows] @ w1.data[i].T + b1.data[i], 0.0)
             y = hidden @ w2.data[i].T + b2.data[i]
             mixed[rows] += weights[rows, i, None] * y
             if track:
-                routed.append((i, rows, sub, hidden, y))
+                routed.append((i, rows, hidden, y))
     out = Tensor.result_of(mixed, (x, gates, w1, b1, w2, b2), "expert_mixture")
     if out.requires_grad:
         w1_data, w2_data = w1.data, w2.data
@@ -288,7 +297,7 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
             dgates = np.zeros_like(weights)
             dw1, db1 = np.zeros_like(w1_data), np.zeros_like(b1.data)
             dw2, db2 = np.zeros_like(w2_data), np.zeros_like(b2.data)
-            for i, rows, sub, hidden, y in routed:
+            for i, rows, hidden, y in routed:
                 g_rows = grad[rows]
                 dgates[rows, i] = (g_rows * y).sum(axis=1)
                 dy = weights[rows, i, None] * g_rows
@@ -296,7 +305,7 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
                 dw2[i] = dy.T @ hidden
                 dh = (dy @ w2_data[i]) * (hidden > 0.0)
                 db1[i] = dh.sum(axis=0)
-                dw1[i] = dh.T @ sub
+                dw1[i] = dh.T @ x.data[rows]
                 dx[rows] += dh @ w1_data[i]
             x.accumulate_grad(dx)
             gates.accumulate_grad(dgates)

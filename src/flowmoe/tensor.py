@@ -4,7 +4,11 @@ Every value flowing through the model is a :class:`Tensor`: a numpy array
 plus an optional gradient and a closure that knows how to push gradients to
 the tensors it was computed from.  Calling ``backward()`` on a scalar walks
 the recorded graph in reverse topological order and accumulates ``grad`` on
-every tensor that requires it.
+every leaf that requires it (parameters and user tensors made with
+``requires_grad=True``).  The walk releases the graph as it goes: each op
+output drops its gradient, its closure and its parents once its closure has
+run, so a graph backpropagates once, and a second ``backward()`` that
+reaches it raises :class:`~flowmoe.errors.GraphReleasedError`.
 
 The engine is deliberately small: double precision only, no views into
 shared storage, no in-place graph ops, and no global random state.  All
@@ -19,7 +23,7 @@ import contextlib
 import numpy as np
 from scipy.special import expit
 
-from .errors import DegenerateInputError, DimensionError
+from .errors import DegenerateInputError, DimensionError, GraphReleasedError
 
 # Epsilon added to the mean in the coefficient-of-variation denominator so
 # the balancing losses stay finite on all-zero statistics.
@@ -28,6 +32,11 @@ CV_EPSILON = 1e-10
 
 # False inside no_grad(): op outputs then record no parents and no closure.
 _grad_enabled = True
+
+
+def _released(grad):
+    """The closure of an op output whose backward has already run."""
+    raise GraphReleasedError("this graph has already been backpropagated and released")
 
 
 @contextlib.contextmanager
@@ -71,10 +80,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A float64 array with optional gradient tracking.
 
+    An op output that requires grad is a node of the autodiff graph; any
+    other tensor is a leaf.  ``backward()`` leaves gradients on the leaves
+    only and consumes the graph it walks, so each graph backpropagates once.
+
     Attributes:
         data: the values, always a contiguous-enough float64 ndarray.
         grad: accumulated partial derivatives, same shape as ``data``,
-            or None before any backward pass.
+            or None before any backward pass.  Kept on leaves only: an op
+            output's gradient is dropped once its closure has consumed it.
         grad_rows: boolean mask over axis 0 of the rows ``grad`` can be
             nonzero in, or None when the gradient is dense.  Optimizers
             leave the other rows (and their state) alone.
@@ -148,16 +162,23 @@ class Tensor:
     # -- backward pass -------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode gradient accumulation from this scalar."""
+        """Reverse-mode gradient accumulation from this scalar into the
+        leaves, releasing the graph as it goes: once an op output's closure
+        has run, the output drops its closure, its parents and its gradient.
+        Raises :class:`GraphReleasedError`, before any gradient moves, if
+        the graph reaches an output an earlier backward released."""
         if self.data.size != 1:
             raise DimensionError(
                 f"backward() starts from a scalar loss, got shape {self.data.shape}"
             )
         order = self._topo_order()
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward, node._parents = _released, ()
+                node.grad = node.grad_rows = None
 
     def _topo_order(self) -> list:
         """Iterative post-order over the graph: parents before children."""
@@ -171,6 +192,10 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                raise GraphReleasedError(
+                    f"backward() reached a {node._op!r} output whose graph an earlier "
+                    "backward() released; recompute the forward pass to backpropagate again")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:

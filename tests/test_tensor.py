@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmoe.errors import DegenerateInputError, DimensionError
+from flowmoe.errors import DegenerateInputError, DimensionError, GraphReleasedError
 from flowmoe.tensor import (
     CV_EPSILON,
     RngState,
@@ -73,6 +73,49 @@ class TestArithmetic:
             return (t.T.reshape(2, 6) * Tensor(w.T.reshape(2, 6))).sum(), [t]
 
         check_gradients(build, [x])
+
+
+class TestGraphRelease:
+    @staticmethod
+    def graph():
+        """Leaves a (2, 3) and b (3, 1), their product, and the scalar
+        sum((a @ b)^2)."""
+        a = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], requires_grad=True)
+        b = Tensor([[1.0], [-1.0], [2.0]], requires_grad=True)
+        product = matmul(a, b)
+        return a, b, product, (product * product).sum()
+
+    def test_backward_keeps_grad_on_leaves_only(self):
+        a, b, product, loss = self.graph()
+        loss.backward()
+        # d/da = 2 (a @ b) b^T and d/db = a^T 2 (a @ b), with a @ b = (5, 11)
+        np.testing.assert_array_equal(a.grad, [[10.0, -10.0, 20.0], [22.0, -22.0, 44.0]])
+        np.testing.assert_array_equal(b.grad, [[98.0], [130.0], [162.0]])
+        for node in (product, loss):
+            assert node.grad is None and node._parents == ()
+        np.testing.assert_array_equal(product.data, [[5.0], [11.0]])
+
+    def test_second_backward_on_the_same_loss_raises(self):
+        a, b, _, loss = self.graph()
+        loss.backward()
+        first = a.grad.copy(), b.grad.copy()
+        with pytest.raises(GraphReleasedError):
+            loss.backward()
+        np.testing.assert_array_equal(a.grad, first[0])
+        np.testing.assert_array_equal(b.grad, first[1])
+        # a recomputed forward pass backpropagates, adding to the leaves
+        (matmul(a, b) * matmul(a, b)).sum().backward()
+        np.testing.assert_array_equal(b.grad, 2 * first[1])
+
+    def test_second_root_over_a_released_subgraph_raises(self):
+        a, b, product, loss = self.graph()
+        other = (product * Tensor(3.0)).sum()
+        loss.backward()
+        first = a.grad.copy()
+        with pytest.raises(GraphReleasedError, match="matmul"):
+            other.backward()
+        np.testing.assert_array_equal(a.grad, first)
+        assert b.grad is not None
 
 
 class TestSoftmax:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,30 @@ class TestFullScaleStep:
         assert nodes.count("batchnorm") == 4 and nodes.count("expert_mixture") == 1
         assert nodes.count("cv_sq") == 2 and nodes.count("load_probability") == 1
         assert not {"gather", "normal_cdf", "/", "**2"} & set(nodes)
+
+    def test_step_memory_held_and_peak_in_backward(self):
+        # The backward releases each node once its closure has run, and the
+        # expert mixture keeps no copy of its routed input rows: 51.9 MiB
+        # held and a 56.8 MiB peak.  A graph kept whole until the next step,
+        # holding those copies, measures 84.0 and 115.0 MiB.
+        config = TrainConfig(seed=3, max_epochs=1)
+        model = build_model(model_config_for(config), RngState(3)).train()
+        data, w, rng = make_blobs(1024, seed=3), model.config, RngState(3)
+        tracemalloc.start()
+        try:
+            logits, info = model(Tensor(data.x), rng)
+            loss, _ = total_loss(logits, data.y, gates=info.decision.gates,
+                                 load_p=info.load_p, alpha=config.alpha,
+                                 w_importance=w.w_importance, w_load=w.w_load)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mib = 2 ** 20
+        assert held <= 64 * mib, f"{held / mib:.1f} MiB held when backward() starts"
+        assert peak <= 72 * mib, f"{peak / mib:.1f} MiB at the peak of backward()"
 
 
 class TestGraphFreeEval:
