@@ -50,6 +50,7 @@ from .layers import (
     Module,
     batch_norm,
     conv1d,
+    conv_cell,
     count_parameters,
     cross_entropy,
     dense,

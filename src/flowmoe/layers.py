@@ -4,6 +4,10 @@ classification loss, all built on the autodiff tensor engine.
 The convolutional feature extractor stacks four cells (conv -> batch norm ->
 ReLU -> max pool, the last cell unpooled) with 16/32/64/128 filters, turning
 a (batch, 6, 13) input into a 128-dimensional representation per sample.
+In train mode each cell is one fused graph node (:func:`conv_cell`) that
+rebuilds its im2col columns in the backward instead of keeping them, and
+keeps no conv, batch-norm or ReLU output; in eval mode it is one conv with
+the batch norm folded in.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateInputError, DimensionError, LabelError
 from .tensor import RngState, Tensor, no_grad
@@ -120,6 +123,68 @@ def count_parameters(module: Module) -> int:
 # -- functional ops ----------------------------------------------------------
 
 
+def _im2col(x: np.ndarray, kernel: int, padding: int) -> np.ndarray:
+    """The (batch * out_len, in_ch * kernel) im2col matrix of ``x``.
+
+    Row ``b * out_len + t`` holds the input window of output position t,
+    ordered channel-major then tap.  Built from ``kernel`` shifted slices
+    of one (batch, length + 2 * padding, in_ch) zero-padded copy.
+    """
+    batch, in_ch, length = x.shape
+    padded = np.zeros((batch, length + 2 * padding, in_ch))
+    padded[:, padding:padding + length] = x.transpose(0, 2, 1)
+    out_len = length + 2 * padding - kernel + 1
+    cols = np.empty((batch, out_len, in_ch, kernel))
+    for k in range(kernel):
+        cols[..., k] = padded[:, k:k + out_len]
+    return cols.reshape(batch * out_len, in_ch * kernel)
+
+
+def _check_conv_input(x: Tensor, in_ch: int, op: str) -> None:
+    if x.data.ndim != 3:
+        raise DimensionError(f"{op} expects (batch, channels, length), got {x.data.shape}")
+    if x.data.shape[1] != in_ch:
+        raise DimensionError(
+            f"{op} channel mismatch: input has {x.data.shape[1]} channels, "
+            f"layer expects {in_ch}"
+        )
+
+
+def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int):
+    """``(cols, out)``: the im2col matrix of ``x`` and the conv output.
+
+    The output is a transposed view plus the bias, so it sits in (batch,
+    length, channels) memory order, and so does every elementwise result
+    computed from it.
+    """
+    out_ch, in_ch, kernel = weight.shape
+    batch = x.shape[0]
+    cols = _im2col(x, kernel, padding)
+    out = (cols @ weight.reshape(out_ch, in_ch * kernel).T).reshape(
+        batch, -1, out_ch).transpose(0, 2, 1)
+    return cols, out + bias[None, :, None]
+
+
+def _conv_backward(grad: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor,
+                   cols: np.ndarray, padding: int) -> None:
+    """Accumulate the conv gradients from the output gradient ``grad``
+    (batch, out_ch, out_len) and the forward's im2col matrix ``cols``."""
+    out_ch, in_ch, kernel = weight.data.shape
+    batch, _, out_len = grad.shape
+    length = x.data.shape[2]
+    bias.accumulate_grad(grad.sum(axis=0).sum(axis=1))
+    g2 = grad.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
+    weight.accumulate_grad((g2.T @ cols).reshape(out_ch, in_ch, kernel))
+    if x.requires_grad:
+        # col2im: each kernel tap's column block adds back at its shift
+        dcols = (g2 @ weight.data.reshape(out_ch, in_ch * kernel)).reshape(
+            batch, out_len, in_ch, kernel)
+        grad_padded = np.zeros((batch, out_len + kernel - 1, in_ch))
+        for k in range(kernel):
+            grad_padded[:, k:k + out_len] += dcols[:, :, :, k]
+        x.accumulate_grad(grad_padded[:, padding:padding + length].transpose(0, 2, 1))
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     """Cross-correlation over the last axis, stride 1, zero padding.
 
@@ -130,39 +195,41 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     window becomes a row of ``cols`` (batch * out_len, in_ch * kernel), so
     the forward pass and both gradients are single BLAS calls.
     """
-    if x.data.ndim != 3:
-        raise DimensionError(f"conv1d expects (batch, channels, length), got {x.data.shape}")
-    out_ch, in_ch, kernel = weight.data.shape
-    if x.data.shape[1] != in_ch:
-        raise DimensionError(
-            f"conv1d channel mismatch: input has {x.data.shape[1]} channels, "
-            f"layer expects {in_ch}"
-        )
-    batch, _, length = x.data.shape
-    padded = np.zeros((batch, in_ch, length + 2 * padding))
-    padded[:, :, padding:padding + length] = x.data
-    out_len = length + 2 * padding - kernel + 1
-    windows = sliding_window_view(padded, kernel, axis=2)  # (batch, in_ch, out_len, kernel)
-    cols = windows.transpose(0, 2, 1, 3).reshape(batch * out_len, in_ch * kernel)
-    w2 = weight.data.reshape(out_ch, in_ch * kernel)
-    data = (cols @ w2.T).reshape(batch, out_len, out_ch).transpose(0, 2, 1)
-    data = data + bias.data[None, :, None]
+    _check_conv_input(x, weight.data.shape[1], "conv1d")
+    cols, data = _conv_forward(x.data, weight.data, bias.data, padding)
     out = Tensor.result_of(data, (x, weight, bias), "conv1d")
     if out.requires_grad:
         def _backward(grad):  # grad: (batch, out_ch, out_len)
-            bias.accumulate_grad(grad.sum(axis=0).sum(axis=1))
-            g2 = grad.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
-            weight.accumulate_grad((g2.T @ cols).reshape(out_ch, in_ch, kernel))
-            if x.requires_grad:
-                # col2im: each kernel tap's column block adds back at its shift
-                dcols = (g2 @ w2).reshape(batch, out_len, in_ch, kernel)
-                grad_padded = np.zeros((batch, out_len + kernel - 1, in_ch))
-                for k in range(kernel):
-                    grad_padded[:, k:k + out_len] += dcols[:, :, :, k]
-                x.accumulate_grad(
-                    grad_padded[:, padding:padding + length].transpose(0, 2, 1))
+            _conv_backward(grad, x, weight, bias, cols, padding)
         out._backward = _backward
     return out
+
+
+def _pool_pairs(data: np.ndarray):
+    """``(maxima, second_wins)`` of the 2x max pool over the last axis.
+
+    The argmax of each pair: the second wins only when strictly larger, or
+    when it is NaN and the first is not.
+    """
+    batch, channels, length = data.shape
+    out_len = length // 2
+    paired = data[:, :, : 2 * out_len].reshape(batch, channels, out_len, 2)
+    first, second = paired[..., 0], paired[..., 1]
+    second_wins = ~(second <= first) & (first == first)
+    return np.where(second_wins, second, first), second_wins
+
+
+def _unpool(grad: np.ndarray, second_wins: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The pool's input gradient: each window's gradient at its winner.
+
+    Allocated with ``np.zeros_like(like)``, the pool's input, so that sums
+    over it add in that array's memory order.
+    """
+    full = np.zeros_like(like)
+    end = 2 * second_wins.shape[2]
+    full[:, :, 0:end:2] = np.where(second_wins, 0.0, grad)
+    full[:, :, 1:end:2] = np.where(second_wins, grad, 0.0)
+    return full
 
 
 def maxpool1d(x: Tensor) -> Tensor:
@@ -173,27 +240,46 @@ def maxpool1d(x: Tensor) -> Tensor:
     """
     if x.data.ndim != 3:
         raise DimensionError(f"maxpool1d expects (batch, channels, length), got {x.data.shape}")
-    batch, channels, length = x.data.shape
-    if length < 2:
-        raise DimensionError(f"maxpool1d needs length >= 2, got {length}")
-    out_len = length // 2
-    paired = x.data[:, :, : 2 * out_len].reshape(batch, channels, out_len, 2)
-    first, second = paired[..., 0], paired[..., 1]
-    # argmax over the pair: the second wins only when strictly larger, or
-    # when it is NaN and the first is not
-    second_wins = ~(second <= first) & (first == first)
-    data = np.where(second_wins, second, first)
+    if x.data.shape[2] < 2:
+        raise DimensionError(f"maxpool1d needs length >= 2, got {x.data.shape[2]}")
+    data, second_wins = _pool_pairs(x.data)
     out = Tensor.result_of(data, (x,), "maxpool1d")
     if out.requires_grad:
         def _backward(grad):
-            buf = np.zeros_like(paired)
-            buf[..., 0] = np.where(second_wins, 0.0, grad)
-            buf[..., 1] = np.where(second_wins, grad, 0.0)
-            full = np.zeros_like(x.data)
-            full[:, :, : 2 * out_len] = buf.reshape(batch, channels, 2 * out_len)
-            x.accumulate_grad(full)
+            x.accumulate_grad(_unpool(grad, second_wins, x.data))
         out._backward = _backward
     return out
+
+
+def _normalize(x: np.ndarray, eps: float):
+    """``(mean, var, std, x_hat)`` of batch norm over (batch, length), the
+    statistics shaped (1, channels, 1)."""
+    count = x.shape[0] * x.shape[2]
+    shape = (1, -1, 1)
+    # summing the batch axis first is several times faster than
+    # sum(axis=(0, 2)) at short lengths
+    mean = (x.sum(axis=0).sum(axis=1) * (1.0 / count)).reshape(shape)
+    centered = x - mean
+    var = ((centered ** 2).sum(axis=0).sum(axis=1) * (1.0 / count)).reshape(shape)
+    std = np.sqrt(var + eps)
+    return mean, var, std, centered / std
+
+
+def _normalize_backward(grad: np.ndarray, x_hat: np.ndarray, std: np.ndarray,
+                        gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """Accumulate the gamma and beta gradients of batch norm and return its
+    input gradient (Ioffe & Szegedy 2015, section 3): with
+    s = gamma / sqrt(var + eps) and N = batch * length,
+    dx = s * (g - sum(g) / N - x_hat * sum(g * x_hat) / N)."""
+    count = x_hat.shape[0] * x_hat.shape[2]
+    shape = (1, -1, 1)
+    d_beta = grad.sum(axis=0).sum(axis=1)
+    d_gamma = (grad * x_hat).sum(axis=0).sum(axis=1)
+    beta.accumulate_grad(d_beta)
+    gamma.accumulate_grad(d_gamma)
+    scale = gamma.data.reshape(shape) / std
+    return scale * (grad - (d_beta / count).reshape(shape)
+                    - x_hat * (d_gamma / count).reshape(shape))
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
@@ -202,33 +288,59 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     x: (batch, channels, length); gamma, beta: (channels,).  Normalizes by
     the batch mean and population variance, then scales and shifts.
     Returns ``(out, mean, var)``: the batch statistics come back as plain
-    (channels,) arrays for the running estimates.  The backward is the
-    closed form of Ioffe & Szegedy 2015 (section 3): with
-    s = gamma / sqrt(var + eps) and N = batch * length,
-    dx = s * (g - sum(g) / N - x_hat * sum(g * x_hat) / N).
+    (channels,) arrays for the running estimates.
     """
-    data = x.data
-    count = data.shape[0] * data.shape[2]
+    mean, var, std, x_hat = _normalize(x.data, eps)
     shape = (1, -1, 1)
-    # summing the batch axis first is several times faster than
-    # sum(axis=(0, 2)) at short lengths
-    mean = (data.sum(axis=0).sum(axis=1) * (1.0 / count)).reshape(shape)
-    centered = data - mean
-    var = ((centered ** 2).sum(axis=0).sum(axis=1) * (1.0 / count)).reshape(shape)
-    std = np.sqrt(var + eps)
-    x_hat = centered / std
     out = Tensor.result_of(x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape),
                            (x, gamma, beta), "batchnorm")
     if out.requires_grad:
         def _backward(grad):
-            d_beta = grad.sum(axis=0).sum(axis=1)
-            d_gamma = (grad * x_hat).sum(axis=0).sum(axis=1)
-            beta.accumulate_grad(d_beta)
-            gamma.accumulate_grad(d_gamma)
-            if x.requires_grad:
-                scale = gamma.data.reshape(shape) / std
-                x.accumulate_grad(scale * (grad - (d_beta / count).reshape(shape)
-                                           - x_hat * (d_gamma / count).reshape(shape)))
+            x.accumulate_grad(_normalize_backward(grad, x_hat, std, gamma, beta))
+        out._backward = _backward
+    return out, mean.reshape(-1), var.reshape(-1)
+
+
+def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
+              pooled: bool, padding: int = 1, eps: float = 1e-5):
+    """Train-mode conv -> batch norm -> ReLU (-> 2x max pool) as one node.
+
+    Computes what :func:`conv1d`, :func:`batch_norm`, :func:`relu` and
+    :func:`maxpool1d` compute in sequence, with the same expressions in the
+    same order, so its output and gradients are bit-identical to that
+    chain's.  Returns ``(out, mean, var)`` like :func:`batch_norm`.  For
+    the backward it keeps only ``x_hat``, the batch std and two bool masks
+    (ReLU active, and the pool's second element wins); it rebuilds the
+    im2col matrix from ``x`` and stores no conv, batch-norm or ReLU output.
+    """
+    _check_conv_input(x, weight.data.shape[1], "conv_cell")
+    kernel = weight.data.shape[2]
+    batch, _, length = x.data.shape
+    out_len = length + 2 * padding - kernel + 1
+    if batch * out_len < 2:
+        raise DegenerateInputError(
+            "batch norm in train mode needs at least 2 elements per channel"
+        )
+    if pooled and out_len < 2:
+        raise DimensionError(f"maxpool1d needs length >= 2, got {out_len}")
+    mean, var, std, x_hat = _normalize(
+        _conv_forward(x.data, weight.data, bias.data, padding)[1], eps)
+    shape = (1, -1, 1)
+    normed = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+    active = normed > 0.0
+    data = np.maximum(normed, 0.0)
+    del normed
+    second_wins = None
+    if pooled:
+        data, second_wins = _pool_pairs(data)
+    out = Tensor.result_of(data, (x, weight, bias, gamma, beta), "conv_cell")
+    if out.requires_grad:
+        def _backward(grad):
+            if pooled:
+                # x_hat has the ReLU output's memory order
+                grad = _unpool(grad, second_wins, x_hat)
+            dz = _normalize_backward(grad * active, x_hat, std, gamma, beta)
+            _conv_backward(dz, x, weight, bias, _im2col(x.data, kernel, padding), padding)
         out._backward = _backward
     return out, mean.reshape(-1), var.reshape(-1)
 
@@ -338,14 +450,18 @@ class BatchNorm1d(Module):
                     "batch norm in train mode needs at least 2 elements per channel"
                 )
             out, mean, var = batch_norm(x, self.gamma, self.beta, self.eps)
-            m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mean
-            self.running_var = (1 - m) * self.running_var + m * var
+            self.update_running(mean, var)
             return out
         shape = (1, self.channels, 1)
         scale = 1.0 / np.sqrt(self.running_var + self.eps)
         x_hat = (x - Tensor(self.running_mean.reshape(shape))) * Tensor(scale.reshape(shape))
         return x_hat * self.gamma.reshape(shape) + self.beta.reshape(shape)
+
+    def update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Move the running estimates toward one batch's statistics."""
+        m = self.momentum
+        self.running_mean = (1 - m) * self.running_mean + m * mean
+        self.running_var = (1 - m) * self.running_var + m * var
 
 
 class Dense(Module):
@@ -363,6 +479,11 @@ class Dense(Module):
 class ConvCell(Module):
     """conv -> batch norm -> ReLU, optionally followed by a 2x max pool.
 
+    In train mode the cell is one :func:`conv_cell` graph node, which keeps
+    for its backward only batch norm's ``x_hat`` and std and the ReLU and
+    pool masks as bool arrays; the batch statistics then update the batch
+    norm's running estimates.
+
     In eval mode the batch norm is folded into the convolution (Jacob et
     al. 2018, section 3.2): one conv with weight w * s and bias
     (b - mean) * s + beta, where s = gamma / sqrt(var + eps).  The folded
@@ -377,14 +498,16 @@ class ConvCell(Module):
         self.pooled = pooled
 
     def forward(self, x: Tensor) -> Tensor:
+        conv, bn = self.conv, self.bn
         if self.training:
-            x = relu(self.bn(self.conv(x)))
-        else:
-            conv, bn = self.conv, self.bn
-            scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
-            weight = Tensor(conv.weight.data * scale[:, None, None])
-            bias = Tensor((conv.bias.data - bn.running_mean) * scale + bn.beta.data)
-            x = relu(conv1d(x, weight, bias, conv.padding))
+            out, mean, var = conv_cell(x, conv.weight, conv.bias, bn.gamma, bn.beta,
+                                       self.pooled, conv.padding, bn.eps)
+            bn.update_running(mean, var)
+            return out
+        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        weight = Tensor(conv.weight.data * scale[:, None, None])
+        bias = Tensor((conv.bias.data - bn.running_mean) * scale + bn.beta.data)
+        x = relu(conv1d(x, weight, bias, conv.padding))
         return maxpool1d(x) if self.pooled else x
 
 

@@ -124,20 +124,27 @@ def train(model: Module, train_set: EncodedDataset, config: TrainConfig,
     """
     if len(train_set) == 0:
         raise ConfigError("training set is empty")
+    if len(train_set) == 1:
+        raise ConfigError("training set has 1 row; batch norm in train mode needs at least 2")
     if rng is None:
         rng = RngState(config.seed)
     w = model.config
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     model.train()
     n = len(train_set)
+    # a one-row last batch would leave batch norm one element per channel
+    # at the last conv cell, so it joins the batch before it
+    bounds = list(range(0, n, config.batch_size)) + [n]
+    if n - bounds[-2] == 1:
+        del bounds[-2]
     history = []
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         sums = {"total": 0.0, "cross_entropy": 0.0, "importance": 0.0, "load": 0.0}
         correct = 0
         n_batches = 0
-        for step, start in enumerate(range(0, n, config.batch_size), start=1):
-            idx = order[start:start + config.batch_size]
+        for step, (start, stop) in enumerate(zip(bounds, bounds[1:]), start=1):
+            idx = order[start:stop]
             x = Tensor(train_set.x[idx])
             y = train_set.y[idx]
             logits, info = model(x, rng)

@@ -10,8 +10,10 @@ from flowmoe.layers import (
     Conv1d,
     ConvCell,
     Dense,
+    _im2col,
     batch_norm,
     conv1d,
+    conv_cell,
     count_parameters,
     cross_entropy,
     dense,
@@ -70,6 +72,20 @@ class TestConv1d:
             return (conv1d(tx, tw, tb) * Tensor(probe)).sum(), [tx, tw, tb]
 
         check_gradients(build, [x, w, b])
+
+    @pytest.mark.parametrize("in_ch, length, kernel, padding",
+                             [(6, 13, 3, 1), (16, 6, 3, 1), (32, 3, 3, 1), (64, 1, 3, 1),
+                              (4, 7, 5, 2), (4, 7, 3, 0), (4, 7, 1, 0)])
+    def test_im2col_rows_are_padded_windows(self, rng, in_ch, length, kernel, padding):
+        x = rng.normal((5, in_ch, length))
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+        out_len = length + 2 * padding - kernel + 1
+        taps = np.arange(out_len)[:, None] + np.arange(kernel)[None, :]
+        # (batch, in_ch, out_len, kernel) -> one row per output position
+        expected = padded[:, :, taps].transpose(0, 2, 1, 3).reshape(5 * out_len, -1)
+        cols = _im2col(x, kernel, padding)
+        assert cols.flags.c_contiguous
+        assert np.array_equal(cols, expected)
 
     @pytest.mark.parametrize("kernel, padding", [(3, 1), (3, 0), (5, 2), (1, 0)])
     def test_matches_loop_reference(self, rng, kernel, padding):
@@ -274,6 +290,108 @@ class TestConvCell:
         cell.conv.weight.data = cell.conv.weight.data * 0.5
         expected = relu(cell.bn(cell.conv(x))).data
         np.testing.assert_allclose(cell(x).data, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("pooled, length", [(True, 13), (True, 6), (False, 5)])
+    def test_fused_gradient(self, rng, pooled, length):
+        # length 13 pools to 6 and drops the last position
+        x = rng.normal((3, 2, length))
+        w = rng.normal((4, 2, 3))
+        b = rng.normal((4,))
+        gamma = rng.normal((4,)) + 1.5
+        beta = rng.normal((4,)) * 0.5
+        probe = rng.normal((3, 4, length // 2 if pooled else length))
+
+        def build():
+            tensors = [Tensor(a, requires_grad=True) for a in (x, w, b, gamma, beta)]
+            out, _, _ = conv_cell(*tensors, pooled=pooled)
+            return (out * Tensor(probe)).sum(), tensors
+
+        check_gradients(build, [x, w, b, gamma, beta])
+
+    @staticmethod
+    def unfused_and_fused(x, w, b, gamma, beta, pooled, probe):
+        """Outputs, batch statistics and the five gradients of the op chain
+        and of the fused node, from the same inputs and output gradient."""
+        runs = []
+        for fused in (False, True):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b, gamma, beta)]
+            if fused:
+                out, mean, var = conv_cell(*tensors, pooled=pooled)
+            else:
+                tx, tw, tb, tg, tbeta = tensors
+                out, mean, var = batch_norm(conv1d(tx, tw, tb), tg, tbeta)
+                out = relu(out)
+                out = maxpool1d(out) if pooled else out
+            values = [out.data, mean, var]
+            (out * Tensor(probe)).sum().backward()
+            runs.append(values + [t.grad for t in tensors])
+        return runs
+
+    def test_tie_in_a_pool_window_goes_to_first(self, rng):
+        # constant along the length, so the interior windows (2, 3) and
+        # (4, 5) see the same inputs and tie after the ReLU
+        x = np.repeat(np.arange(4.0)[:, None, None], 8, axis=2).repeat(2, axis=1)
+        w = np.abs(rng.normal((3, 2, 3))) + 0.1
+        b, gamma, beta = rng.normal((3,)), np.ones(3), np.zeros(3)
+        relu_out = relu(batch_norm(conv1d(Tensor(x), Tensor(w), Tensor(b)),
+                                   Tensor(gamma), Tensor(beta))[0]).data
+        tied = relu_out[:, :, 0::2] == relu_out[:, :, 1::2]
+        assert (tied & (relu_out[:, :, 0::2] > 0)).any()
+        probe = rng.normal((4, 3, 4))
+        # the chain's max pool routes a tie's gradient to the first position
+        chain, fused = self.unfused_and_fused(x, w, b, gamma, beta, True, probe)
+        for expected, actual in zip(chain, fused):
+            np.testing.assert_array_equal(actual, expected)
+
+    @pytest.mark.parametrize("in_ch, out_ch, length, pooled",
+                             [(6, 16, 13, True), (16, 32, 6, True),
+                              (32, 64, 3, True), (64, 128, 1, False)])
+    def test_matches_unfused_chain_exactly(self, rng, in_ch, out_ch, length, pooled):
+        # the backbone's four cells at batch 1024: same bits, not just close
+        x = rng.normal((1024, in_ch, length))
+        bound = 1.0 / np.sqrt(in_ch * 3)
+        w = rng.uniform(-bound, bound, (out_ch, in_ch, 3))
+        b = rng.uniform(-bound, bound, (out_ch,))
+        gamma = 1.0 + 0.3 * rng.normal((out_ch,))
+        beta = 0.2 * rng.normal((out_ch,))
+        probe = rng.normal((1024, out_ch, length // 2 if pooled else length))
+        chain, fused = self.unfused_and_fused(x, w, b, gamma, beta, pooled, probe)
+        names = ["out", "mean", "var", "d_x", "d_weight", "d_bias", "d_gamma", "d_beta"]
+        for name, expected, actual in zip(names, chain, fused):
+            assert np.array_equal(actual, expected), name
+
+    def test_train_mode_is_one_node_keeping_x_hat_std_and_two_masks(self, rng):
+        cell = ConvCell(3, 4, rng, pooled=True)
+        x = Tensor(rng.normal((5, 3, 7)), requires_grad=True)
+        out = cell(x)
+        assert out._op == "conv_cell"
+        assert out._parents == (x, cell.conv.weight, cell.conv.bias,
+                                cell.bn.gamma, cell.bn.beta)
+        kept = [c.cell_contents for c in out._backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert sorted((a.dtype.kind, a.shape) for a in kept) == [
+            ("b", (5, 4, 3)), ("b", (5, 4, 7)), ("f", (1, 4, 1)), ("f", (5, 4, 7))]
+
+    def test_train_mode_updates_running_statistics_like_batch_norm(self, rng):
+        fused = ConvCell(3, 4, RngState(5), pooled=False, bn_momentum=0.3)
+        chain = ConvCell(3, 4, RngState(5), pooled=False, bn_momentum=0.3)
+        x = rng.normal((6, 3, 5))
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                fused(Tensor(x)).data, relu(chain.bn(chain.conv(Tensor(x)))).data)
+        np.testing.assert_array_equal(fused.bn.running_mean, chain.bn.running_mean)
+        np.testing.assert_array_equal(fused.bn.running_var, chain.bn.running_var)
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_train_mode_one_element_per_channel(self, rng, pooled):
+        cell = ConvCell(3, 4, rng, pooled=pooled)
+        with pytest.raises(DegenerateInputError, match="at least 2 elements"):
+            cell(Tensor(rng.normal((1, 3, 1))))
+
+    def test_train_mode_channel_mismatch(self, rng):
+        cell = ConvCell(3, 4, rng, pooled=True)
+        with pytest.raises(DimensionError, match="channel"):
+            cell(Tensor(rng.normal((2, 5, 7))))
 
 
 class TestDense:
