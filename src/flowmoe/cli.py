@@ -30,6 +30,7 @@ from .errors import (
     SchemaError,
     StratificationError,
 )
+from .model import check_batch_size
 from .pipeline import (
     DEFAULT_LABEL_COLUMN,
     FlowSchema,
@@ -280,8 +281,10 @@ def _run_variants(config: RunConfig, variants) -> int:
     """Train and evaluate each variant into its own subdirectory of one run
     directory (checkpoint, history, report), printing one summary row each."""
     base = config.train
-    for variant in variants:  # an impossible (n, k) pair fails before any file is written
-        ablation_config(base, variant)
+    # an impossible (n, k) pair or batch size fails before any file is written
+    for variant in variants:
+        effective = ablation_config(base, variant)
+        check_batch_size(effective, effective.batch_size)
     run_dir, train_set, test_set, stats = _start_run(config)
     print(f"{'variant':<24} {'accuracy':>10} {'weighted F1':>12}")
     for variant in variants:
@@ -300,10 +303,9 @@ def cmd_train(config: RunConfig) -> int:
         pairs = _parse_grid(config.expert_grid)
         log.info("running expert grid over %s", pairs)
         return _run_variants(config, pairs)
+    base = ablation_config(config.train, config.ablate) if config.ablate else config.train
+    check_batch_size(base, base.batch_size)  # before any file is written
     run_dir, train_set, _, stats = _start_run(config)
-    base = config.train
-    if config.ablate:
-        base = ablation_config(base, config.ablate)
     model, history = fit(train_set, base)
     _save_run(run_dir, model, base, history, stats)
     print(f"trained {base.max_epochs} epoch(s); checkpoint at {run_dir / 'model.ckpt'}")

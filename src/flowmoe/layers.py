@@ -197,12 +197,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     """
     _check_conv_input(x, weight.data.shape[1], "conv1d")
     cols, data = _conv_forward(x.data, weight.data, bias.data, padding)
-    out = Tensor.result_of(data, (x, weight, bias), "conv1d")
-    if out.requires_grad:
-        def _backward(grad):  # grad: (batch, out_ch, out_len)
-            _conv_backward(grad, x, weight, bias, cols, padding)
-        out._backward = _backward
-    return out
+    def _backward(grad):  # grad: (batch, out_ch, out_len)
+        _conv_backward(grad, x, weight, bias, cols, padding)
+    return Tensor.result_of(data, (x, weight, bias), "conv1d").with_backward(_backward)
 
 
 def _pool_pairs(data: np.ndarray):
@@ -243,12 +240,9 @@ def maxpool1d(x: Tensor) -> Tensor:
     if x.data.shape[2] < 2:
         raise DimensionError(f"maxpool1d needs length >= 2, got {x.data.shape[2]}")
     data, second_wins = _pool_pairs(x.data)
-    out = Tensor.result_of(data, (x,), "maxpool1d")
-    if out.requires_grad:
-        def _backward(grad):
-            x.accumulate_grad(_unpool(grad, second_wins, x.data))
-        out._backward = _backward
-    return out
+    def _backward(grad):
+        x.accumulate_grad(_unpool(grad, second_wins, x.data))
+    return Tensor.result_of(data, (x,), "maxpool1d").with_backward(_backward)
 
 
 def _normalize(x: np.ndarray, eps: float):
@@ -292,12 +286,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     """
     mean, var, std, x_hat = _normalize(x.data, eps)
     shape = (1, -1, 1)
-    out = Tensor.result_of(x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape),
-                           (x, gamma, beta), "batchnorm")
-    if out.requires_grad:
-        def _backward(grad):
-            x.accumulate_grad(_normalize_backward(grad, x_hat, std, gamma, beta))
-        out._backward = _backward
+    data = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+    def _backward(grad):
+        x.accumulate_grad(_normalize_backward(grad, x_hat, std, gamma, beta))
+    out = Tensor.result_of(data, (x, gamma, beta), "batchnorm").with_backward(_backward)
     return out, mean.reshape(-1), var.reshape(-1)
 
 
@@ -333,15 +325,14 @@ def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tens
     second_wins = None
     if pooled:
         data, second_wins = _pool_pairs(data)
-    out = Tensor.result_of(data, (x, weight, bias, gamma, beta), "conv_cell")
-    if out.requires_grad:
-        def _backward(grad):
-            if pooled:
-                # x_hat has the ReLU output's memory order
-                grad = _unpool(grad, second_wins, x_hat)
-            dz = _normalize_backward(grad * active, x_hat, std, gamma, beta)
-            _conv_backward(dz, x, weight, bias, _im2col(x.data, kernel, padding), padding)
-        out._backward = _backward
+    def _backward(grad):
+        if pooled:
+            # x_hat has the ReLU output's memory order
+            grad = _unpool(grad, second_wins, x_hat)
+        dz = _normalize_backward(grad * active, x_hat, std, gamma, beta)
+        _conv_backward(dz, x, weight, bias, _im2col(x.data, kernel, padding), padding)
+    out = Tensor.result_of(data, (x, weight, bias, gamma, beta), "conv_cell") \
+        .with_backward(_backward)
     return out, mean.reshape(-1), var.reshape(-1)
 
 
@@ -353,12 +344,9 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at 0 is taken as 0."""
     x_t = x if isinstance(x, Tensor) else Tensor(x)
-    out = Tensor.result_of(np.maximum(x_t.data, 0.0), (x_t,), "relu")
-    if out.requires_grad:
-        def _backward(grad):
-            x_t.accumulate_grad(grad * (x_t.data > 0.0))
-        out._backward = _backward
-    return out
+    def _backward(grad):
+        x_t.accumulate_grad(grad * (x_t.data > 0.0))
+    return Tensor.result_of(np.maximum(x_t.data, 0.0), (x_t,), "relu").with_backward(_backward)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -382,14 +370,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm
     loss = -log_probs[np.arange(batch), labels].mean()
-    out = Tensor.result_of(loss, (logits,), "cross_entropy")
-    if out.requires_grad:
-        def _backward(grad):
-            probs = np.exp(log_probs)
-            probs[np.arange(batch), labels] -= 1.0
-            logits.accumulate_grad(grad * probs / batch)
-        out._backward = _backward
-    return out
+    def _backward(grad):
+        probs = np.exp(log_probs)
+        probs[np.arange(batch), labels] -= 1.0
+        logits.accumulate_grad(grad * probs / batch)
+    return Tensor.result_of(loss, (logits,), "cross_entropy").with_backward(_backward)
 
 
 # -- layer modules -----------------------------------------------------------
@@ -511,6 +496,18 @@ class ConvCell(Module):
         return maxpool1d(x) if self.pooled else x
 
 
+def backbone_length(seq_len: int, n_cells: int) -> int:
+    """The length of the last cell's output in a backbone of ``n_cells``
+    cells: every cell but the last halves it (floor) with its max pool."""
+    length = seq_len
+    for i in range(n_cells - 1):
+        if length < 2:
+            raise ConfigError(
+                f"sequence length collapses to {length} before cell {i + 1}; cannot max-pool")
+        length //= 2
+    return length
+
+
 class CnnBackbone(Module):
     """Stacked conv cells mapping (batch, 6, 13) to a flat feature vector.
 
@@ -525,23 +522,14 @@ class CnnBackbone(Module):
         self.in_channels = in_channels
         self.seq_len = seq_len
         self.filters = tuple(filters)
+        self.output_dim = self.filters[-1] * backbone_length(seq_len, len(self.filters))
         cells = []
         channels = in_channels
-        length = seq_len
         for i, n_filters in enumerate(self.filters):
-            pooled = i < len(self.filters) - 1
-            if pooled:
-                if length < 2:
-                    raise ConfigError(
-                        f"sequence length collapses to {length} before cell {i + 1}; "
-                        "cannot max-pool"
-                    )
-                length //= 2
-            cells.append(ConvCell(channels, n_filters, rng, pooled,
+            cells.append(ConvCell(channels, n_filters, rng, i < len(self.filters) - 1,
                                   bn_momentum=bn_momentum, bn_eps=bn_eps))
             channels = n_filters
         self.cells = cells
-        self.output_dim = self.filters[-1] * length
 
     def forward(self, x: Tensor) -> Tensor:
         expected = (self.in_channels, self.seq_len)

@@ -8,9 +8,13 @@ from dataclasses import asdict, dataclass
 
 from . import container
 from .errors import ConfigError
-from .layers import CnnBackbone, Dense, Module
+from .layers import CnnBackbone, Dense, Module, backbone_length
 from .moe import GateInfo, MoEHead
 from .tensor import RngState, Tensor
+
+
+def _positive_ints(values) -> bool:
+    return all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values)
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,20 @@ class TrainConfig:
             raise ConfigError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if self.seed < 0:  # numpy's seed sequence refuses it
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        # architecture values the model cannot be built from, or would run
+        # to NaN: a negative bn_eps is a negative variance under the root
+        if not (math.isfinite(self.bn_eps) and self.bn_eps > 0):
+            raise ConfigError(f"bn_eps must be finite and positive, got {self.bn_eps}")
+        if not (math.isfinite(self.bn_momentum) and 0 <= self.bn_momentum <= 1):
+            raise ConfigError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
+        if self.expert_hidden < 1:
+            raise ConfigError(f"expert_hidden must be positive, got {self.expert_hidden}")
+        if self.n_classes < 2:
+            raise ConfigError(f"n_classes must be at least 2, got {self.n_classes}")
+        if not self.cnn_filters or not _positive_ints(self.cnn_filters):
+            raise ConfigError(f"cnn_filters must be positive ints, got {self.cnn_filters!r}")
+        if len(self.input_shape) != 2 or not _positive_ints(self.input_shape):
+            raise ConfigError(f"input_shape must be two positive ints, got {self.input_shape!r}")
 
     @property
     def variant(self) -> str:
@@ -80,6 +98,22 @@ class TrainConfig:
         """Inverse of :meth:`to_dict` for decoded JSON: exactly the fields,
         each of its declared type (a bool is no int; an int is a float)."""
         return container.decode(cls, raw, "config")
+
+
+def check_batch_size(config: TrainConfig, batch_size: int) -> None:
+    """Refuse a batch size at which the model of ``config`` cannot train.
+
+    Train-mode batch norm needs at least 2 elements per channel, so with a
+    conv backbone ``batch_size`` times the backbone's final length must be
+    at least 2.  The ``no_cnn`` variant has no batch norm.
+    """
+    if config.disable_cnn:
+        return
+    length = backbone_length(config.input_shape[1], len(config.cnn_filters))
+    if batch_size * length < 2:
+        raise ConfigError(
+            f"batch_size {batch_size} leaves train-mode batch norm one element per channel "
+            f"at the last conv cell (length {length}); it needs at least 2")
 
 
 def _backbone(config: TrainConfig, rng: RngState | None) -> CnnBackbone:

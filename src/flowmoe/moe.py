@@ -32,7 +32,6 @@ from .tensor import (
     softmax,
     softplus,
     standard_normal_sample,
-    is_grad_enabled,
 )
 from .layers import Module
 
@@ -167,12 +166,10 @@ def top_k_selection(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
 
 def _masked(values: Tensor, keep: np.ndarray) -> Tensor:
     """values where ``keep``, -inf elsewhere; gradients pass where kept."""
-    out = Tensor.result_of(np.where(keep, values.data, -np.inf), (values,), "top_k_mask")
-    if out.requires_grad:
-        def _backward(grad):
-            values.accumulate_grad(grad * keep)
-        out._backward = _backward
-    return out
+    def _backward(grad):
+        values.accumulate_grad(grad * keep)
+    return Tensor.result_of(np.where(keep, values.data, -np.inf), (values,), "top_k_mask") \
+        .with_backward(_backward)
 
 
 def top_k_mask(values: Tensor, k: int) -> Tensor:
@@ -255,14 +252,16 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
     so an expert that receives none is left alone by the optimizer, as if it
     were not in the layer.  The node keeps each routed expert's rows, hidden
     activations and outputs, but no copy of its input rows: the backward
-    gathers them from ``x`` again.  Outside the graph (under ``no_grad``)
-    nothing is kept for a backward, and the dense evaluation does no per-expert
-    routing bookkeeping at all.
+    gathers them from ``x`` again.  An output outside the graph (under
+    ``no_grad``, or with no input requiring grad) keeps nothing for a
+    backward, and its dense evaluation does no per-expert routing
+    bookkeeping at all.
     """
     gates = decision.gates
     weights = gates.data
     w1, b1, w2, b2 = bank.w1, bank.b1, bank.w2, bank.b2
-    track = is_grad_enabled()
+    parents = (x, gates, w1, b1, w2, b2)
+    track = Tensor.joins_graph(parents)
     batch, n_experts = weights.shape
     routed = []  # per routed expert: (i, rows, hidden, y), what its backward reads
     if batch * decision.top_k < DENSE_ROWS_PER_EXPERT * n_experts:
@@ -288,31 +287,26 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
             mixed[rows] += weights[rows, i, None] * y
             if track:
                 routed.append((i, rows, hidden, y))
-    out = Tensor.result_of(mixed, (x, gates, w1, b1, w2, b2), "expert_mixture")
-    if out.requires_grad:
-        w1_data, w2_data = w1.data, w2.data
-
-        def _backward(grad):
-            dx = np.zeros_like(x.data)
-            dgates = np.zeros_like(weights)
-            dw1, db1 = np.zeros_like(w1_data), np.zeros_like(b1.data)
-            dw2, db2 = np.zeros_like(w2_data), np.zeros_like(b2.data)
-            for i, rows, hidden, y in routed:
-                g_rows = grad[rows]
-                dgates[rows, i] = (g_rows * y).sum(axis=1)
-                dy = weights[rows, i, None] * g_rows
-                db2[i] = dy.sum(axis=0)
-                dw2[i] = dy.T @ hidden
-                dh = (dy @ w2_data[i]) * (hidden > 0.0)
-                db1[i] = dh.sum(axis=0)
-                dw1[i] = dh.T @ x.data[rows]
-                dx[rows] += dh @ w1_data[i]
-            x.accumulate_grad(dx)
-            gates.accumulate_grad(dgates)
-            for param, param_grad in ((w1, dw1), (b1, db1), (w2, dw2), (b2, db2)):
-                param.accumulate_grad(param_grad, rows=active)
-        out._backward = _backward
-    return out
+    def _backward(grad):
+        dx = np.zeros_like(x.data)
+        dgates = np.zeros_like(weights)
+        dw1, db1 = np.zeros_like(w1.data), np.zeros_like(b1.data)
+        dw2, db2 = np.zeros_like(w2.data), np.zeros_like(b2.data)
+        for i, rows, hidden, y in routed:
+            g_rows = grad[rows]
+            dgates[rows, i] = (g_rows * y).sum(axis=1)
+            dy = weights[rows, i, None] * g_rows
+            db2[i] = dy.sum(axis=0)
+            dw2[i] = dy.T @ hidden
+            dh = (dy @ w2.data[i]) * (hidden > 0.0)
+            db1[i] = dh.sum(axis=0)
+            dw1[i] = dh.T @ x.data[rows]
+            dx[rows] += dh @ w1.data[i]
+        x.accumulate_grad(dx)
+        gates.accumulate_grad(dgates)
+        for param, param_grad in ((w1, dw1), (b1, db1), (w2, dw2), (b2, db2)):
+            param.accumulate_grad(param_grad, rows=active)
+    return Tensor.result_of(mixed, parents, "expert_mixture").with_backward(_backward)
 
 
 def importance_loss(gates: Tensor, w_importance: float = 1.0) -> Tensor:
@@ -358,18 +352,15 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
     clean, std = decision.clean_logits, decision.noise_std
     rows = np.arange(batch)[:, None]
     z = (clean.data - noisy.data[rows, threshold_cols]) / std.data
-    out = Tensor.result_of(ndtr(z), (clean, noisy, std), "load_probability")
-    if out.requires_grad:
+    def _backward(grad):
+        d_clean = _INV_SQRT_2PI * np.exp(-0.5 * z * z) * grad / std.data
+        clean.accumulate_grad(d_clean)
+        std.accumulate_grad(-d_clean * z)
         flat = (rows * n + threshold_cols).ravel()
-
-        def _backward(grad):
-            d_clean = _INV_SQRT_2PI * np.exp(-0.5 * z * z) * grad / std.data
-            clean.accumulate_grad(d_clean)
-            std.accumulate_grad(-d_clean * z)
-            noisy.accumulate_grad(np.bincount(flat, weights=-d_clean.ravel(),
-                                              minlength=noisy.data.size).reshape(batch, n))
-        out._backward = _backward
-    return out
+        noisy.accumulate_grad(np.bincount(flat, weights=-d_clean.ravel(),
+                                          minlength=noisy.data.size).reshape(batch, n))
+    return Tensor.result_of(ndtr(z), (clean, noisy, std), "load_probability") \
+        .with_backward(_backward)
 
 
 def load_loss(load_p: Tensor, w_load: float = 1.0) -> Tensor:

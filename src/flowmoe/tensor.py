@@ -10,6 +10,12 @@ output drops its gradient, its closure and its parents once its closure has
 run, so a graph backpropagates once, and a second ``backward()`` that
 reaches it raises :class:`~flowmoe.errors.GraphReleasedError`.
 
+An op joins the graph one way: it defines its closure ``_backward(grad)``,
+then ends with ``Tensor.result_of(data, parents, op).with_backward(_backward)``.
+The output keeps its parents and the closure only when grad mode is on and
+some parent requires grad.  The closure exists before its output, so it
+cannot capture it, and graphs hold no reference cycles.
+
 The engine is deliberately small: double precision only, no views into
 shared storage, no in-place graph ops, and no global random state.  All
 randomness goes through an explicit :class:`RngState`.  Inside
@@ -106,22 +112,31 @@ class Tensor:
 
     # -- graph construction -------------------------------------------------
 
+    @staticmethod
+    def joins_graph(parents) -> bool:
+        """Whether an op output computed from ``parents`` is a graph node:
+        grad mode is on and some parent requires grad."""
+        return _grad_enabled and any(p.requires_grad for p in parents)
+
     @classmethod
     def result_of(cls, data, parents, op: str = "") -> "Tensor":
-        """Create an op output. The caller attaches ``_backward`` afterwards
-        iff the result requires grad (checked via ``requires_grad``).
-
-        ``_backward(grad)`` receives the output's gradient as its argument
-        and must not capture the output itself: graphs then hold no
-        reference cycles and are freed as soon as the last name drops them.
-        Inside :func:`no_grad` the output never requires grad.
-        """
+        """The output ``data`` of op ``op`` on ``parents``.  It requires grad,
+        and keeps its parents and op tag, exactly when it :meth:`joins_graph`;
+        inside :func:`no_grad` it never does."""
         out = cls(data)
-        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+        out.requires_grad = cls.joins_graph(parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._op = op
         return out
+
+    def with_backward(self, backward) -> "Tensor":
+        """This op output, with ``backward(grad)``, which pushes the output's
+        gradient to the parents, as its closure if the output is a graph node;
+        any other output drops ``backward`` unused."""
+        if self.requires_grad:
+            self._backward = backward
+        return self
 
     def accumulate_grad(self, grad: np.ndarray, rows: np.ndarray | None = None) -> None:
         """Add ``grad`` into ``self.grad``.  ``rows`` is a boolean mask over
@@ -211,37 +226,31 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = Tensor.result_of(self.data + other.data, (self, other), "+")
-        if out.requires_grad:
-            def _backward(grad):
-                self.accumulate_grad(grad)
-                other.accumulate_grad(grad)
-            out._backward = _backward
-        return out
+        def _backward(grad):
+            self.accumulate_grad(grad)
+            other.accumulate_grad(grad)
+        return Tensor.result_of(self.data + other.data, (self, other), "+") \
+            .with_backward(_backward)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = Tensor.result_of(self.data * other.data, (self, other), "*")
-        if out.requires_grad:
-            def _backward(grad):
-                self.accumulate_grad(grad * other.data)
-                other.accumulate_grad(grad * self.data)
-            out._backward = _backward
-        return out
+        def _backward(grad):
+            self.accumulate_grad(grad * other.data)
+            other.accumulate_grad(grad * self.data)
+        return Tensor.result_of(self.data * other.data, (self, other), "*") \
+            .with_backward(_backward)
 
     __rmul__ = __mul__
 
     def __sub__(self, other):
         other = _as_tensor(other)
-        out = Tensor.result_of(self.data - other.data, (self, other), "-")
-        if out.requires_grad:
-            def _backward(grad):
-                self.accumulate_grad(grad)
-                other.accumulate_grad(-grad)
-            out._backward = _backward
-        return out
+        def _backward(grad):
+            self.accumulate_grad(grad)
+            other.accumulate_grad(-grad)
+        return Tensor.result_of(self.data - other.data, (self, other), "-") \
+            .with_backward(_backward)
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
@@ -251,37 +260,28 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.data.shape
-        out = Tensor.result_of(self.data.reshape(shape), (self,), "reshape")
-        if out.requires_grad:
-            def _backward(grad):
-                self.accumulate_grad(grad.reshape(original))
-            out._backward = _backward
-        return out
+        def _backward(grad):
+            self.accumulate_grad(grad.reshape(self.data.shape))
+        return Tensor.result_of(self.data.reshape(shape), (self,), "reshape") \
+            .with_backward(_backward)
 
     @property
     def T(self) -> "Tensor":
         if self.data.ndim != 2:
             raise DimensionError(f"transpose expects a matrix, got shape {self.data.shape}")
-        out = Tensor.result_of(self.data.T, (self,), "T")
-        if out.requires_grad:
-            def _backward(grad):
-                self.accumulate_grad(grad.T)
-            out._backward = _backward
-        return out
+        def _backward(grad):
+            self.accumulate_grad(grad.T)
+        return Tensor.result_of(self.data.T, (self,), "T").with_backward(_backward)
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor.result_of(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
-        if out.requires_grad:
-            shape = self.data.shape
-            def _backward(grad):
-                if axis is not None and not keepdims:
-                    grad = np.expand_dims(grad, axis)
-                self.accumulate_grad(np.broadcast_to(grad, shape))
-            out._backward = _backward
-        return out
+        def _backward(grad):
+            if axis is not None and not keepdims:
+                grad = np.expand_dims(grad, axis)
+            self.accumulate_grad(np.broadcast_to(grad, self.data.shape))
+        return Tensor.result_of(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum") \
+            .with_backward(_backward)
 
 
 # -- elementwise functions ---------------------------------------------------
@@ -290,12 +290,9 @@ class Tensor:
 def softplus(t: Tensor) -> Tensor:
     """Overflow-safe ln(1 + e^x); strictly positive for finite input."""
     t = _as_tensor(t)
-    out = Tensor.result_of(np.logaddexp(0.0, t.data), (t,), "softplus")
-    if out.requires_grad:
-        def _backward(grad):
-            t.accumulate_grad(grad * expit(t.data))
-        out._backward = _backward
-    return out
+    def _backward(grad):
+        t.accumulate_grad(grad * expit(t.data))
+    return Tensor.result_of(np.logaddexp(0.0, t.data), (t,), "softplus").with_backward(_backward)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -308,13 +305,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul shape mismatch: {a.data.shape} x {b.data.shape}"
         )
-    out = Tensor.result_of(a.data @ b.data, (a, b), "matmul")
-    if out.requires_grad:
-        def _backward(grad):
-            a.accumulate_grad(grad @ b.data.T)
-            b.accumulate_grad(a.data.T @ grad)
-        out._backward = _backward
-    return out
+    def _backward(grad):
+        a.accumulate_grad(grad @ b.data.T)
+        b.accumulate_grad(a.data.T @ grad)
+    return Tensor.result_of(a.data @ b.data, (a, b), "matmul").with_backward(_backward)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
@@ -332,13 +326,10 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     shifted = t.data - peak
     exps = np.exp(shifted)  # exp(-inf) == 0 exactly
     probs = exps / exps.sum(axis=axis, keepdims=True)
-    out = Tensor.result_of(probs, (t,), "softmax")
-    if out.requires_grad:
-        def _backward(grad):
-            inner = (grad * probs).sum(axis=axis, keepdims=True)
-            t.accumulate_grad(probs * (grad - inner))
-        out._backward = _backward
-    return out
+    def _backward(grad):
+        inner = (grad * probs).sum(axis=axis, keepdims=True)
+        t.accumulate_grad(probs * (grad - inner))
+    return Tensor.result_of(probs, (t,), "softmax").with_backward(_backward)
 
 
 def coefficient_of_variation_sq(t: Tensor, eps: float = CV_EPSILON) -> Tensor:
@@ -358,13 +349,10 @@ def coefficient_of_variation_sq(t: Tensor, eps: float = CV_EPSILON) -> Tensor:
     centered = flat - m
     var = (centered ** 2).sum() * (1.0 / n)
     d = m + eps
-    out = Tensor.result_of(var / d ** 2, (t,), "cv_sq")
-    if out.requires_grad:
-        def _backward(grad):
-            dv = (2.0 / n) * grad * (centered / d ** 2 - var / d ** 3)
-            t.accumulate_grad(dv.reshape(t.data.shape))
-        out._backward = _backward
-    return out
+    def _backward(grad):
+        dv = (2.0 / n) * grad * (centered / d ** 2 - var / d ** 3)
+        t.accumulate_grad(dv.reshape(t.data.shape))
+    return Tensor.result_of(var / d ** 2, (t,), "cv_sq").with_backward(_backward)
 
 
 # -- randomness --------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, TrainingDivergedError
 from .layers import Module, cross_entropy
 from .metrics import EvalReport
-from .model import TrainConfig, build_model
+from .model import TrainConfig, build_model, check_batch_size
 from .moe import importance_loss, load_loss, load_probability, noise_scale, noisy_gate
 from .pipeline import EncodedDataset
 from .tensor import RngState, Tensor, coefficient_of_variation_sq, no_grad
@@ -126,9 +126,10 @@ def train(model: Module, train_set: EncodedDataset, config: TrainConfig,
         raise ConfigError("training set is empty")
     if len(train_set) == 1:
         raise ConfigError("training set has 1 row; batch norm in train mode needs at least 2")
+    w = model.config
+    check_batch_size(w, config.batch_size)
     if rng is None:
         rng = RngState(config.seed)
-    w = model.config
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     model.train()
     n = len(train_set)

@@ -133,6 +133,23 @@ class TestTrain:
         assert all(epoch["importance"] == 0.0 for epoch in history["epochs"])
         assert all(epoch["load"] == 0.0 for epoch in history["epochs"])
 
+    @pytest.mark.parametrize("command", [["train"], ["train", "--ablate", "no_moe"],
+                                         ["train", "--expert-grid", "4:2"], ["ablate"]])
+    def test_batch_size_one_with_a_conv_backbone_exits_2_writing_nothing(
+            self, tmp_path, big_csv, command):
+        out = tmp_path / "runs"
+        code = main([*command, "--dataset", str(big_csv), "--out", str(out),
+                     *TINY_TRAIN, "--batch-size", "1"])
+        assert code == 2
+        assert not out.exists()
+
+    def test_batch_size_one_without_a_conv_backbone_trains(self, tmp_path, big_csv):
+        out = tmp_path / "runs"
+        code = main(["train", "--dataset", str(big_csv), "--out", str(out),
+                     "--ablate", "no_cnn", *TINY_TRAIN, "--batch-size", "1"])
+        assert code == 0
+        assert (run_dirs(out)[0] / "model.ckpt").exists()
+
     def test_expert_grid_runs_per_pair(self, tmp_path, big_csv):
         out = tmp_path / "runs"
         code = main(["train", "--dataset", str(big_csv), "--out", str(out),

@@ -51,6 +51,20 @@ def test_dict_round_trip(variant):
     {"alpha": float("inf")},
     {"disable_cnn": True, "n_experts": 4, "top_k": 8},
     {"seed": -1},
+    {"bn_eps": -1.0},
+    {"bn_eps": 0.0},
+    {"bn_eps": float("nan")},
+    {"bn_eps": float("inf")},
+    {"bn_momentum": -0.1},
+    {"bn_momentum": 1.5},
+    {"bn_momentum": float("nan")},
+    {"expert_hidden": 0},
+    {"n_classes": 1},
+    {"cnn_filters": ()},
+    {"cnn_filters": (16, 0, 64, 128)},
+    {"input_shape": (6,)},
+    {"input_shape": (6, 13, 1)},
+    {"input_shape": (6, 0)},
 ], ids=str)
 def test_unusable_values_rejected(values):
     with pytest.raises(ConfigError):

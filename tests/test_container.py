@@ -182,6 +182,11 @@ CONFIG_EDITS = {
     "missing_key": lambda c: c.pop("bn_momentum"),
     "learning_rate_nan": lambda c: c.update(learning_rate=float("nan")),
     "input_shape_too_short": lambda c: c.update(input_shape=[6]),
+    "bn_eps_negative": lambda c: c.update(bn_eps=-1.0),
+    "bn_momentum_above_one": lambda c: c.update(bn_momentum=1.5),
+    "expert_hidden_zero": lambda c: c.update(expert_hidden=0),
+    "n_classes_one": lambda c: c.update(n_classes=1),
+    "cnn_filters_empty": lambda c: c.update(cnn_filters=[]),
     "state_does_not_fit": lambda c: c.update(expert_hidden=c["expert_hidden"] + 1),
 }
 
@@ -194,7 +199,8 @@ def test_checkpoint_config_is_checked_on_load(tmp_path, edit):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("edit", ["n_experts_not_an_int", "top_k_above_n_experts"])
+@pytest.mark.parametrize("edit", ["n_experts_not_an_int", "top_k_above_n_experts",
+                                  "bn_eps_negative"])
 def test_cli_exits_4_on_checkpoint_config(tmp_path, edit):
     cache = _write_cache(tmp_path)
     checkpoint = _write_checkpoint(tmp_path)

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowmoe.errors import DegenerateInputError, DimensionError, GraphReleasedError
+from flowmoe.layers import batch_norm, conv1d, conv_cell, cross_entropy, maxpool1d, relu
+from flowmoe.model import TrainConfig
+from flowmoe.moe import ExpertBank, GateDecision, load_probability, moe_forward, top_k_mask
 from flowmoe.tensor import (
     CV_EPSILON,
     RngState,
@@ -264,17 +267,63 @@ class TestSampling:
         assert first.tobytes() == second.tobytes()
 
 
+def _mixture(t, batch: int, n_experts: int, top_k: int) -> Tensor:
+    config = TrainConfig(n_experts=n_experts, top_k=top_k, expert_hidden=3, n_classes=2)
+    bank = ExpertBank(config, 3, None)
+    bank.w1, bank.b1, bank.w2, bank.b2 = (t(p.data.shape) for p in
+                                          (bank.w1, bank.b1, bank.w2, bank.b2))
+    gates = softmax(top_k_mask(t((batch, n_experts)), top_k), axis=1)
+    decision = GateDecision(None, None, None, gates, None, top_k)
+    return moe_forward(bank, decision, t((batch, 3)))
+
+
+# Every op of the engine, keyed by its op tag (the expert mixture once per
+# evaluation), as a function of a maker ``t(shape)`` of its input tensors.
+OPS = {
+    "+": lambda t: t((2, 3)) + t((2, 3)),
+    "*": lambda t: t((2, 3)) * t((2, 3)),
+    "-": lambda t: t((2, 3)) - t((2, 3)),
+    "reshape": lambda t: t((2, 3)).reshape(3, 2),
+    "T": lambda t: t((2, 3)).T,
+    "sum": lambda t: t((2, 3)).sum(axis=0),
+    "softplus": lambda t: softplus(t((2, 3))),
+    "matmul": lambda t: matmul(t((2, 3)), t((3, 2))),
+    "softmax": lambda t: softmax(t((2, 3)), axis=1),
+    "cv_sq": lambda t: coefficient_of_variation_sq(t((5,))),
+    "conv1d": lambda t: conv1d(t((2, 3, 5)), t((4, 3, 3)), t((4,))),
+    "maxpool1d": lambda t: maxpool1d(t((2, 3, 4))),
+    "batchnorm": lambda t: batch_norm(t((2, 3, 4)), t((3,)), t((3,)))[0],
+    "conv_cell": lambda t: conv_cell(t((2, 3, 6)), t((4, 3, 3)), t((4,)), t((4,)), t((4,)),
+                                     pooled=True)[0],
+    "relu": lambda t: relu(t((2, 3))),
+    "cross_entropy": lambda t: cross_entropy(t((2, 3)), [0, 2]),
+    "top_k_mask": lambda t: top_k_mask(t((2, 4)), 2),
+    "expert_mixture/dense": lambda t: _mixture(t, batch=2, n_experts=4, top_k=2),
+    "expert_mixture/loop": lambda t: _mixture(t, batch=96, n_experts=2, top_k=1),
+    "load_probability": lambda t: load_probability(
+        GateDecision(t((2, 4)), t((2, 4)), t((2, 4)), None, None, 2), 2),
+}
+
+
+def _op_output(op: str, requires_grad: bool) -> Tensor:
+    rng = RngState(0)
+    return OPS[op](lambda shape: Tensor(rng.normal(shape), requires_grad=requires_grad))
+
+
 class TestNoGrad:
-    def test_ops_inside_record_no_graph(self, rng):
-        a = Tensor(rng.normal((2, 3)), requires_grad=True)
-        b = Tensor(rng.normal((3, 2)), requires_grad=True)
+    @pytest.mark.parametrize("op", OPS)
+    def test_op_joins_the_graph_only_when_tracked(self, op):
         with no_grad():
-            outs = [matmul(a, b), a * 2.0 + 1.0, softmax(a, axis=1), a.sum(), a.T]
-        for out in outs:
+            untracked = [_op_output(op, requires_grad=True)]
+        untracked.append(_op_output(op, requires_grad=False))
+        for out in untracked:
             assert out.requires_grad is False
             assert out._parents == ()
             assert out._backward is None
-        assert (a * 2.0).requires_grad
+        out = _op_output(op, requires_grad=True)
+        assert out.requires_grad and out._op == op.partition("/")[0] and out._parents
+        # the closure was defined before its output: no cycle through it
+        assert not any(cell.cell_contents is out for cell in out._backward.__closure__)
 
     def test_leaves_keep_their_flag(self):
         with no_grad():

@@ -128,6 +128,20 @@ class TestTrain:
             fit(EncodedDataset(x=data.x, y=data.y, class_names=data.class_names),
                 TrainConfig(seed=0, **TINY))
 
+    def test_batch_size_one_rejected_before_a_step_with_a_conv_backbone(self, monkeypatch):
+        train_set, _ = tiny_blob_split(n=30)
+        config = TrainConfig(seed=0, **dict(TINY, batch_size=1))
+        model = build_model(config, RngState(0))
+        monkeypatch.setattr(model, "forward", lambda *args: pytest.fail("a step ran"))
+        with pytest.raises(ConfigError, match="batch_size 1"):
+            train(model, train_set, config)
+
+    def test_batch_size_one_trains_without_a_conv_backbone(self):
+        train_set, _ = tiny_blob_split(n=30)
+        config = TrainConfig(seed=0, disable_cnn=True, **dict(TINY, batch_size=1, max_epochs=1))
+        _, history = fit(train_set, config)
+        assert len(history) == 1
+
     @pytest.mark.parametrize("n, sizes", [(129, [64, 65]), (130, [64, 64, 2]),
                                           (128, [64, 64]), (65, [65]), (2, [2])])
     def test_one_row_last_batch_joins_the_one_before(self, monkeypatch, n, sizes):
