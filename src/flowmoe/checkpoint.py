@@ -65,6 +65,15 @@ def save_checkpoint(path, model: Module, config: TrainConfig,
                     (np.ascontiguousarray(state[name], "<f8") for name in names))
 
 
+def check_input_shape(path, config: TrainConfig, shape, source: str) -> None:
+    """Raise ``CheckpointIntegrityError`` naming the checkpoint at ``path``
+    unless its ``config.input_shape`` is the sample ``shape`` of ``source``."""
+    if tuple(config.input_shape) != tuple(shape):
+        raise CheckpointIntegrityError(
+            f"{path}: config input_shape {list(config.input_shape)} differs from the "
+            f"sample shape {list(shape)} of {source}")
+
+
 def load_checkpoint(path) -> LoadedCheckpoint:
     header, body = container.read(path, MAGIC, FORMAT_VERSION,
                                   CheckpointIntegrityError, CheckpointVersionError)
@@ -83,6 +92,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         model.load_state_dict(dict(zip(names, tensors)))
     except (LookupError, TypeError, ValueError) as exc:
         raise CheckpointIntegrityError(f"{path} is malformed: {exc!r}") from exc
+    if stats is not None:
+        check_input_shape(path, config, stats.schema.target_shape, "its pipeline statistics")
     model.eval()
     return LoadedCheckpoint(model=model, config=config, pipeline_stats=stats,
                             metadata=metadata)

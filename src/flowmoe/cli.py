@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .ablation import DEFAULT_CLI_GRID, NAMED_VARIANTS, ablation_config, run_ablation
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_input_shape, load_checkpoint, save_checkpoint
 from .errors import (
     CacheIntegrityError,
     ConfigError,
@@ -330,6 +330,8 @@ def _evaluation_data(config: RunConfig):
                 )
         else:
             log.warning("checkpoint carries no pipeline stats; skipping schema check")
+        check_input_shape(config.checkpoint, loaded.config, header["sample_shape"],
+                          f"the cache {config.cache}")
         return loaded, test
     if config.dataset:
         if loaded.pipeline_stats is None:
@@ -337,9 +339,8 @@ def _evaluation_data(config: RunConfig):
                 "checkpoint has no pipeline statistics; cannot encode a raw CSV"
             )
         stats = loaded.pipeline_stats
-        parsed = parse_flow_csv(config.dataset, stats.schema)
-        table = apply_imputers(parsed.table, stats.imputation, stats.schema,
-                               use_labels=False)
+        table = parse_flow_csv(config.dataset, stats.schema).table
+        apply_imputers(table, stats.imputation, stats.schema, use_labels=False)
         return loaded, encode(table, stats)
     raise ConfigError("--cache or --dataset is required")
 

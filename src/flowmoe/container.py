@@ -11,9 +11,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import struct
 import typing
-from pathlib import Path
 
 import numpy as np
 
@@ -37,19 +37,30 @@ def write(path, magic: bytes, version: int, header: dict, chunks) -> None:
 
 def read(path, magic: bytes, version: int, corrupt_error, version_error):
     """``(header, body)`` of ``path`` after checking its length, magic,
-    checksum, version and header; body is a memoryview of the file."""
-    blob = memoryview(Path(path).read_bytes())
+    checksum, version and header.  The file is read once, into a writable
+    buffer placed so that the body starts on an 8-byte boundary; body is a
+    writable uint8 array over that buffer, which no one else holds."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        prefix = handle.read(_PREFIX.size)
+        if size < _PREFIX.size + 32 or prefix[:len(magic)] != magic:
+            raise corrupt_error(f"{path} is not a {magic.rstrip(bytes(1)).decode()} file")
+        _, found, header_len = _PREFIX.unpack(prefix)
+        # shift the file within its buffer so that byte 16 + H lands on a multiple of 8
+        buffer = np.empty(size + 7, dtype=np.uint8)
+        shift = -(buffer.ctypes.data + _PREFIX.size + header_len) % 8
+        blob = buffer[shift:shift + size]
+        handle.seek(0)
+        if handle.readinto(blob) != size:
+            raise corrupt_error(f"{path} changed while it was read")
     payload = blob[:-32]
-    if len(blob) < _PREFIX.size + 32 or blob[:len(magic)] != magic:
-        raise corrupt_error(f"{path} is not a {magic.rstrip(bytes(1)).decode()} file")
-    if blob[-32:] != hashlib.sha256(payload).digest():
+    if blob[-32:].tobytes() != hashlib.sha256(payload).digest():
         raise corrupt_error(f"checksum mismatch in {path}; the file is truncated or corrupt")
-    _, found, header_len = _PREFIX.unpack_from(payload)
     if found != version:
         raise version_error(f"{path} has format version {found}; this build reads {version}")
     start = _PREFIX.size + header_len
     try:
-        header = json.loads(bytes(payload[_PREFIX.size:start]).decode())
+        header = json.loads(payload[_PREFIX.size:start].tobytes().decode())
     except ValueError:
         header = None
     if start > len(payload) or not isinstance(header, dict):
@@ -57,12 +68,14 @@ def read(path, magic: bytes, version: int, corrupt_error, version_error):
     return header, payload[start:]
 
 
-def arrays(body, specs, corrupt_error) -> list:
-    """Read-only views of the arrays laid back to back in ``body``, one per
+def arrays(body, specs, corrupt_error, writable: bool = False) -> list:
+    """Views of the arrays laid back to back in ``body``, one per
     ``(dtype, shape)`` of ``specs`` with dtype ``"<f8"`` or ``"<i8"``; they
-    need not be aligned, so a caller that keeps one copies it.  Raises
-    ``corrupt_error`` unless every shape is a list of non-negative ints and
-    their sizes add up to ``len(body)`` exactly."""
+    are aligned when the body starts on an 8-byte boundary, as that of
+    :func:`read` does.  The views are read-only unless ``writable``, which
+    needs a writable body.  Raises ``corrupt_error`` unless every shape is a
+    list of non-negative ints and their sizes add up to ``len(body)``
+    exactly."""
     for _, shape in specs:
         if not (isinstance(shape, list) and all(type(dim) is int and dim >= 0
                                                 for dim in shape)):
@@ -75,7 +88,7 @@ def arrays(body, specs, corrupt_error) -> list:
     out, offset = [], 0
     for (dtype, shape), count in zip(specs, counts):
         view = np.frombuffer(body, dtype, count, offset).reshape(shape)
-        view.flags.writeable = False
+        view.flags.writeable = writable
         out.append(view)
         offset += 8 * count
     return out

@@ -160,7 +160,12 @@ class ParseResult:
 
 
 # Rows typed per block, so that at most this many rows are held as strings.
-_BLOCK_ROWS = 8192
+_BLOCK_ROWS = 2048
+
+
+def _at(column: np.ndarray, rows) -> np.ndarray:
+    """``column`` at the integer positions ``rows``; all of it if None."""
+    return column if rows is None else column[rows]
 
 
 def _parse_numeric(cells, feature: str, problems: dict) -> np.ndarray:
@@ -271,83 +276,85 @@ class ImputationTable:
     global_categorical_mode: dict[str, str]
 
 
-def fit_imputers(table: FlowTable, schema: FlowSchema) -> ImputationTable:
-    """Fit the per-class imputation rule on (training) rows.
+def fit_imputers(table: FlowTable, schema: FlowSchema, rows=None) -> ImputationTable:
+    """Fit the per-class imputation rule on (training) rows: those at the
+    integer positions ``rows``, or all of the table.
 
     Numeric features impute with the class mean, categorical ones with the
     class mode (ties broken by the lexicographically smallest).  A (class,
     feature) pair with no observed values falls back to the global statistic
     with a warning.
     """
-    observed = ~np.isnan(table.numeric)
-    # each categorical column as codes into its sorted levels, so that the
-    # smallest code among the most frequent is the tie-break
-    coded = {}
-    for feat, column in table.categorical.items():
-        present = np.not_equal(column, None)
-        code = {level: i for i, level in enumerate(sorted(set(column[present])))}
-        codes = np.array([code[v] for v in column[present]], dtype=np.intp)
-        coded[feat] = list(code), codes, present
+    labels = _at(table.labels, rows)
+    classes = [(schema.class_names[label], labels == label)
+               for label in np.unique(labels).tolist()]
+    global_numeric, global_categorical = {}, {}
+    class_numeric = {name: {} for name, _ in classes}
+    class_categorical = {name: {} for name, _ in classes}
 
-    def fit(rows, means: dict, modes: dict, warn) -> tuple:
-        """Means and modes over ``rows``, in place of the given fallbacks;
-        ``warn`` hears of each feature that keeps its fallback."""
-        means, modes = dict(means), dict(modes)
-        for j, feat in enumerate(schema.numeric_features):
+    def fit(feat, statistic, kind: str, fallback, overall: dict, by_class: dict) -> None:
+        """``statistic(members)`` over all rows (members None), then over each
+        class's; one with no observed value keeps the fallback, with a warning."""
+        value = statistic(None)
+        if value is None:
+            value = fallback
+            log.warning("feature %s has no observed values at all; imputing %r", feat, value)
+        overall[feat] = value
+        for name, members in classes:
+            found = statistic(members)
+            if found is None:
+                log.warning("class %s has no observed %s; using global %s", name, feat, kind)
+            by_class[name][feat] = value if found is None else found
+
+    for feat, column in zip(schema.numeric_features, table.numeric):
+        column = _at(column, rows)
+        observed = ~np.isnan(column)
+
+        def mean(members):
             # np.mean of the gathered 1-D values sums pairwise in row order
-            values = table.numeric[j][observed[j] & rows]
-            if values.size:
-                means[feat] = float(np.mean(values))
-            else:
-                warn(feat, "mean", means[feat])
-        for feat, (levels, codes, present) in coded.items():
-            counts = np.bincount(codes[rows[present]], minlength=len(levels))
-            if counts.any():
-                modes[feat] = levels[counts.argmax()]
-            else:
-                warn(feat, "mode", modes[feat])
-        return means, modes
+            values = column[observed if members is None else observed & members]
+            return float(np.mean(values)) if values.size else None
+        fit(feat, mean, "mean", 0.0, global_numeric, class_numeric)
+    for feat, column in table.categorical.items():
+        column = _at(column, rows)
+        present = np.not_equal(column, None)
+        # codes into the sorted levels, so that the smallest code among the
+        # most frequent is the tie-break
+        levels = sorted(set(column[present]))
+        code = {level: i for i, level in enumerate(levels)}
+        codes = np.array([code[v] for v in column[present]], dtype=np.intp)
 
-    global_numeric, global_categorical = fit(
-        np.ones(len(table), dtype=bool), dict.fromkeys(schema.numeric_features, 0.0),
-        dict.fromkeys(schema.categorical_features, ""),
-        lambda feat, _, value: log.warning(
-            "feature %s has no observed values at all; imputing %r", feat, value))
-    class_numeric, class_categorical = {}, {}
-    for label in np.unique(table.labels).tolist():
-        name = schema.class_names[label]
-        class_numeric[name], class_categorical[name] = fit(
-            table.labels == label, global_numeric, global_categorical,
-            lambda feat, kind, _: log.warning(
-                "class %s has no observed %s; using global %s", name, feat, kind))
+        def mode(members):
+            counts = np.bincount(codes if members is None else codes[members[present]],
+                                 minlength=len(levels))
+            return levels[counts.argmax()] if counts.any() else None
+        fit(feat, mode, "mode", "", global_categorical, class_categorical)
     return ImputationTable(class_numeric, class_categorical,
                            global_numeric, global_categorical)
 
 
 def apply_imputers(table: FlowTable, imputation: ImputationTable, schema: FlowSchema,
-                   use_labels: bool) -> FlowTable:
-    """Fill missing values; returns a new table, never mutates the input.
+                   use_labels: bool, rows=None) -> None:
+    """Fill the missing cells of the rows at the integer positions ``rows``
+    (all rows if None) in place.
 
     With use_labels the per-class statistics are used (training data); without,
     the global fallbacks apply, so held-out labels are never consulted.
     """
-    def fill(column, missing, by_class: dict, fallback: dict, feat: str) -> np.ndarray:
-        """A copy of ``column`` with each missing cell set to its class's value."""
+    def fill(column, is_missing, by_class: dict, fallback: dict, feat: str) -> None:
+        """Set each missing cell of ``column`` among ``rows`` to its class's value."""
         values = [by_class[name][feat] if use_labels and name in by_class else fallback[feat]
                   for name in schema.class_names]
-        column = column.copy()
-        column[missing] = np.array(values, dtype=column.dtype)[table.labels[missing]]
-        return column
+        at = np.flatnonzero(is_missing(column)) if rows is None \
+            else rows[is_missing(column[rows])]
+        column[at] = np.array(values, dtype=column.dtype)[table.labels[at]]
 
-    numeric = np.array([fill(row, np.isnan(row), imputation.class_numeric_mean,
-                             imputation.global_numeric_mean, feat)
-                        for feat, row in zip(schema.numeric_features, table.numeric)])
-    categorical = {
-        feat: fill(column, np.equal(column, None), imputation.class_categorical_mode,
-                   imputation.global_categorical_mode, feat)
-        for feat, column in table.categorical.items()}
-    return FlowTable(numeric=numeric.reshape(table.numeric.shape), categorical=categorical,
-                     labels=table.labels.copy())
+    for feat, column in zip(schema.numeric_features, table.numeric):
+        fill(column, np.isnan, imputation.class_numeric_mean,
+             imputation.global_numeric_mean, feat)
+    for feat, column in table.categorical.items():
+        fill(column, lambda cells: np.equal(cells, None), imputation.class_categorical_mode,
+             imputation.global_categorical_mode, feat)
 
 
 @dataclass
@@ -402,18 +409,23 @@ class PipelineStats:
 
 
 def fit_pipeline_stats(table: FlowTable, schema: FlowSchema,
-                       imputation: ImputationTable) -> PipelineStats:
-    """Freeze min/max ranges and category vocabularies from training rows."""
-    observed = [row[~np.isnan(row)] for row in table.numeric]
-    # the first of equal extremes, as Python's min and max keep: it fixes a zero's sign
-    numeric_min = {feat: float(values[values.argmin()]) if values.size else 0.0
-                   for feat, values in zip(schema.numeric_features, observed)}
-    numeric_max = {feat: float(values[values.argmax()]) if values.size else 0.0
-                   for feat, values in zip(schema.numeric_features, observed)}
-    vocab = {feat: list(dict.fromkeys(column[np.not_equal(column, None)].tolist()))
-             for feat, column in table.categorical.items()}
+                       imputation: ImputationTable, rows=None) -> PipelineStats:
+    """Freeze min/max ranges and category vocabularies from training rows:
+    those at the integer positions ``rows``, or all of the table."""
+    numeric_min, numeric_max = {}, {}
+    for feat, values in zip(schema.numeric_features, table.numeric):
+        values = _at(values, rows)
+        values = values[~np.isnan(values)]
+        # the first of equal extremes, as Python's min and max keep: it fixes a zero's sign
+        numeric_min[feat] = float(values[values.argmin()]) if values.size else 0.0
+        numeric_max[feat] = float(values[values.argmax()]) if values.size else 0.0
+    vocab = {}
+    for feat, column in table.categorical.items():
+        column = _at(column, rows)
+        vocab[feat] = list(dict.fromkeys(column[np.not_equal(column, None)].tolist()))
     return PipelineStats(schema=schema, numeric_min=numeric_min, numeric_max=numeric_max,
-                         vocab=vocab, imputation=imputation, fitted_on=len(table))
+                         vocab=vocab, imputation=imputation,
+                         fitted_on=len(table) if rows is None else len(rows))
 
 
 @dataclass
@@ -428,8 +440,9 @@ class EncodedDataset:
         return self.x.shape[0]
 
 
-def encode(table: FlowTable, stats: PipelineStats) -> EncodedDataset:
-    """Scale, one-hot, concatenate to 78 values, and reshape to 6x13.
+def encode(table: FlowTable, stats: PipelineStats, rows=None) -> EncodedDataset:
+    """Scale, one-hot, concatenate to 78 values, and reshape to 6x13: the
+    rows at the integer positions ``rows``, or all of the table.
 
     Numeric features map to (x - min) / (max - min) with zero-width training
     ranges collapsing to 0.  Categorical features use the frozen drop-first
@@ -444,11 +457,13 @@ def encode(table: FlowTable, stats: PipelineStats) -> EncodedDataset:
         raise SchemaError(f"encoded width {total} != schema width {schema.total_width}; "
                           f"per-feature widths: {widths}")
     numeric_row = {feat: j for j, feat in enumerate(schema.numeric_features)}
-    flat = np.zeros((len(table), total))
+    n = len(table) if rows is None else len(rows)
+    x = np.zeros((n, *schema.target_shape))
+    flat = x.reshape(n, total)  # a view: each feature is written straight into x
     cursor = 0
     for feat in schema.feature_order:
         if feat in numeric_row:
-            column = table.numeric[numeric_row[feat]]
+            column = _at(table.numeric[numeric_row[feat]], rows)
             if np.isnan(column).any():
                 raise SchemaError(f"numeric feature {feat} is missing; "
                                   "run imputation before encode")
@@ -458,29 +473,30 @@ def encode(table: FlowTable, stats: PipelineStats) -> EncodedDataset:
         else:
             # the first level is dropped, so vocab[i] sets slot i - 1
             slots = {value: i for i, value in enumerate(stats.vocab[feat][1:])}
-            slot = np.asarray([slots.get(value, -1) for value in table.categorical[feat]],
+            slot = np.asarray([slots.get(value, -1)
+                               for value in _at(table.categorical[feat], rows)],
                               dtype=np.int64)
             hit = np.nonzero(slot >= 0)[0]
             flat[hit, cursor + slot[hit]] = 1.0
         cursor += widths[feat]
     return EncodedDataset(
-        x=flat.reshape(len(table), *schema.target_shape),
-        y=table.labels.astype(np.int64),
+        x=x,
+        y=_at(table.labels, rows).astype(np.int64),
         class_names=tuple(schema.class_names),
     )
 
 
 def stratified_split(table: FlowTable, train_fraction: float = 0.6, seed: int = 0):
-    """Deterministic per-class split preserving class proportions.
+    """Deterministic per-class split preserving class proportions; returns
+    the sorted row positions ``(train_idx, test_idx)`` into ``table``.
 
     Each class contributes floor(fraction * count) rows to the training
-    side; the remainder goes to test.  Output order follows the input order
-    within each side.
+    side; the remainder goes to test.
     """
     if not (0.0 < train_fraction < 1.0):
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     rng = RngState(seed)
-    train_idx, test_idx = [], []
+    in_train = np.zeros(len(table), dtype=bool)
     for cls in np.unique(table.labels):
         idx = np.nonzero(table.labels == cls)[0]
         if idx.size < 2:
@@ -488,9 +504,8 @@ def stratified_split(table: FlowTable, train_fraction: float = 0.6, seed: int = 
                                       "need at least 2 to split")
         shuffled = idx[rng.permutation(idx.size)]
         n_train = int(np.floor(train_fraction * idx.size))
-        train_idx.extend(shuffled[:n_train].tolist())
-        test_idx.extend(shuffled[n_train:].tolist())
-    return table.take(sorted(train_idx)), table.take(sorted(test_idx))
+        in_train[shuffled[:n_train]] = True
+    return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 
 @dataclass
@@ -519,25 +534,26 @@ def prepare_dataset(csv_path, schema: FlowSchema | None = None,
                           f"expected one of {IMPUTATION_PROTOCOLS}")
     parsed = parse_flow_csv(csv_path, schema)
     table = parsed.table
-    if protocol == "verbatim":
-        imputation = fit_imputers(table, schema)
-        filled = apply_imputers(table, imputation, schema, use_labels=True)
-        train_table, test_table = stratified_split(filled, train_fraction, seed)
-    else:
-        train_table, test_table = stratified_split(table, train_fraction, seed)
-        imputation = fit_imputers(train_table, schema)
-        train_table = apply_imputers(train_table, imputation, schema, use_labels=True)
-        test_table = apply_imputers(test_table, imputation, schema, use_labels=False)
-    stats = fit_pipeline_stats(train_table, schema, imputation)
-    train = encode(train_table, stats)
-    test = encode(test_table, stats)
-
     class_counts = dict.fromkeys(schema.class_names, 0)
     counts = np.bincount(table.labels, minlength=len(schema.class_names))
     for name, count in zip(schema.class_names, counts.tolist()):
         class_counts[name] += count  # a repeated class name sums its counts
+    # counted before imputation fills the table in place
     missing = dict(zip(schema.numeric_features, np.isnan(table.numeric).sum(axis=1).tolist()))
     missing.update((f, int(np.equal(col, None).sum())) for f, col in table.categorical.items())
+    if protocol == "verbatim":
+        imputation = fit_imputers(table, schema)
+        apply_imputers(table, imputation, schema, use_labels=True)
+        train_idx, test_idx = stratified_split(table, train_fraction, seed)
+    else:
+        train_idx, test_idx = stratified_split(table, train_fraction, seed)
+        imputation = fit_imputers(table, schema, train_idx)
+        apply_imputers(table, imputation, schema, use_labels=True, rows=train_idx)
+        apply_imputers(table, imputation, schema, use_labels=False, rows=test_idx)
+    stats = fit_pipeline_stats(table, schema, imputation, train_idx)
+    train = encode(table, stats, train_idx)
+    test = encode(table, stats, test_idx)
+
     summary = {
         "protocol": protocol,
         "train_fraction": train_fraction,
@@ -611,8 +627,10 @@ def load_dataset_cache(path):
                                   "or fingerprint")
     specs = [("<f8", [n_train, rows, cols]), ("<i8", [n_train]),
              ("<f8", [n_test, rows, cols]), ("<i8", [n_test])]
-    # one copy each, as the views lie unaligned within the file's bytes
-    train_x, train_y, test_x, test_y = (np.array(view) for view in container.arrays(
-        body, specs, lambda message: CacheIntegrityError(f"{path}: {message}")))
+    # aligned, writable views of the one buffer the file was read into; a
+    # caller that keeps one split keeps the whole body alive
+    train_x, train_y, test_x, test_y = container.arrays(
+        body, specs, lambda message: CacheIntegrityError(f"{path}: {message}"),
+        writable=True)
     return (EncodedDataset(x=train_x, y=train_y, class_names=class_names),
             EncodedDataset(x=test_x, y=test_y, class_names=class_names), header)

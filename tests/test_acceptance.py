@@ -339,7 +339,7 @@ def test_c07_pipeline_shape_contract(tmp_path):
     table = parse_flow_csv(path, schema).table
     assert len(table) == 20
     imputation = fit_imputers(table, schema)
-    table = apply_imputers(table, imputation, schema, use_labels=True)
+    apply_imputers(table, imputation, schema, use_labels=True)
     stats = fit_pipeline_stats(table, schema, imputation)
     assert sum(stats.encoded_widths().values()) == 78
     data = encode(table, stats)
@@ -358,7 +358,7 @@ def test_c07_pipeline_shape_contract(tmp_path):
     path2 = write_flow_csv(tmp_path / "drift.csv", drifted)
     table2 = parse_flow_csv(path2, schema).table
     imputation2 = fit_imputers(table2, schema)
-    table2 = apply_imputers(table2, imputation2, schema, use_labels=True)
+    apply_imputers(table2, imputation2, schema, use_labels=True)
     stats2 = fit_pipeline_stats(table2, schema, imputation2)
     with pytest.raises(SchemaError, match="77"):
         encode(table2, stats2)
@@ -402,12 +402,13 @@ def test_c09_benchmark_reproduction(tmp_path):
         table = parsed.table
         epochs, bar = 40, 0.995
     else:
-        table, _ = stratified_split(parsed.table, train_fraction=0.05, seed=9)
+        subset, _ = stratified_split(parsed.table, train_fraction=0.05, seed=9)
+        table = parsed.table.take(subset)
         epochs, bar = 10, 0.98
-    train_table, test_table = stratified_split(table, 0.6, seed=9)
+    train_table, test_table = (table.take(idx) for idx in stratified_split(table, 0.6, seed=9))
     imputation = fit_imputers(train_table, schema)
-    train_table = apply_imputers(train_table, imputation, schema, use_labels=True)
-    test_table = apply_imputers(test_table, imputation, schema, use_labels=False)
+    apply_imputers(train_table, imputation, schema, use_labels=True)
+    apply_imputers(test_table, imputation, schema, use_labels=False)
     stats = fit_pipeline_stats(train_table, schema, imputation)
     train_set = encode(train_table, stats)
     test_set = encode(test_table, stats)

@@ -7,6 +7,7 @@ checks rather than from the checksum.
 
 import hashlib
 import json
+import logging
 import struct
 
 import numpy as np
@@ -30,11 +31,13 @@ from flowmoe.training import TrainConfig, model_config_for
 from csv_fixture import fixture_rows, write_flow_csv
 
 
+SMALL = TrainConfig(n_experts=4, top_k=2, cnn_filters=(4, 4, 4, 8), expert_hidden=4)
+
+
 def _write_checkpoint(tmp_path, stats=None):
-    config = TrainConfig(n_experts=4, top_k=2, cnn_filters=(4, 4, 4, 8), expert_hidden=4)
-    model = build_model(model_config_for(config), RngState(0))
+    model = build_model(model_config_for(SMALL), RngState(0))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model, config, stats)
+    save_checkpoint(path, model, SMALL, stats)
     return path
 
 
@@ -210,6 +213,24 @@ def test_cli_exits_4_on_checkpoint_config(tmp_path, edit):
     assert code == 4
 
 
+@pytest.mark.parametrize("source", ["cache", "dataset"])
+def test_cli_exits_4_naming_a_checkpoint_of_another_input_shape(tmp_path, caplog, source):
+    # at 6 x 14 the backbone's parameters keep their shapes (lengths 14, 7,
+    # 3, 1), so only the data's sample shape tells the config is wrong
+    if source == "cache":
+        checkpoint, data = _write_checkpoint(tmp_path), _write_cache(tmp_path)
+    else:
+        checkpoint, data = _write_checkpoint_with_stats(tmp_path), tmp_path / "flows.csv"
+    argv = ["evaluate", "--checkpoint", str(checkpoint), f"--{source}", str(data),
+            "--out", str(tmp_path / "eval")]
+    assert main(argv) == 0
+    _edit_header(checkpoint, lambda h: h["config"].update(input_shape=[6, 14]))
+    with caplog.at_level(logging.ERROR):
+        assert main(argv) == 4
+    assert f"{checkpoint}: config input_shape [6, 14] differs from the sample shape " \
+           "[6, 13]" in caplog.text
+
+
 # Each leaves checksummed pipeline statistics of a wrong type or naming the
 # wrong features.
 STATS_EDITS = {
@@ -336,10 +357,34 @@ def test_loaded_checkpoint_owns_writable_parameters(tmp_path):
 
 
 def test_loaded_cache_arrays_are_aligned_and_writable(tmp_path):
-    # the body's views are unaligned within the file; the loader copies them
+    # views of the one buffer the file is read into, its body on an 8-byte boundary
     train, test, _ = load_dataset_cache(_write_cache(tmp_path))
     for array in (train.x, train.y, test.x, test.y):
         assert array.flags.aligned and array.flags.writeable
+
+
+@pytest.mark.parametrize("pad", range(8))
+def test_read_places_the_body_on_an_8_byte_boundary(tmp_path, pad):
+    # the header's length, and so the body's offset in the file, runs over
+    # every residue mod 8
+    x = np.arange(6, dtype="<f8").reshape(2, 3)
+    path = tmp_path / "test.bin"
+    container.write(path, b"TESTFILE", 1, {"pad": "x" * pad}, [x])
+    header, body = container.read(path, b"TESTFILE", 1, CacheIntegrityError,
+                                  CacheIntegrityError)
+    assert header == {"pad": "x" * pad}
+    assert body.ctypes.data % 8 == 0 and body.flags.writeable
+    (view,) = container.arrays(body, [("<f8", [2, 3])], CacheIntegrityError, writable=True)
+    assert view.flags.aligned and view.flags.writeable
+    np.testing.assert_array_equal(view, x)
+
+
+def test_checkpoint_round_trips_through_read(tmp_path):
+    saved = build_model(model_config_for(SMALL), RngState(0)).state_dict()
+    loaded = load_checkpoint(_write_checkpoint(tmp_path)).model.state_dict()
+    assert loaded.keys() == saved.keys()
+    for name, value in saved.items():
+        assert loaded[name].tobytes() == value.tobytes(), name
 
 
 def test_load_state_dict_does_not_alias_its_input():

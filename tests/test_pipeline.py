@@ -13,9 +13,12 @@ from flowmoe.cli import _evaluation_data, build_run_config, main, make_parser
 from flowmoe.errors import SchemaError, StratificationError
 from flowmoe.pipeline import (
     FEATURE_ORDER,
+    IMPUTATION_PROTOCOLS,
     NUMERIC_FEATURES,
+    EncodedDataset,
     FlowSchema,
     FlowTable,
+    PreparedData,
     apply_imputers,
     dataset_fingerprint,
     encode,
@@ -225,14 +228,24 @@ class TestImputers:
         table = self._table(tmp_path, rows, schema)
         imputation = fit_imputers(table, schema)
         assert imputation.class_numeric_mean["Benign"]["Dur"] == pytest.approx(2.0)
-        filled = apply_imputers(table, imputation, schema, use_labels=True)
-        assert filled.numeric[DUR, 1] == pytest.approx(2.0)
-        assert np.isnan(table.numeric[DUR, 1])  # the input is not mutated
+        apply_imputers(table, imputation, schema, use_labels=True)
+        assert table.numeric[DUR, 1] == pytest.approx(2.0)  # filled in place
+
+    def test_fills_only_the_given_rows(self, tmp_path, schema):
+        rows = fixture_rows()
+        rows[1]["Dur"] = rows[2]["Dur"] = rows[3]["Proto"] = rows[4]["Proto"] = ""
+        table = self._table(tmp_path, rows, schema)
+        imputation = fit_imputers(table, schema)
+        apply_imputers(table, imputation, schema, use_labels=True, rows=np.array([2, 4]))
+        assert np.isnan(table.numeric[DUR, 1]) and not np.isnan(table.numeric[DUR, 2])
+        assert table.categorical["Proto"][3] is None
+        assert table.categorical["Proto"][4] is not None
 
     def test_no_missing_is_identity(self, tmp_path, schema):
         table = self._table(tmp_path, fixture_rows(), schema)
         imputation = fit_imputers(table, schema)
-        filled = apply_imputers(table, imputation, schema, use_labels=True)
+        filled = table.take(range(len(table)))
+        apply_imputers(filled, imputation, schema, use_labels=True)
         np.testing.assert_array_equal(filled.numeric, table.numeric)
         for feat, column in table.categorical.items():
             assert filled.categorical[feat].tolist() == column.tolist()
@@ -281,7 +294,8 @@ class TestImputers:
         rows[0]["Dur"] = ""
         table = self._table(tmp_path, rows, schema)
         imputation = fit_imputers(table.take(range(1, len(table))), schema)
-        filled = apply_imputers(table.take([0]), imputation, schema, use_labels=False)
+        filled = table.take([0])
+        apply_imputers(filled, imputation, schema, use_labels=False)
         assert filled.numeric[DUR, 0] == pytest.approx(imputation.global_numeric_mean["Dur"])
 
 
@@ -289,7 +303,7 @@ class TestEncode:
     def _stats(self, tmp_path, rows, schema):
         table = parse_flow_csv(write_flow_csv(tmp_path / "f.csv", rows), schema).table
         imputation = fit_imputers(table, schema)
-        table = apply_imputers(table, imputation, schema, use_labels=True)
+        apply_imputers(table, imputation, schema, use_labels=True)
         return table, fit_pipeline_stats(table, schema, imputation)
 
     def test_minmax_scaling(self, tmp_path, schema):
@@ -395,6 +409,11 @@ class TestEncode:
         assert stats.to_json() == before
 
 
+def split_tables(table, *args, **kwargs):
+    """The (train, test) tables at the positions ``stratified_split`` returns."""
+    return [table.take(index) for index in stratified_split(table, *args, **kwargs)]
+
+
 class TestStratifiedSplit:
     def _samples(self, counts):
         # the single numeric feature holds each row's position
@@ -402,12 +421,17 @@ class TestStratifiedSplit:
         return FlowTable(numeric=np.arange(labels.size, dtype=np.float64)[None, :],
                          categorical={}, labels=labels)
 
+    def test_returns_sorted_row_positions(self):
+        train_idx, test_idx = stratified_split(self._samples([13, 7, 21]), 0.6, seed=3)
+        assert train_idx.dtype == test_idx.dtype == np.intp
+        assert np.all(np.diff(train_idx) > 0) and np.all(np.diff(test_idx) > 0)
+
     def test_single_class_60_40(self):
-        train, test = stratified_split(self._samples([100]), 0.6, seed=1)
+        train, test = split_tables(self._samples([100]), 0.6, seed=1)
         assert len(train) == 60 and len(test) == 40
 
     def test_two_class_rounding(self):
-        train, test = stratified_split(self._samples([90, 10]), 0.6, seed=1)
+        train, test = split_tables(self._samples([90, 10]), 0.6, seed=1)
         train_labels = train.labels.tolist()
         test_labels = test.labels.tolist()
         assert train_labels.count(0) == 54 and train_labels.count(1) == 6
@@ -415,13 +439,13 @@ class TestStratifiedSplit:
 
     def test_deterministic(self):
         samples = self._samples([30, 20, 10])
-        first = stratified_split(samples, 0.6, seed=9)
-        second = stratified_split(samples, 0.6, seed=9)
+        first = split_tables(samples, 0.6, seed=9)
+        second = split_tables(samples, 0.6, seed=9)
         np.testing.assert_array_equal(first[0].numeric, second[0].numeric)
 
     def test_disjoint_and_exhaustive(self):
         samples = self._samples([13, 7, 21])
-        train, test = stratified_split(samples, 0.6, seed=3)
+        train, test = split_tables(samples, 0.6, seed=3)
         assert len(train) + len(test) == len(samples)
         assert set(train.numeric[0].tolist()).isdisjoint(test.numeric[0].tolist())
         # each side keeps the input order
@@ -436,7 +460,7 @@ class TestStratifiedSplit:
     @settings(max_examples=50, deadline=None)
     def test_proportions_within_one_sample(self, counts, fraction, seed):
         samples = self._samples(counts)
-        train, _ = stratified_split(samples, fraction, seed=seed)
+        train, _ = split_tables(samples, fraction, seed=seed)
         train_labels = train.labels.tolist()
         for label, count in enumerate(counts):
             expected = fraction * count
@@ -566,3 +590,51 @@ class TestCache:
         assert data.x.shape == (114, 6, 13)
         assert hashlib.sha256(data.x.tobytes() + data.y.tobytes()).hexdigest() == \
             "f1c0b4107e6d85265de416202aefa900b7bdb45d64f0e20246b298d1d31434d6"
+
+
+@pytest.fixture(scope="module")
+def rows_30k(tmp_path_factory):
+    return write_flow_csv(tmp_path_factory.mktemp("rows") / "flows.csv",
+                          gappy_rows(30_000, seed=2))
+
+
+class TestMemoryPerRow:
+    # At 30,000 rows the per-row arrays dominate: the table (43 float64
+    # columns, 5 object columns and the labels, 392 B/row) and x (78 float64
+    # values, 624 B/row).  Measured peak: 1,049 B/row under both protocols.
+    # Copied split tables, new imputed tables and 8,192-row parse blocks
+    # peaked at 1,464 (leak-free) and 1,855 (verbatim).
+    @pytest.mark.parametrize("protocol", IMPUTATION_PROTOCOLS)
+    def test_prepare_dataset_peak_per_row(self, rows_30k, protocol):
+        tracemalloc.start()
+        try:
+            prepared = prepare_dataset(rows_30k, protocol=protocol, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = prepared.summary["rows_parsed"]
+        assert rows == 29_994
+        assert peak / rows < 1_200, f"{peak / rows:.0f} B/row"
+
+    def test_load_dataset_cache_reads_the_body_once(self, tmp_path):
+        small = prepare_dataset(write_flow_csv(tmp_path / "f.csv", fixture_rows(120)), seed=4)
+        rng = np.random.default_rng(0)
+        splits = [EncodedDataset(x=rng.random((n, 6, 13)), y=rng.integers(0, 9, n),
+                                 class_names=small.stats.schema.class_names)
+                  for n in (6_000, 2_000)]
+        path = tmp_path / "data.cache"
+        save_dataset_cache(path, PreparedData(*splits, small.stats, small.summary), "fp")
+        body = 8 * 8_000 * (78 + 1)
+        tracemalloc.start()
+        try:
+            train, test, _ = load_dataset_cache(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a copy of each array out of the file's bytes peaked at twice the body
+        assert peak <= 1.1 * body, f"peak {peak / body:.2f} x the body"
+        for loaded, saved in zip((train, test), splits):
+            for got, want in ((loaded.x, saved.x), (loaded.y, saved.y)):
+                assert got.flags.aligned and got.flags.writeable
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
