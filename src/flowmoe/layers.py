@@ -7,7 +7,9 @@ a (batch, 6, 13) input into a 128-dimensional representation per sample.
 In train mode each cell is one fused graph node (:func:`conv_cell`) that
 rebuilds its im2col columns in the backward instead of keeping them, and
 keeps no conv, batch-norm or ReLU output; in eval mode it is one conv with
-the batch norm folded in.
+the batch norm folded in, then the max pool, then the ReLU on what the pool
+kept.  Every convolution uses only the kernel taps whose window reaches the
+input, so the last cell, at length 1, multiplies by the centre tap alone.
 """
 
 from __future__ import annotations
@@ -150,39 +152,67 @@ def _check_conv_input(x: Tensor, in_ch: int, op: str) -> None:
         )
 
 
-def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int):
-    """``(cols, out)``: the im2col matrix of ``x`` and the conv output.
+def _live_taps(length: int, kernel: int, padding: int) -> slice:
+    """The kernel taps whose window reaches the input at some output position.
 
-    The output is a transposed view plus the bias, so it sits in (batch,
-    length, channels) memory order, and so does every elementwise result
-    computed from it.
+    With out_len = length + 2 * padding - kernel + 1, tap j is live iff
+    padding - out_len < j < length + padding; the others read only zero
+    padding.  As many taps are dead on each side, so the live taps form a
+    conv with kernel ``stop - start`` and padding ``padding - start`` that
+    has the same output length.
     """
-    out_ch, in_ch, kernel = weight.shape
+    dead = min(max(kernel - length - padding, 0), padding)
+    return slice(dead, kernel - dead)
+
+
+def _live_cols(x: np.ndarray, kernel: int, padding: int) -> np.ndarray:
+    """The im2col matrix of ``x`` over the live kernel taps only."""
+    taps = _live_taps(x.shape[2], kernel, padding)
+    return _im2col(x, taps.stop - taps.start, padding - taps.start)
+
+
+def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int):
+    """``(cols, out)``: the live-tap im2col matrix of ``x`` and the conv
+    output.
+
+    The output is a transposed view with the bias added in place, so it sits
+    in (batch, length, channels) memory order, and so does every elementwise
+    result computed from it.
+    """
+    out_ch, _, kernel = weight.shape
     batch = x.shape[0]
-    cols = _im2col(x, kernel, padding)
-    out = (cols @ weight.reshape(out_ch, in_ch * kernel).T).reshape(
+    cols = _live_cols(x, kernel, padding)
+    live = weight[:, :, _live_taps(x.shape[2], kernel, padding)]
+    out = (cols @ live.reshape(out_ch, -1).T).reshape(
         batch, -1, out_ch).transpose(0, 2, 1)
-    return cols, out + bias[None, :, None]
+    out += bias[None, :, None]
+    return cols, out
 
 
 def _conv_backward(grad: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor,
                    cols: np.ndarray, padding: int) -> None:
     """Accumulate the conv gradients from the output gradient ``grad``
-    (batch, out_ch, out_len) and the forward's im2col matrix ``cols``."""
+    (batch, out_ch, out_len) and the forward's live-tap im2col matrix
+    ``cols``; a dead tap's weight gradient is zero."""
     out_ch, in_ch, kernel = weight.data.shape
     batch, _, out_len = grad.shape
     length = x.data.shape[2]
+    taps = _live_taps(length, kernel, padding)
+    live = taps.stop - taps.start
     bias.accumulate_grad(grad.sum(axis=0).sum(axis=1))
     g2 = grad.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
-    weight.accumulate_grad((g2.T @ cols).reshape(out_ch, in_ch, kernel))
+    d_weight = np.zeros_like(weight.data)
+    d_weight[:, :, taps] = (g2.T @ cols).reshape(out_ch, in_ch, live)
+    weight.accumulate_grad(d_weight)
     if x.requires_grad:
-        # col2im: each kernel tap's column block adds back at its shift
-        dcols = (g2 @ weight.data.reshape(out_ch, in_ch * kernel)).reshape(
-            batch, out_len, in_ch, kernel)
-        grad_padded = np.zeros((batch, out_len + kernel - 1, in_ch))
-        for k in range(kernel):
+        # col2im: each live tap's column block adds back at its shift
+        dcols = (g2 @ weight.data[:, :, taps].reshape(out_ch, -1)).reshape(
+            batch, out_len, in_ch, live)
+        grad_padded = np.zeros((batch, out_len + live - 1, in_ch))
+        for k in range(live):
             grad_padded[:, k:k + out_len] += dcols[:, :, :, k]
-        x.accumulate_grad(grad_padded[:, padding:padding + length].transpose(0, 2, 1))
+        start = padding - taps.start
+        x.accumulate_grad(grad_padded[:, start:start + length].transpose(0, 2, 1))
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
@@ -192,8 +222,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     With kernel 3 and padding 1 the length is preserved.
 
     Lowered to one matrix product (im2col): every output position's input
-    window becomes a row of ``cols`` (batch * out_len, in_ch * kernel), so
-    the forward pass and both gradients are single BLAS calls.
+    window becomes a row of ``cols`` (batch * out_len, in_ch * live taps), so
+    the forward pass and both gradients are single BLAS calls.  Only the
+    taps whose window reaches the input take part (:func:`_live_taps`): at
+    length 1 with kernel 3 and padding 1 that is the centre tap alone.
     """
     _check_conv_input(x, weight.data.shape[1], "conv1d")
     cols, data = _conv_forward(x.data, weight.data, bias.data, padding)
@@ -202,16 +234,22 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     return Tensor.result_of(data, (x, weight, bias), "conv1d").with_backward(_backward)
 
 
+def _pool_windows(data: np.ndarray):
+    """``(first, second)``: views of the two elements of each 2x max-pool
+    window over the last axis; an odd trailing element is dropped."""
+    length = data.shape[2]
+    if length < 2:
+        raise DimensionError(f"maxpool1d needs length >= 2, got {length}")
+    return data[:, :, 0:length - 1:2], data[:, :, 1:length:2]
+
+
 def _pool_pairs(data: np.ndarray):
     """``(maxima, second_wins)`` of the 2x max pool over the last axis.
 
     The argmax of each pair: the second wins only when strictly larger, or
     when it is NaN and the first is not.
     """
-    batch, channels, length = data.shape
-    out_len = length // 2
-    paired = data[:, :, : 2 * out_len].reshape(batch, channels, out_len, 2)
-    first, second = paired[..., 0], paired[..., 1]
+    first, second = _pool_windows(data)
     second_wins = ~(second <= first) & (first == first)
     return np.where(second_wins, second, first), second_wins
 
@@ -237,8 +275,6 @@ def maxpool1d(x: Tensor) -> Tensor:
     """
     if x.data.ndim != 3:
         raise DimensionError(f"maxpool1d expects (batch, channels, length), got {x.data.shape}")
-    if x.data.shape[2] < 2:
-        raise DimensionError(f"maxpool1d needs length >= 2, got {x.data.shape[2]}")
     data, second_wins = _pool_pairs(x.data)
     def _backward(grad):
         x.accumulate_grad(_unpool(grad, second_wins, x.data))
@@ -330,7 +366,7 @@ def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tens
             # x_hat has the ReLU output's memory order
             grad = _unpool(grad, second_wins, x_hat)
         dz = _normalize_backward(grad * active, x_hat, std, gamma, beta)
-        _conv_backward(dz, x, weight, bias, _im2col(x.data, kernel, padding), padding)
+        _conv_backward(dz, x, weight, bias, _live_cols(x.data, kernel, padding), padding)
     out = Tensor.result_of(data, (x, weight, bias, gamma, beta), "conv_cell") \
         .with_backward(_backward)
     return out, mean.reshape(-1), var.reshape(-1)
@@ -472,7 +508,11 @@ class ConvCell(Module):
     In eval mode the batch norm is folded into the convolution (Jacob et
     al. 2018, section 3.2): one conv with weight w * s and bias
     (b - mean) * s + beta, where s = gamma / sqrt(var + eps).  The folded
-    values are computed on every call, so they never go stale.
+    values are computed on every call, so they never go stale.  The max
+    pool then runs before the ReLU, which is applied in place to the pooled
+    half only: a ReLU is monotone, so it commutes with the max, and the
+    result equals ``maxpool1d(relu(conv))`` (NaN included).  The pool is
+    the plain maximum of each window, as no backward needs its argmax.
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: RngState | None,
@@ -492,8 +532,14 @@ class ConvCell(Module):
         scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
         weight = Tensor(conv.weight.data * scale[:, None, None])
         bias = Tensor((conv.bias.data - bn.running_mean) * scale + bn.beta.data)
-        x = relu(conv1d(x, weight, bias, conv.padding))
-        return maxpool1d(x) if self.pooled else x
+        out = conv1d(x, weight, bias, conv.padding).data
+        if self.pooled:
+            # the window maxima without maxpool1d's argmax mask, which only
+            # a backward reads; np.maximum picks the same value, differing
+            # at most in the sign of a zero tie
+            out = np.maximum(*_pool_windows(out))
+        np.maximum(out, 0.0, out=out)
+        return Tensor(out)
 
 
 def backbone_length(seq_len: int, n_cells: int) -> int:

@@ -282,8 +282,11 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
         active, routes = _routes(weights)
         mixed = np.zeros((batch, w2.data.shape[1]))
         for i, rows in routes:
-            hidden = np.maximum(x.data[rows] @ w1.data[i].T + b1.data[i], 0.0)
-            y = hidden @ w2.data[i].T + b2.data[i]
+            hidden = x.data[rows] @ w1.data[i].T
+            hidden += b1.data[i]
+            np.maximum(hidden, 0.0, out=hidden)
+            y = hidden @ w2.data[i].T
+            y += b2.data[i]
             mixed[rows] += weights[rows, i, None] * y
             if track:
                 routed.append((i, rows, hidden, y))
@@ -318,6 +321,23 @@ def importance_loss(gates: Tensor, w_importance: float = 1.0) -> Tensor:
     return w_importance * coefficient_of_variation_sq(gates.sum(axis=0))
 
 
+def _next_ranked(values: np.ndarray, kept: np.ndarray, k: int) -> np.ndarray:
+    """Each row's largest entry outside ``kept``, the row's top ``k``: the
+    (k+1)-th column of ``np.argsort(-values, axis=1, kind="stable")``.
+
+    One ``argmax`` with the kept entries at -inf finds it; ties go to the
+    lower index, as in the stable sort.  A row whose maximum there is not
+    finite (a NaN, which ``argmax`` would pick, or -inf, which a kept entry
+    could match) takes the stable sort.
+    """
+    masked = np.where(kept, -np.inf, values)
+    cols = masked.argmax(axis=1)
+    slow = np.flatnonzero(~np.isfinite(masked[np.arange(values.shape[0]), cols]))
+    if slow.size:
+        cols[slow] = np.argsort(-values[slow], axis=1, kind="stable")[:, k]
+    return cols
+
+
 def load_probability(decision: GateDecision, k: int) -> Tensor:
     """Per-(sample, expert) probability of selection under re-drawn noise.
 
@@ -339,18 +359,22 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
     n = noisy.data.shape[1]
     if k >= n:
         raise ConfigError(f"load probability needs k < n (got k={k}, n={n})")
+    selected = decision.selected_indices
+    if selected.shape[1] != k:
+        raise ConfigError(f"load probability needs the decision's top {k}, "
+                          f"got {selected.shape[1]} selected columns")
     batch = noisy.data.shape[0]
-    in_top_k, order = top_k_selection(noisy.data, k + 1)
-    in_top_k[np.arange(batch), order[:, k]] = False
+    rows = np.arange(batch)[:, None]
+    in_top_k = np.zeros(noisy.data.shape, dtype=bool)
+    in_top_k[rows, selected] = True
     # Threshold column per (sample, expert): for a selected expert, removing
     # it promotes the (k+1)-th largest to rank k; otherwise the k-th largest
     # already excludes it.  Either way the threshold never depends on the
     # expert's own score.
-    kth_col = order[:, k - 1][:, None]
-    k1th_col = order[:, k][:, None]
+    kth_col = selected[:, k - 1:]
+    k1th_col = _next_ranked(noisy.data, in_top_k, k)[:, None]
     threshold_cols = np.where(in_top_k, k1th_col, kth_col)
     clean, std = decision.clean_logits, decision.noise_std
-    rows = np.arange(batch)[:, None]
     z = (clean.data - noisy.data[rows, threshold_cols]) / std.data
     def _backward(grad):
         d_clean = _INV_SQRT_2PI * np.exp(-0.5 * z * z) * grad / std.data

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmoe import layers
 from flowmoe.errors import DegenerateInputError, DimensionError, LabelError
 from flowmoe.layers import (
     BatchNorm1d,
@@ -11,6 +12,7 @@ from flowmoe.layers import (
     ConvCell,
     Dense,
     _im2col,
+    _live_taps,
     batch_norm,
     conv1d,
     conv_cell,
@@ -24,6 +26,30 @@ from flowmoe.tensor import RngState, Tensor
 
 from conftest import spaced_logits
 from fd import check_gradients
+
+
+def full_im2col_conv(x: Tensor, w: Tensor, b: Tensor, padding: int = 1) -> Tensor:
+    """Reference conv as one graph node over every kernel tap, live or not:
+    the full im2col matrix times the whole weight, and the col2im of every
+    tap in the backward."""
+    out_ch, in_ch, kernel = w.data.shape
+    batch, _, length = x.data.shape
+    cols = _im2col(x.data, kernel, padding)
+    out_len = cols.shape[0] // batch
+    data = (cols @ w.data.reshape(out_ch, -1).T).reshape(
+        batch, out_len, out_ch).transpose(0, 2, 1) + b.data[None, :, None]
+
+    def _backward(grad):
+        g2 = grad.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
+        b.accumulate_grad(grad.sum(axis=(0, 2)))
+        w.accumulate_grad((g2.T @ cols).reshape(w.data.shape))
+        dcols = (g2 @ w.data.reshape(out_ch, -1)).reshape(batch, out_len, in_ch, kernel)
+        padded = np.zeros((batch, length + 2 * padding, in_ch))
+        for k in range(kernel):
+            padded[:, k:k + out_len] += dcols[..., k]
+        x.accumulate_grad(padded[:, padding:padding + length].transpose(0, 2, 1))
+
+    return Tensor.result_of(data, (x, w, b), "full_im2col_conv").with_backward(_backward)
 
 
 class TestConv1d:
@@ -86,6 +112,48 @@ class TestConv1d:
         cols = _im2col(x, kernel, padding)
         assert cols.flags.c_contiguous
         assert np.array_equal(cols, expected)
+
+    @pytest.mark.parametrize("in_ch, length, kernel, padding",
+                             [(6, 13, 3, 1), (64, 1, 3, 1), (4, 1, 5, 2), (4, 2, 5, 2),
+                              (4, 1, 5, 3), (4, 2, 7, 3), (4, 7, 3, 0)])
+    def test_live_taps_are_those_reaching_the_input(self, rng, in_ch, length, kernel, padding):
+        out_len = length + 2 * padding - kernel + 1
+        taps = _live_taps(length, kernel, padding)
+        live = [j for j in range(kernel) if padding - out_len < j < length + padding]
+        assert list(range(kernel))[taps] == live
+        # a dead tap's column of the full im2col matrix is all zero padding
+        cols = _im2col(rng.normal((2, in_ch, length)), kernel, padding)
+        per_tap = cols.reshape(-1, in_ch, kernel)
+        for j in range(kernel):
+            assert np.any(per_tap[:, :, j] != 0) == (j in live), j
+
+    @pytest.mark.parametrize("batch, in_ch, out_ch, kernel, padding",
+                             [(2, 64, 4, 3, 1), (1024, 64, 128, 3, 1), (3, 4, 5, 5, 2)])
+    def test_length_one_matches_full_im2col(self, rng, batch, in_ch, out_ch, kernel, padding):
+        x = rng.normal((batch, in_ch, 1))
+        w = rng.normal((out_ch, in_ch, kernel))
+        b = rng.normal((out_ch,))
+        probe = rng.normal((batch, out_ch, 1 + 2 * padding - kernel + 1))
+        runs = []
+        for conv in (conv1d, full_im2col_conv):
+            tensors = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+            out = conv(*tensors, padding=padding)
+            (out * Tensor(probe)).sum().backward()
+            runs.append([out.data] + [t.grad for t in tensors])
+        for live, full in zip(*runs):
+            np.testing.assert_allclose(live, full, rtol=1e-12, atol=1e-12)
+        d_weight = runs[0][2]
+        dead = [j for j in range(kernel) if j not in range(kernel)[_live_taps(1, kernel, padding)]]
+        assert dead and not d_weight[:, :, dead].any()
+
+    @pytest.mark.parametrize("in_ch, out_ch, length",
+                             [(6, 16, 13), (16, 32, 6), (32, 64, 3), (4, 5, 2)])
+    def test_every_tap_live_keeps_exact_output(self, rng, in_ch, out_ch, length):
+        # with every tap live the conv runs the full im2col product unchanged
+        assert _live_taps(length, 3, 1) == slice(0, 3)
+        x, w, b = (Tensor(rng.normal(shape)) for shape in
+                   ((1024, in_ch, length), (out_ch, in_ch, 3), (out_ch,)))
+        assert np.array_equal(conv1d(x, w, b).data, full_im2col_conv(x, w, b).data)
 
     @pytest.mark.parametrize("kernel, padding", [(3, 1), (3, 0), (5, 2), (1, 0)])
     def test_matches_loop_reference(self, rng, kernel, padding):
@@ -291,7 +359,7 @@ class TestConvCell:
         expected = relu(cell.bn(cell.conv(x))).data
         np.testing.assert_allclose(cell(x).data, expected, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("pooled, length", [(True, 13), (True, 6), (False, 5)])
+    @pytest.mark.parametrize("pooled, length", [(True, 13), (True, 6), (False, 5), (False, 1)])
     def test_fused_gradient(self, rng, pooled, length):
         # length 13 pools to 6 and drops the last position
         x = rng.normal((3, 2, length))
@@ -309,9 +377,10 @@ class TestConvCell:
         check_gradients(build, [x, w, b, gamma, beta])
 
     @staticmethod
-    def unfused_and_fused(x, w, b, gamma, beta, pooled, probe):
+    def unfused_and_fused(x, w, b, gamma, beta, pooled, probe, conv=conv1d):
         """Outputs, batch statistics and the five gradients of the op chain
-        and of the fused node, from the same inputs and output gradient."""
+        (with ``conv`` as its convolution) and of the fused node, from the
+        same inputs and output gradient."""
         runs = []
         for fused in (False, True):
             tensors = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b, gamma, beta)]
@@ -319,7 +388,7 @@ class TestConvCell:
                 out, mean, var = conv_cell(*tensors, pooled=pooled)
             else:
                 tx, tw, tb, tg, tbeta = tensors
-                out, mean, var = batch_norm(conv1d(tx, tw, tb), tg, tbeta)
+                out, mean, var = batch_norm(conv(tx, tw, tb), tg, tbeta)
                 out = relu(out)
                 out = maxpool1d(out) if pooled else out
             values = [out.data, mean, var]
@@ -359,6 +428,46 @@ class TestConvCell:
         names = ["out", "mean", "var", "d_x", "d_weight", "d_bias", "d_gamma", "d_beta"]
         for name, expected, actual in zip(names, chain, fused):
             assert np.array_equal(actual, expected), name
+
+    @pytest.mark.parametrize("batch, in_ch, out_ch", [(3, 4, 5), (1024, 64, 128)])
+    def test_length_one_matches_full_im2col(self, rng, batch, in_ch, out_ch):
+        # the backbone's last cell: only the centre tap reaches the input
+        x = rng.normal((batch, in_ch, 1))
+        w = rng.normal((out_ch, in_ch, 3))
+        b = rng.normal((out_ch,))
+        gamma = 1.0 + 0.3 * rng.normal((out_ch,))
+        beta = 0.2 * rng.normal((out_ch,))
+        probe = rng.normal((batch, out_ch, 1))
+        chain, fused = self.unfused_and_fused(x, w, b, gamma, beta, False, probe,
+                                              conv=full_im2col_conv)
+        for expected, actual in zip(chain, fused):
+            np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_eval_pools_before_relu_bit_equal(self, rng, monkeypatch, pooled):
+        # the conv output the cell sees gets NaN, signed zeros and tied
+        # pairs in its first pool windows, then the real conv's values
+        pairs = [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan), (-0.0, 0.0), (0.0, -0.0),
+                 (0.0, 0.0), (2.0, 2.0), (-1.0, -1.0), (-1.0, -2.0), (3.0, -3.0), (-3.0, 3.0)]
+        specials = np.array(pairs).reshape(-1)
+        seen = []
+
+        def conv_with_specials(*args):
+            out = conv1d(*args)
+            out.data[:, :, :specials.size] = specials
+            seen.append(out.data.copy())
+            return out
+
+        monkeypatch.setattr(layers, "conv1d", conv_with_specials)
+        cell = ConvCell(3, 4, rng, pooled=pooled)
+        cell.bn.running_mean = rng.normal((4,))
+        cell.bn.running_var = rng.uniform(0.5, 2.0, (4,))
+        out = cell.eval()(Tensor(rng.normal((5, 3, specials.size + 5)))).data
+        expected = relu(Tensor(seen[0]))
+        if pooled:
+            expected = maxpool1d(expected)
+        assert np.array_equal(out, expected.data, equal_nan=True)
+        assert np.isnan(out).any() and (out == 0).any() and (out > 0).any()
 
     def test_train_mode_is_one_node_keeping_x_hat_std_and_two_masks(self, rng):
         cell = ConvCell(3, 4, rng, pooled=True)

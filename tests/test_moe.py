@@ -120,6 +120,16 @@ class TestTopKSelection:
         if k < n:  # the k-th and (k+1)-th columns that load_probability reads
             _, wider = top_k_selection(values, k + 1)
             np.testing.assert_array_equal(wider[:, k - 1:k + 1], full[:, k - 1:k + 1])
+            # load_probability finds the (k+1)-th from the top k alone
+            np.testing.assert_array_equal(moe._next_ranked(values, keep, k), full[:, k])
+            probe = GateDecision(clean_logits=Tensor(values),
+                                 noise_std=Tensor(np.ones_like(values)),
+                                 noisy_logits=Tensor(values), gates=None,
+                                 selected_indices=order, top_k=k)
+            cols = np.where(keep, full[:, [k]], full[:, [k - 1]])
+            with np.errstate(invalid="ignore"):
+                expected = ndtr(values - np.take_along_axis(values, cols, axis=1))
+                np.testing.assert_array_equal(load_probability(probe, k).data, expected)
         if finite:
             # the gate and the load probability see the same order
             router = Router(tiny_config(n_experts=n, top_k=k), n)
@@ -150,6 +160,9 @@ class TestTopKSelection:
         got_keep, got_order = top_k_selection(values, k)
         np.testing.assert_array_equal(got_order, order)
         np.testing.assert_array_equal(got_keep, keep)
+        if k < values.shape[1]:
+            np.testing.assert_array_equal(moe._next_ranked(values, keep, k),
+                                          np.argsort(-values, axis=1, kind="stable")[:, k])
 
     def test_empty_batch(self):
         keep, order = top_k_selection(np.zeros((0, 4)), 2)
@@ -480,6 +493,12 @@ class TestLoadProbability:
         decision = make_decision(clean, np.ones((1, 3)), np.zeros((1, 3)), 3)
         with pytest.raises(ConfigError):
             load_probability(decision, 3)
+
+    def test_requires_the_decisions_top_k(self):
+        clean = np.zeros((1, 4))
+        decision = make_decision(clean, np.ones((1, 4)), np.zeros((1, 4)), 2)
+        with pytest.raises(ConfigError, match="top 1"):
+            load_probability(decision, 1)
 
     def test_monte_carlo_agreement(self):
         mc_rng = RngState(123)

@@ -177,6 +177,17 @@ class TestSoftplus:
             30.0 + math.log1p(math.exp(-30.0)), abs=1e-9)
         assert abs(softplus(Tensor(30.0)).item() - 30.0) < 1e-9
 
+    def test_within_two_ulps_of_logaddexp(self, rng):
+        x = np.concatenate([rng.normal((8192,)) * scale for scale in (1.0, 5.0, 30.0, 300.0)])
+        expected = np.logaddexp(0.0, x)
+        assert np.all(np.abs(softplus(Tensor(x)).data - expected) <= 2 * np.spacing(expected))
+
+    def test_exact_on_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0])
+        with np.errstate(invalid="ignore"):
+            expected = np.logaddexp(0.0, x)
+        np.testing.assert_array_equal(softplus(Tensor(x)).data, expected)
+
     def test_large_negative_positive_output(self):
         value = softplus(Tensor(-30.0)).item()
         assert value > 0.0
@@ -277,6 +288,12 @@ def _mixture(t, batch: int, n_experts: int, top_k: int) -> Tensor:
     return moe_forward(bank, decision, t((batch, 3)))
 
 
+def _load_probability(t) -> Tensor:
+    clean, std, noisy = t((2, 4)), t((2, 4)), t((2, 4))
+    selected = np.argsort(-noisy.data, axis=1, kind="stable")[:, :2]
+    return load_probability(GateDecision(clean, std, noisy, None, selected, 2), 2)
+
+
 # Every op of the engine, keyed by its op tag (the expert mixture once per
 # evaluation), as a function of a maker ``t(shape)`` of its input tensors.
 OPS = {
@@ -300,8 +317,7 @@ OPS = {
     "top_k_mask": lambda t: top_k_mask(t((2, 4)), 2),
     "expert_mixture/dense": lambda t: _mixture(t, batch=2, n_experts=4, top_k=2),
     "expert_mixture/loop": lambda t: _mixture(t, batch=96, n_experts=2, top_k=1),
-    "load_probability": lambda t: load_probability(
-        GateDecision(t((2, 4)), t((2, 4)), t((2, 4)), None, None, 2), 2),
+    "load_probability": lambda t: _load_probability(t),
 }
 
 
