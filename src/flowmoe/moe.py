@@ -54,24 +54,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 DENSE_ROWS_PER_EXPERT = 48
 
 
-@dataclass(frozen=True)
-class DenseView:
-    """One expert's dense layer inside the bank: (out, in) weight and bias
-    tensors whose ``.data`` are numpy views into the stacked arrays."""
-
-    weight: Tensor
-    bias: Tensor
-
-
-@dataclass(frozen=True)
-class ExpertView:
-    """One expert of the bank: a dense hidden layer with ReLU, then a linear
-    class head."""
-
-    hidden: DenseView
-    out: DenseView
-
-
 class ExpertBank(Module):
     """All experts of a layer, stacked along a leading expert axis.
 
@@ -80,8 +62,7 @@ class ExpertBank(Module):
     :class:`Dense`, and are filled from the same draws in the same order as
     per-expert ``Dense`` layers would be: per expert, hidden weight, hidden
     bias, out weight, out bias.  With ``rng`` None they stay zero and
-    nothing is drawn.  Indexing or iterating yields :class:`ExpertView` s
-    over the current arrays.
+    nothing is drawn.
     """
 
     def __init__(self, config: TrainConfig, input_dim: int, rng: RngState | None):
@@ -101,13 +82,6 @@ class ExpertBank(Module):
 
     def __len__(self) -> int:
         return self.w1.data.shape[0]
-
-    def __getitem__(self, i: int) -> ExpertView:
-        return ExpertView(hidden=DenseView(Tensor(self.w1.data[i]), Tensor(self.b1.data[i])),
-                          out=DenseView(Tensor(self.w2.data[i]), Tensor(self.b2.data[i])))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 class Router(Module):

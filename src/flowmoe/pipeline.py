@@ -123,11 +123,16 @@ class FlowRecord:
 class FlowTable:
     """Typed flow rows by column: ``numeric`` is (len(numeric_features), n)
     float64, each feature's row contiguous, NaN where missing;
-    ``categorical`` maps a feature to an (n,) object array of strings, None
-    where missing; ``labels`` holds the int64 class indices."""
+    ``categorical`` is (len(categorical_features), n) int32 codes, -1 where
+    missing, and ``levels`` holds one dict per categorical feature from each
+    stripped string to its code; ``labels`` holds the int64 class indices.
+
+    Codes never change once given, so tables taken from one another share
+    ``levels`` and a new string may be appended to it."""
 
     numeric: np.ndarray
-    categorical: dict
+    categorical: np.ndarray
+    levels: list
     labels: np.ndarray
 
     def __len__(self) -> int:
@@ -136,9 +141,8 @@ class FlowTable:
     def take(self, index) -> "FlowTable":
         """A copy holding the rows at the integer positions ``index``."""
         index = np.asarray(index, dtype=np.intp)
-        return FlowTable(numeric=self.numeric[:, index],
-                         categorical={f: col[index] for f, col in self.categorical.items()},
-                         labels=self.labels[index])
+        return FlowTable(numeric=self.numeric[:, index], categorical=self.categorical[:, index],
+                         levels=self.levels, labels=self.labels[index])
 
 
 @dataclass
@@ -150,12 +154,15 @@ class ParseResult:
     @property
     def records(self) -> list:
         """The table as one FlowRecord per row, built anew on each access."""
-        table, order = self.table, self.schema.feature_order
-        columns = dict(zip(self.schema.numeric_features,
+        table, schema = self.table, self.schema
+        # each code's string, and a trailing None that code -1 picks
+        strings = [np.array([*levels, None], dtype=object)[codes]
+                   for levels, codes in zip(table.levels, table.categorical)]
+        columns = dict(zip(schema.numeric_features,
                            np.where(np.isnan(table.numeric), None, table.numeric)),
-                       **table.categorical)
-        rows = zip(*(columns[feat].tolist() for feat in order))
-        return [FlowRecord(dict(zip(order, cells)), label)
+                       **dict(zip(schema.categorical_features, strings)))
+        rows = zip(*(columns[feat].tolist() for feat in schema.feature_order))
+        return [FlowRecord(dict(zip(schema.feature_order, cells)), label)
                 for cells, label in zip(rows, table.labels.tolist())]
 
 
@@ -192,8 +199,9 @@ def _parse_numeric(cells, feature: str, problems: dict) -> np.ndarray:
 
 
 def _parse_block(rows: list, lines: list, schema: FlowSchema, position: dict,
-                 skipped: list) -> FlowTable:
-    """The well-formed rows of one block; the others go into ``skipped``."""
+                 levels: list, skipped: list) -> FlowTable:
+    """The well-formed rows of one block; the others go into ``skipped``.
+    A categorical string not yet in ``levels`` gets the next code there."""
     # a short row reads as missing cells, as csv.DictReader's restval does
     width = max(position.values()) + 1
     if rows and min(map(len, rows)) < width:
@@ -202,15 +210,16 @@ def _parse_block(rows: list, lines: list, schema: FlowSchema, position: dict,
     problems: dict = {}  # row -> its first problem in feature order
     numeric_row = {feat: j for j, feat in enumerate(schema.numeric_features)}
     numeric = np.empty((len(numeric_row), len(rows)))
-    categorical = {}
     for feat in schema.feature_order:
-        cells = columns[position[feat]]
         if feat in numeric_row:
-            numeric[numeric_row[feat]] = _parse_numeric(cells, feat, problems)
-        else:
-            typed = {cell: None if cell.strip().lower() in _MISSING_MARKERS else cell.strip()
-                     for cell in set(cells)}
-            categorical[feat] = np.array([typed[cell] for cell in cells], dtype=object)
+            numeric[numeric_row[feat]] = _parse_numeric(columns[position[feat]], feat, problems)
+    categorical = np.empty((len(levels), len(rows)), dtype=np.int32)
+    for feat, codes, known in zip(schema.categorical_features, categorical, levels):
+        cells = columns[position[feat]]
+        # first-seen order, so that codes do not depend on string hashing
+        code = {cell: -1 if cell.strip().lower() in _MISSING_MARKERS
+                else known.setdefault(cell.strip(), len(known)) for cell in dict.fromkeys(cells)}
+        codes[:] = np.fromiter(map(code.__getitem__, cells), np.int32, len(cells))
     cells = columns[position[schema.label_column]]
     label_of = {cell: schema.label_index(cell) for cell in set(cells)}
     label_of = {cell: -1 if label is None else label for cell, label in label_of.items()}
@@ -222,9 +231,8 @@ def _parse_block(rows: list, lines: list, schema: FlowSchema, position: dict,
         log.warning("skipping line %d: %s", lines[k], problems[k])
     keep = np.ones(len(rows), dtype=bool)
     keep[list(problems)] = False
-    return FlowTable(numeric=numeric[:, keep],
-                     categorical={f: col[keep] for f, col in categorical.items()},
-                     labels=labels[keep])
+    return FlowTable(numeric=numeric[:, keep], categorical=categorical[:, keep],
+                     levels=levels, labels=labels[keep])
 
 
 def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
@@ -238,6 +246,7 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
     numeric cell in feature order, else the label.
     """
     blocks, skipped = [], []
+    levels = [{} for _ in schema.categorical_features]  # shared, so blocks join as they are
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
@@ -252,14 +261,12 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
                 rows.append(row)
                 lines.append(reader.line_num)
             if len(rows) == _BLOCK_ROWS:
-                blocks.append(_parse_block(rows, lines, schema, position, skipped))
+                blocks.append(_parse_block(rows, lines, schema, position, levels, skipped))
                 rows, lines = [], []
-        blocks.append(_parse_block(rows, lines, schema, position, skipped))
-    table = FlowTable(
-        numeric=np.concatenate([b.numeric for b in blocks], axis=1),
-        categorical={f: np.concatenate([b.categorical[f] for b in blocks])
-                     for f in schema.categorical_features},
-        labels=np.concatenate([b.labels for b in blocks]))
+        blocks.append(_parse_block(rows, lines, schema, position, levels, skipped))
+    table = FlowTable(numeric=np.concatenate([b.numeric for b in blocks], axis=1),
+                      categorical=np.concatenate([b.categorical for b in blocks], axis=1),
+                      levels=levels, labels=np.concatenate([b.labels for b in blocks]))
     if skipped:
         log.warning("skipped %d of %d rows while parsing %s",
                     len(skipped), len(skipped) + len(table), path)
@@ -315,19 +322,20 @@ def fit_imputers(table: FlowTable, schema: FlowSchema, rows=None) -> ImputationT
             values = column[observed if members is None else observed & members]
             return float(np.mean(values)) if values.size else None
         fit(feat, mean, "mean", 0.0, global_numeric, class_numeric)
-    for feat, column in table.categorical.items():
+    for feat, column, levels in zip(schema.categorical_features, table.categorical, table.levels):
         column = _at(column, rows)
-        present = np.not_equal(column, None)
-        # codes into the sorted levels, so that the smallest code among the
-        # most frequent is the tie-break
-        levels = sorted(set(column[present]))
-        code = {level: i for i, level in enumerate(levels)}
-        codes = np.array([code[v] for v in column[present]], dtype=np.intp)
+        present = column >= 0
+        # each code's rank among the sorted levels, so that the smallest rank
+        # among the most frequent is the tie-break
+        names = sorted(levels)
+        rank = np.empty(len(names), dtype=np.intp)
+        rank[[levels[name] for name in names]] = np.arange(len(names))
+        ranks = rank[column[present]]
 
         def mode(members):
-            counts = np.bincount(codes if members is None else codes[members[present]],
-                                 minlength=len(levels))
-            return levels[counts.argmax()] if counts.any() else None
+            counts = np.bincount(ranks if members is None else ranks[members[present]],
+                                 minlength=len(names))
+            return names[counts.argmax()] if counts.any() else None
         fit(feat, mode, "mode", "", global_categorical, class_categorical)
     return ImputationTable(class_numeric, class_categorical,
                            global_numeric, global_categorical)
@@ -341,10 +349,12 @@ def apply_imputers(table: FlowTable, imputation: ImputationTable, schema: FlowSc
     With use_labels the per-class statistics are used (training data); without,
     the global fallbacks apply, so held-out labels are never consulted.
     """
-    def fill(column, is_missing, by_class: dict, fallback: dict, feat: str) -> None:
-        """Set each missing cell of ``column`` among ``rows`` to its class's value."""
-        values = [by_class[name][feat] if use_labels and name in by_class else fallback[feat]
-                  for name in schema.class_names]
+    def fill(column, is_missing, by_class: dict, fallback: dict, feat: str,
+             code=lambda value: value) -> None:
+        """Set each missing cell of ``column`` among ``rows`` to the code of
+        its class's value."""
+        values = [code(by_class[name][feat] if use_labels and name in by_class
+                       else fallback[feat]) for name in schema.class_names]
         at = np.flatnonzero(is_missing(column)) if rows is None \
             else rows[is_missing(column[rows])]
         column[at] = np.array(values, dtype=column.dtype)[table.labels[at]]
@@ -352,9 +362,12 @@ def apply_imputers(table: FlowTable, imputation: ImputationTable, schema: FlowSc
     for feat, column in zip(schema.numeric_features, table.numeric):
         fill(column, np.isnan, imputation.class_numeric_mean,
              imputation.global_numeric_mean, feat)
-    for feat, column in table.categorical.items():
-        fill(column, lambda cells: np.equal(cells, None), imputation.class_categorical_mode,
-             imputation.global_categorical_mode, feat)
+    for feat, column, levels in zip(schema.categorical_features, table.categorical, table.levels):
+        # a value the table has not seen (as a mode frozen from other data may
+        # be) becomes its next level
+        fill(column, lambda codes: codes < 0, imputation.class_categorical_mode,
+             imputation.global_categorical_mode, feat,
+             lambda mode: levels.setdefault(mode, len(levels)))
 
 
 @dataclass
@@ -420,9 +433,11 @@ def fit_pipeline_stats(table: FlowTable, schema: FlowSchema,
         numeric_min[feat] = float(values[values.argmin()]) if values.size else 0.0
         numeric_max[feat] = float(values[values.argmax()]) if values.size else 0.0
     vocab = {}
-    for feat, column in table.categorical.items():
-        column = _at(column, rows)
-        vocab[feat] = list(dict.fromkeys(column[np.not_equal(column, None)].tolist()))
+    for feat, column, levels in zip(schema.categorical_features, table.categorical, table.levels):
+        # the present codes in the order of their first row among ``rows``
+        found, first = np.unique(_at(column, rows), return_index=True)
+        names = list(levels)
+        vocab[feat] = [names[code] for code in found[np.argsort(first)].tolist() if code >= 0]
     return PipelineStats(schema=schema, numeric_min=numeric_min, numeric_max=numeric_max,
                          vocab=vocab, imputation=imputation,
                          fitted_on=len(table) if rows is None else len(rows))
@@ -471,11 +486,12 @@ def encode(table: FlowTable, stats: PipelineStats, rows=None) -> EncodedDataset:
             if hi != lo:
                 flat[:, cursor] = (column - lo) / (hi - lo)
         else:
-            # the first level is dropped, so vocab[i] sets slot i - 1
+            # the first level is dropped, so vocab[i] sets slot i - 1; each
+            # code looks its slot up, and code -1 the trailing no-slot
             slots = {value: i for i, value in enumerate(stats.vocab[feat][1:])}
-            slot = np.asarray([slots.get(value, -1)
-                               for value in _at(table.categorical[feat], rows)],
-                              dtype=np.int64)
+            j = schema.categorical_features.index(feat)
+            slot = np.array([*(slots.get(level, -1) for level in table.levels[j]), -1],
+                            dtype=np.intp)[_at(table.categorical[j], rows)]
             hit = np.nonzero(slot >= 0)[0]
             flat[hit, cursor + slot[hit]] = 1.0
         cursor += widths[feat]
@@ -540,7 +556,7 @@ def prepare_dataset(csv_path, schema: FlowSchema | None = None,
         class_counts[name] += count  # a repeated class name sums its counts
     # counted before imputation fills the table in place
     missing = dict(zip(schema.numeric_features, np.isnan(table.numeric).sum(axis=1).tolist()))
-    missing.update((f, int(np.equal(col, None).sum())) for f, col in table.categorical.items())
+    missing.update(zip(schema.categorical_features, (table.categorical < 0).sum(axis=1).tolist()))
     if protocol == "verbatim":
         imputation = fit_imputers(table, schema)
         apply_imputers(table, imputation, schema, use_labels=True)
@@ -588,8 +604,27 @@ def dataset_fingerprint(csv_path, schema: FlowSchema, protocol: str,
     return digest.hexdigest()
 
 
+def _check_split(path, split: str, data: EncodedDataset, n_classes: int) -> None:
+    """Raise CacheIntegrityError, naming ``split`` and its first bad row, if
+    ``data.x`` holds a non-finite cell or ``data.y`` a label outside
+    [0, n_classes)."""
+    x, y = data.x, data.y
+    # min and max propagate NaN, so two reductions see every cell without a mask
+    if x.size and not np.isfinite([x.min(), x.max()]).all():
+        row = np.flatnonzero(~np.isfinite(x.reshape(len(x), -1)).all(axis=1))[0]
+        raise CacheIntegrityError(f"{path}: {split} row {row} has a non-finite feature")
+    if y.size and not (y.min() >= 0 and y.max() < n_classes):
+        row = np.flatnonzero((y < 0) | (y >= n_classes))[0]
+        raise CacheIntegrityError(f"{path}: {split} row {row} has label {y[row]} "
+                                  f"outside [0, {n_classes})")
+
+
 def save_dataset_cache(path, prepared: PreparedData, fingerprint: str = "") -> None:
-    """Versioned binary cache of the encoded train/test splits."""
+    """Versioned binary cache of the encoded train/test splits; a split with
+    a non-finite feature or a label that is not a class index is refused."""
+    n_classes = len(prepared.stats.schema.class_names)
+    _check_split(path, "train", prepared.train, n_classes)
+    _check_split(path, "test", prepared.test, n_classes)
     header = {
         "schema_hash": prepared.stats.schema_hash,
         "fingerprint": fingerprint,
@@ -611,7 +646,8 @@ def load_dataset_cache(path):
 
     Besides the sizes, the header's ``stats`` must decode into the
     PipelineStats it then holds, and its ``schema_hash`` and ``fingerprint``
-    must be strings, so callers can read those keys unchecked.
+    must be strings, so callers can read those keys unchecked.  Every
+    feature must be finite and every label a class index.
     """
     header, body = container.read(path, _CACHE_MAGIC, _CACHE_VERSION,
                                   CacheIntegrityError, CacheIntegrityError)
@@ -632,5 +668,8 @@ def load_dataset_cache(path):
     train_x, train_y, test_x, test_y = container.arrays(
         body, specs, lambda message: CacheIntegrityError(f"{path}: {message}"),
         writable=True)
-    return (EncodedDataset(x=train_x, y=train_y, class_names=class_names),
-            EncodedDataset(x=test_x, y=test_y, class_names=class_names), header)
+    train = EncodedDataset(x=train_x, y=train_y, class_names=class_names)
+    test = EncodedDataset(x=test_x, y=test_y, class_names=class_names)
+    _check_split(path, "train", train, len(class_names))
+    _check_split(path, "test", test, len(class_names))
+    return train, test, header

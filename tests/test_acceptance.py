@@ -98,9 +98,9 @@ def pinned_decision(clean, std_raw, eps, k):
     return decision, clean_t, std_raw_t
 
 
-def numpy_expert(expert, x):
-    hidden = np.maximum(x @ expert.hidden.weight.data.T + expert.hidden.bias.data, 0.0)
-    return hidden @ expert.out.weight.data.T + expert.out.bias.data
+def numpy_expert(bank, i, x):
+    hidden = np.maximum(x @ bank.w1.data[i].T + bank.b1.data[i], 0.0)
+    return hidden @ bank.w2.data[i].T + bank.b2.data[i]
 
 
 @criterion(1, "reverse-mode gradients match central finite differences "
@@ -270,8 +270,8 @@ def test_c03_dense_equivalence():
         decision = noisy_gate(head.router, x, k, noise_enabled=True, rng=rng)
         sparse = moe_forward(head.experts, decision, x).data
         dense_sum = np.zeros_like(sparse)
-        for i, expert in enumerate(head.experts):
-            dense_sum += decision.gates.data[:, [i]] * numpy_expert(expert, x_data)
+        for i in range(len(head.experts)):
+            dense_sum += decision.gates.data[:, [i]] * numpy_expert(head.experts, i, x_data)
         assert np.max(np.abs(sparse - dense_sum)) <= 1e-9
 
 

@@ -175,6 +175,74 @@ def test_cli_train_exits_4_on_cache_without_stats(tmp_path):
     assert code == 4
 
 
+def _edit_arrays(path, split, array, index, value):
+    """Set one cell of a cache's ``split`` ``array`` ("x" or "y") to ``value``
+    and reseal the file with a valid checksum."""
+    magic, version, header, body = _split(path.read_bytes())
+    fields = json.loads(header)
+    body = bytearray(body)
+    specs = [(dtype, [fields[f"n_{name}"], *shape]) for name in ("train", "test")
+             for dtype, shape in (("<f8", fields["sample_shape"]), ("<i8", []))]
+    train_x, train_y, test_x, test_y = container.arrays(body, specs, CacheIntegrityError,
+                                                        writable=True)
+    target = {("train", "x"): train_x, ("train", "y"): train_y,
+              ("test", "x"): test_x, ("test", "y"): test_y}[split, array]
+    target[index] = value
+    path.write_bytes(_seal(magic, version, header, bytes(body)))
+
+
+# Each leaves a checksummed cache whose content no model can use:
+# (split, array, index, value).
+CONTENT_EDITS = {
+    "nan_in_test_x": ("test", "x", (3, 2, 5), np.nan),
+    "inf_in_train_x": ("train", "x", (7, 0, 0), np.inf),
+    "minus_inf_in_train_x": ("train", "x", (0, 5, 12), -np.inf),
+    "label_past_the_classes": ("train", "y", 4, 9),
+    "negative_label": ("test", "y", 0, -1),
+}
+
+
+@pytest.mark.parametrize("edit", CONTENT_EDITS)
+def test_cache_content_is_checked_on_load(tmp_path, edit):
+    split, array, index, value = CONTENT_EDITS[edit]
+    path = _write_cache(tmp_path)
+    _edit_arrays(path, split, array, index, value)
+    row = index if array == "y" else index[0]
+    with pytest.raises(CacheIntegrityError, match=f"{split} row {row} "):
+        load_dataset_cache(path)
+
+
+@pytest.mark.parametrize("edit", CONTENT_EDITS)
+def test_cache_content_is_checked_on_save(tmp_path, edit):
+    split, array, index, value = CONTENT_EDITS[edit]
+    prepared = prepare_dataset(write_flow_csv(tmp_path / "flows.csv", fixture_rows(120)), seed=4)
+    getattr(getattr(prepared, split), array)[index] = value
+    path = tmp_path / "data.cache"
+    row = index if array == "y" else index[0]
+    with pytest.raises(CacheIntegrityError, match=f"{split} row {row} "):
+        save_dataset_cache(path, prepared, "fp")
+    assert not path.exists()
+
+
+def test_cli_evaluate_exits_4_on_a_nan_test_cell(tmp_path):
+    cache = _write_cache(tmp_path)
+    checkpoint = _write_checkpoint(tmp_path)
+    argv = ["evaluate", "--checkpoint", str(checkpoint), "--cache", str(cache),
+            "--out", str(tmp_path / "eval")]
+    _edit_arrays(cache, *CONTENT_EDITS["nan_in_test_x"])
+    assert main(argv) == 4
+    assert not (tmp_path / "eval").exists()
+
+
+def test_cli_train_exits_4_on_an_inf_training_cell_before_making_a_run(tmp_path):
+    cache = _write_cache(tmp_path)
+    _edit_arrays(cache, *CONTENT_EDITS["inf_in_train_x"])
+    code = main(["train", "--cache", str(cache), "--out", str(tmp_path / "runs"),
+                 "--epochs", "1", "--experts", "4", "--top-k", "2", "--batch-size", "32"])
+    assert code == 4
+    assert not (tmp_path / "runs").exists()
+
+
 # Each leaves a checksummed checkpoint whose config cannot describe its model.
 CONFIG_EDITS = {
     "n_experts_not_an_int": lambda c: c.update(n_experts="many"),

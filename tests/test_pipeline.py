@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flowmoe import pipeline
 from flowmoe.checkpoint import save_checkpoint
 from flowmoe.cli import _evaluation_data, build_run_config, main, make_parser
 from flowmoe.errors import SchemaError, StratificationError
@@ -213,7 +214,57 @@ class TestParse:
         assert records[0].values == {**expected, "Dur": 2.5}
 
 
+class TestCodesAcrossBlocks:
+    # Three-row blocks, so that a handful of rows spans several of them.
+    LEVELS = ("tcp", "udp", "Start", "CON", "a b")
+    PADDING = ("", " ", "  ", "\t")
+    MISSING = ("", " ", "nan", "NaN", "NA", "na", "null", "NULL", "none", " None ", "-", " - ")
+    MISSING_MARKERS = {"", "nan", "na", "null", "none", "-"}  # each spelling above, stripped
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cells_and_vocabulary(self, tmp_path, monkeypatch, schema, data):
+        monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 3)
+        n = data.draw(st.integers(1, 11))
+        rows = fixture_rows(n)
+        for i, row in enumerate(rows):
+            for feat in schema.categorical_features:
+                # "late" first shows up in the second block or after
+                levels = self.LEVELS + (("late",) if i >= 3 else ())
+                if data.draw(st.booleans()):
+                    row[feat] = data.draw(st.sampled_from(self.MISSING))
+                else:
+                    pad = data.draw(st.sampled_from(self.PADDING))
+                    row[feat] = pad + data.draw(st.sampled_from(levels)) + pad
+            if data.draw(st.integers(0, 5)) == 0:
+                row["Dur"] = "bad"  # a skipped row, whose levels no stage may see
+        kept = [row for row in rows if row["Dur"] != "bad"]
+        expected = [{feat: None if row[feat].strip().lower() in self.MISSING_MARKERS
+                     else row[feat].strip() for feat in schema.categorical_features}
+                    for row in kept]
+        parsed = parse_flow_csv(write_flow_csv(tmp_path / "blocks.csv", rows), schema)
+        assert [{feat: record.values[feat] for feat in schema.categorical_features}
+                for record in parsed.records] == expected
+
+        train = sorted(data.draw(st.sets(st.integers(0, len(kept) - 1))) if kept else [])
+        table = parsed.table
+        stats = fit_pipeline_stats(table, schema, fit_imputers(table, schema),
+                                   np.array(train, dtype=np.intp))
+        for feat in schema.categorical_features:
+            oracle = list(dict.fromkeys(expected[r][feat] for r in train
+                                        if expected[r][feat] is not None))
+            assert stats.vocab[feat] == oracle
+
+
 DUR = NUMERIC_FEATURES.index("Dur")
+PROTO = FlowSchema().categorical_features.index("Proto")
+
+
+def set_category(table, row, feature, value):
+    """Set one categorical cell of ``table`` to ``value``, a new level if need be."""
+    j = FlowSchema().categorical_features.index(feature)
+    table.categorical[j, row] = table.levels[j].setdefault(value, len(table.levels[j]))
 
 
 class TestImputers:
@@ -238,8 +289,8 @@ class TestImputers:
         imputation = fit_imputers(table, schema)
         apply_imputers(table, imputation, schema, use_labels=True, rows=np.array([2, 4]))
         assert np.isnan(table.numeric[DUR, 1]) and not np.isnan(table.numeric[DUR, 2])
-        assert table.categorical["Proto"][3] is None
-        assert table.categorical["Proto"][4] is not None
+        assert table.categorical[PROTO, 3] == -1
+        assert table.categorical[PROTO, 4] >= 0
 
     def test_no_missing_is_identity(self, tmp_path, schema):
         table = self._table(tmp_path, fixture_rows(), schema)
@@ -247,8 +298,7 @@ class TestImputers:
         filled = table.take(range(len(table)))
         apply_imputers(filled, imputation, schema, use_labels=True)
         np.testing.assert_array_equal(filled.numeric, table.numeric)
-        for feat, column in table.categorical.items():
-            assert filled.categorical[feat].tolist() == column.tolist()
+        np.testing.assert_array_equal(filled.categorical, table.categorical)
         np.testing.assert_array_equal(filled.labels, table.labels)
 
     def test_class_mode_with_tie(self, tmp_path, schema):
@@ -381,7 +431,7 @@ class TestEncode:
 
     def test_unseen_category_encodes_as_zeros(self, tmp_path, schema):
         table, stats = self._stats(tmp_path, fixture_rows(), schema)
-        table.categorical["Proto"][0] = "carrier-pigeon"
+        set_category(table, 0, "Proto", "carrier-pigeon")
         offset = FEATURE_ORDER.index("Proto")
         flat = encode(table.take([0]), stats).x[0].reshape(-1)
         np.testing.assert_array_equal(flat[offset:offset + 7], np.zeros(7))
@@ -404,7 +454,7 @@ class TestEncode:
     def test_encode_does_not_mutate_stats(self, tmp_path, schema):
         table, stats = self._stats(tmp_path, fixture_rows(), schema)
         before = stats.to_json()
-        table.categorical["Proto"][0] = "carrier-pigeon"
+        set_category(table, 0, "Proto", "carrier-pigeon")
         encode(table, stats)
         assert stats.to_json() == before
 
@@ -419,7 +469,8 @@ class TestStratifiedSplit:
         # the single numeric feature holds each row's position
         labels = np.repeat(np.arange(len(counts)), counts)
         return FlowTable(numeric=np.arange(labels.size, dtype=np.float64)[None, :],
-                         categorical={}, labels=labels)
+                         categorical=np.empty((0, labels.size), dtype=np.int32), levels=[],
+                         labels=labels)
 
     def test_returns_sorted_row_positions(self):
         train_idx, test_idx = stratified_split(self._samples([13, 7, 21]), 0.6, seed=3)
@@ -600,10 +651,11 @@ def rows_30k(tmp_path_factory):
 
 class TestMemoryPerRow:
     # At 30,000 rows the per-row arrays dominate: the table (43 float64
-    # columns, 5 object columns and the labels, 392 B/row) and x (78 float64
-    # values, 624 B/row).  Measured peak: 1,049 B/row under both protocols.
-    # Copied split tables, new imputed tables and 8,192-row parse blocks
-    # peaked at 1,464 (leak-free) and 1,855 (verbatim).
+    # columns, 5 int32 code columns and the labels, 372 B/row) and x (78
+    # float64 values, 624 B/row).  Measured peak: 1,027 B/row under both
+    # protocols, 1,049 with object arrays of strings for the categorical
+    # columns.  Copied split tables, new imputed tables and 8,192-row parse
+    # blocks peaked at 1,464 (leak-free) and 1,855 (verbatim).
     @pytest.mark.parametrize("protocol", IMPUTATION_PROTOCOLS)
     def test_prepare_dataset_peak_per_row(self, rows_30k, protocol):
         tracemalloc.start()
