@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, DimensionError
 from .tensor import (
@@ -327,6 +326,9 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
     / std; each threshold score gets minus the clean term, summed over the
     experts that compared against it.
     """
+    # Imported here: training and the gating report reach this, preprocess and
+    # evaluate never do, so they never load scipy.
+    from scipy.special import ndtr
     if decision.noise_std is None:
         raise ConfigError("load probability requires the noise path (noise_std)")
     noisy = decision.noisy_logits

@@ -484,7 +484,10 @@ def encode(table: FlowTable, stats: PipelineStats, rows=None) -> EncodedDataset:
                                   "run imputation before encode")
             lo, hi = stats.numeric_min[feat], stats.numeric_max[feat]
             if hi != lo:
-                flat[:, cursor] = (column - lo) / (hi - lo)
+                # halved operands keep both differences finite for any finite
+                # range; halving a normal float is exact, so the quotient is
+                # otherwise that of (column - lo) / (hi - lo)
+                flat[:, cursor] = (0.5 * column - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
         else:
             # the first level is dropped, so vocab[i] sets slot i - 1; each
             # code looks its slot up, and code -1 the trailing no-slot
@@ -604,14 +607,22 @@ def dataset_fingerprint(csv_path, schema: FlowSchema, protocol: str,
     return digest.hexdigest()
 
 
+def first_non_finite_row(x: np.ndarray) -> int | None:
+    """Index of the first row (along axis 0) of ``x`` holding a NaN or an
+    infinite cell, or None when every cell is finite."""
+    # min and max propagate NaN, so two reductions see every cell without a mask
+    if not x.size or np.isfinite([x.min(), x.max()]).all():
+        return None
+    return int(np.flatnonzero(~np.isfinite(x.reshape(len(x), -1)).all(axis=1))[0])
+
+
 def _check_split(path, split: str, data: EncodedDataset, n_classes: int) -> None:
     """Raise CacheIntegrityError, naming ``split`` and its first bad row, if
     ``data.x`` holds a non-finite cell or ``data.y`` a label outside
     [0, n_classes)."""
     x, y = data.x, data.y
-    # min and max propagate NaN, so two reductions see every cell without a mask
-    if x.size and not np.isfinite([x.min(), x.max()]).all():
-        row = np.flatnonzero(~np.isfinite(x.reshape(len(x), -1)).all(axis=1))[0]
+    row = first_non_finite_row(x)
+    if row is not None:
         raise CacheIntegrityError(f"{path}: {split} row {row} has a non-finite feature")
     if y.size and not (y.min() >= 0 and y.max() < n_classes):
         row = np.flatnonzero((y < 0) | (y >= n_classes))[0]

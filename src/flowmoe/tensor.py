@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DegenerateInputError, DimensionError, GraphReleasedError
 
@@ -297,6 +296,8 @@ def softplus(t: Tensor) -> Tensor:
     """
     t = _as_tensor(t)
     def _backward(grad):
+        # Imported here: only training runs a backward, so inference never loads scipy.
+        from scipy.special import expit
         t.accumulate_grad(grad * expit(t.data))
     data = np.log1p(np.exp(-np.abs(t.data)))
     data += np.maximum(t.data, 0.0)

@@ -15,12 +15,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, DegenerateInputError, TrainingDivergedError
 from .layers import Module, cross_entropy
 from .metrics import EvalReport
 from .model import TrainConfig, build_model, check_batch_size
 from .moe import importance_loss, load_loss, load_probability, noise_scale, noisy_gate
-from .pipeline import EncodedDataset
+from .pipeline import EncodedDataset, first_non_finite_row
 from .tensor import RngState, Tensor, coefficient_of_variation_sq, no_grad
 
 log = logging.getLogger("flowmoe.training")
@@ -179,8 +179,17 @@ def fit(train_set: EncodedDataset, config: TrainConfig):
     return train(model, train_set, config, rng)
 
 
+def _check_input(x: np.ndarray) -> None:
+    """Refuse a sample stack with a non-finite cell, naming its first such row."""
+    row = first_non_finite_row(x)
+    if row is not None:
+        raise DegenerateInputError(f"input row {row} has a non-finite feature")
+
+
 def predict(model: Module, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
-    """Eval-mode class predictions for a stack of samples."""
+    """Eval-mode class predictions for a stack of samples; a non-finite cell
+    raises DegenerateInputError."""
+    _check_input(x)
     model.eval()
     outputs = []
     for start in range(0, x.shape[0], batch_size):
@@ -191,7 +200,8 @@ def predict(model: Module, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
 
 def evaluate(model: Module, test_set: EncodedDataset,
              batch_size: int = 1024) -> EvalReport:
-    """Deterministic eval-mode metrics over a dataset."""
+    """Deterministic eval-mode metrics over a dataset; a non-finite cell
+    raises DegenerateInputError."""
     if len(test_set) == 0:
         raise ConfigError("evaluation set is empty")
     predictions = predict(model, test_set.x, batch_size)
@@ -206,10 +216,12 @@ def expert_utilization(model: Module, dataset: EncodedDataset,
     many samples kept the expert in their top k; the load estimate applies
     the selection-probability formula with the learned noise scales to the
     clean scores.  The squared CVs are directly comparable to the two
-    balancing losses.  Builds no autodiff graph.
+    balancing losses.  Builds no autodiff graph.  A non-finite cell raises
+    DegenerateInputError.
     """
     if not hasattr(model, "head"):
         raise ConfigError("gating report requires a model with an expert head")
+    _check_input(dataset.x)
     model.eval()
     cfg = model.head.config
     n = cfg.n_experts

@@ -1,9 +1,14 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowmoe
 from flowmoe.cli import RunConfig, main, parse_config_file
 from flowmoe.pipeline import CLASS_NAMES, FEATURE_ORDER, load_dataset_cache
 
@@ -82,6 +87,15 @@ class TestPreprocess:
         code = main(["preprocess", "--dataset", str(path),
                      "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_range_wider_than_the_largest_float_exits_0(self, tmp_path):
+        rows = fixture_rows(120)
+        rows[0]["Dur"], rows[1]["Dur"] = "-1.7e308", "1.7e308"
+        out = tmp_path / "pre"
+        assert main(["preprocess", "--dataset", str(write_flow_csv(tmp_path / "wide.csv", rows)),
+                     "--out", str(out), "--seed", "4"]) == 0
+        train, _, _ = load_dataset_cache(out / "dataset.cache")
+        assert train.x.min() >= 0.0 and train.x.max() <= 1.0
 
     def test_rerun_reuses_cache(self, tmp_path, big_csv, caplog):
         out = tmp_path / "pre"
@@ -200,6 +214,21 @@ class TestEvaluate:
         report = json.loads((out / "evaluation_report.json").read_text())
         assert sum(report["support"]) == 120  # every CSV row scored
 
+    @pytest.mark.parametrize("command", ["evaluate", "gating-report"])
+    def test_raw_csv_row_scaling_to_inf_exits_4(self, tmp_path, command):
+        # Dur spans 0.119 in training, so a row of 1e308 scales past the
+        # largest float
+        rows = fixture_rows(120)
+        for i, row in enumerate(rows):
+            row["Dur"] = str(i / 1000)
+        _, ckpt = self._train(tmp_path, write_flow_csv(tmp_path / "narrow.csv", rows))
+        rows[17]["Dur"] = "1e308"
+        out = tmp_path / "eval_csv"
+        code = main([command, "--checkpoint", str(ckpt), "--out", str(out),
+                     "--dataset", str(write_flow_csv(tmp_path / "far.csv", rows))])
+        assert code == 4
+        assert not out.exists()
+
     def test_schema_hash_mismatch_exits_3(self, tmp_path, big_csv):
         _, ckpt = self._train(tmp_path, big_csv)
         rows = [dict(row) for row in fixture_rows(120)]
@@ -249,3 +278,39 @@ class TestAblateCommand:
         for name in ("zero_losses", "no_moe", "no_cnn"):
             report = json.loads((run / name / "report.json").read_text())
             assert report["confusion"] is not None
+
+
+# Runs in a fresh interpreter: this test module imports scipy itself.
+FOOTPRINT_SCRIPT = """
+import json, sys
+import flowmoe
+loaded = {"import": "scipy" in sys.modules}
+from flowmoe.cli import main
+codes = {}
+for name, argv in json.loads(sys.argv[1]):
+    codes[name] = main(argv)
+    loaded[name] = "scipy" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_only_training_paths_load_scipy(tmp_path, big_csv):
+    runs = tmp_path / "runs"
+    assert main(["train", "--dataset", str(big_csv), "--out", str(runs), *TINY_TRAIN]) == 0
+    ckpt = str(run_dirs(runs)[0] / "model.ckpt")
+    commands = [
+        ("preprocess", ["preprocess", "--dataset", str(big_csv),
+                        "--out", str(tmp_path / "pre")]),
+        ("evaluate", ["evaluate", "--checkpoint", ckpt, "--dataset", str(big_csv),
+                      "--out", str(tmp_path / "eval")]),
+        ("gating-report", ["gating-report", "--checkpoint", ckpt, "--dataset", str(big_csv),
+                           "--out", str(tmp_path / "gate")]),
+    ]
+    src = str(Path(flowmoe.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(commands)],
+                            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                            text=True, timeout=120, check=True)
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == {"preprocess": 0, "evaluate": 0, "gating-report": 0}
+    assert report["loaded"] == {"import": False, "preprocess": False, "evaluate": False,
+                                "gating-report": True}

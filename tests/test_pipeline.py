@@ -547,6 +547,20 @@ class TestPrepareDataset:
         assert prepared.train.x.min() >= 0.0
         assert prepared.train.x.max() <= 1.0
 
+    def test_range_wider_than_the_largest_float_stays_in_unit_interval(self, tmp_path):
+        # hi - lo overflows to inf here, and the maximum row once scaled to
+        # inf / inf = NaN
+        rows = fixture_rows(120)
+        rows[0]["Dur"], rows[1]["Dur"] = "-1.7e308", "1.7e308"
+        prepared = prepare_dataset(write_flow_csv(tmp_path / "wide.csv", rows), seed=4)
+        assert (prepared.stats.numeric_min["Dur"],
+                prepared.stats.numeric_max["Dur"]) == (-1.7e308, 1.7e308)
+        for split in (prepared.train, prepared.test):
+            assert np.isfinite(split.x).all()
+            assert split.x.min() >= 0.0 and split.x.max() <= 1.0
+        dur = prepared.train.x.reshape(len(prepared.train), -1)[:, FEATURE_ORDER.index("Dur")]
+        assert (dur.min(), dur.max()) == (0.0, 1.0)
+
 
 class TestCache:
     def test_roundtrip(self, tmp_path):

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from flowmoe.checkpoint import load_checkpoint, save_checkpoint
 from flowmoe.cli import main
-from flowmoe.errors import CheckpointVersionError, ConfigError, TrainingDivergedError
+from flowmoe.errors import (
+    CheckpointVersionError,
+    ConfigError,
+    DegenerateInputError,
+    TrainingDivergedError,
+)
 from flowmoe.metrics import EvalReport, weighted_mean
 from flowmoe.model import build_model
 from flowmoe.moe import MoEHead, Router, moe_forward, noisy_gate
@@ -428,6 +433,27 @@ class TestUtilization:
         model = build_model(TrainConfig(disable_cnn=True), rng)
         with pytest.raises(ConfigError):
             expert_utilization(model, make_blobs(10, seed=0))
+
+
+class TestNonFiniteInput:
+    """Inference refuses a sample with a NaN or infinite cell, by its row,
+    before any forward: an EncodedDataset built in Python reaches it
+    without the cache's check."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda model, data: predict(model, data.x, batch_size=16),
+        lambda model, data: evaluate(model, data, batch_size=16),
+        lambda model, data: expert_utilization(model, data, batch_size=16),
+    ], ids=["predict", "evaluate", "expert_utilization"])
+    def test_names_the_first_bad_row(self, rng, call, value):
+        model = build_model(TrainConfig(**{k: v for k, v in TINY.items()
+                                           if k != "max_epochs"}), rng)
+        data = make_blobs(60, seed=2)
+        data.x[37, 5, 4] = value
+        data.x[52, 0, 0] = value
+        with pytest.raises(DegenerateInputError, match="input row 37 "):
+            call(model, data)
 
 
 class TestGraphLifetime:
