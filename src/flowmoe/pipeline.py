@@ -170,11 +170,6 @@ class ParseResult:
 _BLOCK_ROWS = 2048
 
 
-def _at(column: np.ndarray, rows) -> np.ndarray:
-    """``column`` at the integer positions ``rows``; all of it if None."""
-    return column if rows is None else column[rows]
-
-
 def _parse_numeric(cells, feature: str, problems: dict) -> np.ndarray:
     """Floats of one numeric column, NaN where missing; the first problem of
     each bad row goes into ``problems``."""
@@ -283,18 +278,16 @@ class ImputationTable:
     global_categorical_mode: dict[str, str]
 
 
-def fit_imputers(table: FlowTable, schema: FlowSchema, rows=None) -> ImputationTable:
-    """Fit the per-class imputation rule on (training) rows: those at the
-    integer positions ``rows``, or all of the table.
+def fit_imputers(table: FlowTable, schema: FlowSchema) -> ImputationTable:
+    """Fit the per-class imputation rule on the rows of a (training) table.
 
     Numeric features impute with the class mean, categorical ones with the
     class mode (ties broken by the lexicographically smallest).  A (class,
     feature) pair with no observed values falls back to the global statistic
     with a warning.
     """
-    labels = _at(table.labels, rows)
-    classes = [(schema.class_names[label], labels == label)
-               for label in np.unique(labels).tolist()]
+    classes = [(schema.class_names[label], table.labels == label)
+               for label in np.unique(table.labels).tolist()]
     global_numeric, global_categorical = {}, {}
     class_numeric = {name: {} for name, _ in classes}
     class_categorical = {name: {} for name, _ in classes}
@@ -314,7 +307,6 @@ def fit_imputers(table: FlowTable, schema: FlowSchema, rows=None) -> ImputationT
             by_class[name][feat] = value if found is None else found
 
     for feat, column in zip(schema.numeric_features, table.numeric):
-        column = _at(column, rows)
         observed = ~np.isnan(column)
 
         def mean(members):
@@ -323,7 +315,6 @@ def fit_imputers(table: FlowTable, schema: FlowSchema, rows=None) -> ImputationT
             return float(np.mean(values)) if values.size else None
         fit(feat, mean, "mean", 0.0, global_numeric, class_numeric)
     for feat, column, levels in zip(schema.categorical_features, table.categorical, table.levels):
-        column = _at(column, rows)
         present = column >= 0
         # each code's rank among the sorted levels, so that the smallest rank
         # among the most frequent is the tie-break
@@ -342,22 +333,19 @@ def fit_imputers(table: FlowTable, schema: FlowSchema, rows=None) -> ImputationT
 
 
 def apply_imputers(table: FlowTable, imputation: ImputationTable, schema: FlowSchema,
-                   use_labels: bool, rows=None) -> None:
-    """Fill the missing cells of the rows at the integer positions ``rows``
-    (all rows if None) in place.
+                   use_labels: bool) -> None:
+    """Fill the missing cells of the table in place.
 
     With use_labels the per-class statistics are used (training data); without,
     the global fallbacks apply, so held-out labels are never consulted.
     """
     def fill(column, is_missing, by_class: dict, fallback: dict, feat: str,
              code=lambda value: value) -> None:
-        """Set each missing cell of ``column`` among ``rows`` to the code of
-        its class's value."""
+        """Set each missing cell of ``column`` to the code of its class's value."""
         values = [code(by_class[name][feat] if use_labels and name in by_class
                        else fallback[feat]) for name in schema.class_names]
-        at = np.flatnonzero(is_missing(column)) if rows is None \
-            else rows[is_missing(column[rows])]
-        column[at] = np.array(values, dtype=column.dtype)[table.labels[at]]
+        missing = is_missing(column)
+        column[missing] = np.array(values, dtype=column.dtype)[table.labels[missing]]
 
     for feat, column in zip(schema.numeric_features, table.numeric):
         fill(column, np.isnan, imputation.class_numeric_mean,
@@ -422,25 +410,22 @@ class PipelineStats:
 
 
 def fit_pipeline_stats(table: FlowTable, schema: FlowSchema,
-                       imputation: ImputationTable, rows=None) -> PipelineStats:
-    """Freeze min/max ranges and category vocabularies from training rows:
-    those at the integer positions ``rows``, or all of the table."""
+                       imputation: ImputationTable) -> PipelineStats:
+    """Freeze min/max ranges and category vocabularies from a training table."""
     numeric_min, numeric_max = {}, {}
     for feat, values in zip(schema.numeric_features, table.numeric):
-        values = _at(values, rows)
         values = values[~np.isnan(values)]
         # the first of equal extremes, as Python's min and max keep: it fixes a zero's sign
         numeric_min[feat] = float(values[values.argmin()]) if values.size else 0.0
         numeric_max[feat] = float(values[values.argmax()]) if values.size else 0.0
     vocab = {}
     for feat, column, levels in zip(schema.categorical_features, table.categorical, table.levels):
-        # the present codes in the order of their first row among ``rows``
-        found, first = np.unique(_at(column, rows), return_index=True)
+        # the present codes in the order of their first row
+        found, first = np.unique(column, return_index=True)
         names = list(levels)
         vocab[feat] = [names[code] for code in found[np.argsort(first)].tolist() if code >= 0]
     return PipelineStats(schema=schema, numeric_min=numeric_min, numeric_max=numeric_max,
-                         vocab=vocab, imputation=imputation,
-                         fitted_on=len(table) if rows is None else len(rows))
+                         vocab=vocab, imputation=imputation, fitted_on=len(table))
 
 
 @dataclass
@@ -455,9 +440,8 @@ class EncodedDataset:
         return self.x.shape[0]
 
 
-def encode(table: FlowTable, stats: PipelineStats, rows=None) -> EncodedDataset:
-    """Scale, one-hot, concatenate to 78 values, and reshape to 6x13: the
-    rows at the integer positions ``rows``, or all of the table.
+def encode(table: FlowTable, stats: PipelineStats) -> EncodedDataset:
+    """Scale, one-hot, concatenate to 78 values, and reshape each row to 6x13.
 
     Numeric features map to (x - min) / (max - min) with zero-width training
     ranges collapsing to 0.  Categorical features use the frozen drop-first
@@ -472,13 +456,13 @@ def encode(table: FlowTable, stats: PipelineStats, rows=None) -> EncodedDataset:
         raise SchemaError(f"encoded width {total} != schema width {schema.total_width}; "
                           f"per-feature widths: {widths}")
     numeric_row = {feat: j for j, feat in enumerate(schema.numeric_features)}
-    n = len(table) if rows is None else len(rows)
+    n = len(table)
     x = np.zeros((n, *schema.target_shape))
     flat = x.reshape(n, total)  # a view: each feature is written straight into x
     cursor = 0
     for feat in schema.feature_order:
         if feat in numeric_row:
-            column = _at(table.numeric[numeric_row[feat]], rows)
+            column = table.numeric[numeric_row[feat]]
             if np.isnan(column).any():
                 raise SchemaError(f"numeric feature {feat} is missing; "
                                   "run imputation before encode")
@@ -486,21 +470,24 @@ def encode(table: FlowTable, stats: PipelineStats, rows=None) -> EncodedDataset:
             if hi != lo:
                 # halved operands keep both differences finite for any finite
                 # range; halving a normal float is exact, so the quotient is
-                # otherwise that of (column - lo) / (hi - lo)
-                flat[:, cursor] = (0.5 * column - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
+                # otherwise that of (column - lo) / (hi - lo).  A held-out value
+                # far outside the range may still scale to inf, which predict
+                # refuses by row, so the overflow is not warned about here.
+                with np.errstate(over="ignore"):
+                    flat[:, cursor] = (0.5 * column - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
         else:
             # the first level is dropped, so vocab[i] sets slot i - 1; each
             # code looks its slot up, and code -1 the trailing no-slot
             slots = {value: i for i, value in enumerate(stats.vocab[feat][1:])}
             j = schema.categorical_features.index(feat)
             slot = np.array([*(slots.get(level, -1) for level in table.levels[j]), -1],
-                            dtype=np.intp)[_at(table.categorical[j], rows)]
+                            dtype=np.intp)[table.categorical[j]]
             hit = np.nonzero(slot >= 0)[0]
             flat[hit, cursor + slot[hit]] = 1.0
         cursor += widths[feat]
     return EncodedDataset(
         x=x,
-        y=_at(table.labels, rows).astype(np.int64),
+        y=table.labels.astype(np.int64),
         class_names=tuple(schema.class_names),
     )
 
@@ -543,9 +530,10 @@ def prepare_dataset(csv_path, schema: FlowSchema | None = None,
     Protocols differ only in imputation.  "verbatim" imputes per class on
     the full dataset before splitting (the published protocol, which leaks
     label statistics into held-out features).  "leak-free" (default) splits
-    first, fits imputers on the training rows, and fills held-out rows from
-    the global fallbacks.  Scaling and vocabularies always come from the
-    training split alone.
+    first, fits imputers on the training table, and fills the held-out table
+    from the global fallbacks.  Each split is copied into its own table with
+    ``FlowTable.take``, so every stage runs on a whole table; scaling and
+    vocabularies always come from the training table alone.
     """
     schema = schema or FlowSchema()
     if protocol not in IMPUTATION_PROTOCOLS:
@@ -560,19 +548,6 @@ def prepare_dataset(csv_path, schema: FlowSchema | None = None,
     # counted before imputation fills the table in place
     missing = dict(zip(schema.numeric_features, np.isnan(table.numeric).sum(axis=1).tolist()))
     missing.update(zip(schema.categorical_features, (table.categorical < 0).sum(axis=1).tolist()))
-    if protocol == "verbatim":
-        imputation = fit_imputers(table, schema)
-        apply_imputers(table, imputation, schema, use_labels=True)
-        train_idx, test_idx = stratified_split(table, train_fraction, seed)
-    else:
-        train_idx, test_idx = stratified_split(table, train_fraction, seed)
-        imputation = fit_imputers(table, schema, train_idx)
-        apply_imputers(table, imputation, schema, use_labels=True, rows=train_idx)
-        apply_imputers(table, imputation, schema, use_labels=False, rows=test_idx)
-    stats = fit_pipeline_stats(table, schema, imputation, train_idx)
-    train = encode(table, stats, train_idx)
-    test = encode(table, stats, test_idx)
-
     summary = {
         "protocol": protocol,
         "train_fraction": train_fraction,
@@ -582,9 +557,24 @@ def prepare_dataset(csv_path, schema: FlowSchema | None = None,
         "rows_per_class": class_counts,
         "missing_values_per_feature": {f: missing[f] for f in schema.feature_order
                                        if missing[f]},
-        "train_rows": len(train),
-        "test_rows": len(test),
     }
+    if protocol == "verbatim":
+        imputation = fit_imputers(table, schema)
+        apply_imputers(table, imputation, schema, use_labels=True)
+    train_table, test_table = (table.take(idx)
+                               for idx in stratified_split(table, train_fraction, seed))
+    # each split holds its own copy of its rows: the whole table is released
+    # here, and the train table once its split is encoded
+    del parsed, table
+    if protocol == "leak-free":
+        imputation = fit_imputers(train_table, schema)
+        apply_imputers(train_table, imputation, schema, use_labels=True)
+        apply_imputers(test_table, imputation, schema, use_labels=False)
+    stats = fit_pipeline_stats(train_table, schema, imputation)
+    train = encode(train_table, stats)
+    del train_table
+    test = encode(test_table, stats)
+    summary.update(train_rows=len(train), test_rows=len(test))
     return PreparedData(train=train, test=test, stats=stats, summary=summary)
 
 

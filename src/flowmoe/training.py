@@ -39,13 +39,12 @@ class Adam:
     The update runs in place.
     """
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    # the decay rates and epsilon of Kingma & Ba (2015); only lr varies
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

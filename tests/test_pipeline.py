@@ -249,8 +249,7 @@ class TestCodesAcrossBlocks:
 
         train = sorted(data.draw(st.sets(st.integers(0, len(kept) - 1))) if kept else [])
         table = parsed.table
-        stats = fit_pipeline_stats(table, schema, fit_imputers(table, schema),
-                                   np.array(train, dtype=np.intp))
+        stats = fit_pipeline_stats(table.take(train), schema, fit_imputers(table, schema))
         for feat in schema.categorical_features:
             oracle = list(dict.fromkeys(expected[r][feat] for r in train
                                         if expected[r][feat] is not None))
@@ -267,6 +266,56 @@ def set_category(table, row, feature, value):
     table.categorical[j, row] = table.levels[j].setdefault(value, len(table.levels[j]))
 
 
+class TestTake:
+    def _table(self, tmp_path, schema, rows=None):
+        rows = fixture_rows() if rows is None else rows
+        return parse_flow_csv(write_flow_csv(tmp_path / "f.csv", rows), schema).table
+
+    def test_writes_leave_the_source_unchanged(self, tmp_path, schema):
+        table = self._table(tmp_path, schema)
+        before = [table.numeric.copy(), table.categorical.copy(), table.labels.copy()]
+        taken = table.take([0, 1])
+        taken.numeric[:] = -1.0
+        taken.categorical[:] = 5
+        taken.labels[:] = 8
+        for got, want in zip((table.numeric, table.categorical, table.labels), before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_rows_follow_the_index_order(self, tmp_path, schema):
+        table = self._table(tmp_path, schema)
+        taken = table.take([2, 0])
+        np.testing.assert_array_equal(taken.numeric, table.numeric[:, [2, 0]])
+        np.testing.assert_array_equal(taken.categorical, table.categorical[:, [2, 0]])
+        assert taken.labels.tolist() == [table.labels[2], table.labels[0]]
+
+    def test_empty_index(self, tmp_path, schema):
+        table = self._table(tmp_path, schema)
+        taken = table.take([])
+        assert len(taken) == 0
+        assert taken.numeric.shape == (len(schema.numeric_features), 0)
+        assert taken.categorical.shape == (len(schema.categorical_features), 0)
+        assert taken.labels.shape == (0,)
+        assert (taken.numeric.dtype, taken.categorical.dtype, taken.labels.dtype) == \
+            (table.numeric.dtype, table.categorical.dtype, table.labels.dtype)
+
+    def test_shares_levels(self, tmp_path, schema):
+        table = self._table(tmp_path, schema)
+        assert table.take([1]).levels is table.levels
+
+    def test_imputing_the_test_table_leaves_the_train_table(self, tmp_path, schema):
+        rows = fixture_rows(120)
+        for row in rows[:40]:
+            row["Dur"], row["Proto"] = "", "-"
+        table = self._table(tmp_path, schema, rows)
+        train, test = split_tables(table, 0.6, seed=4)
+        numeric, categorical = train.numeric.copy(), train.categorical.copy()
+        assert np.isnan(test.numeric[DUR]).any() and (test.categorical[PROTO] < 0).any()
+        apply_imputers(test, fit_imputers(train, schema), schema, use_labels=False)
+        assert not np.isnan(test.numeric[DUR]).any() and (test.categorical[PROTO] >= 0).all()
+        np.testing.assert_array_equal(train.numeric, numeric)
+        np.testing.assert_array_equal(train.categorical, categorical)
+
+
 class TestImputers:
     def _table(self, tmp_path, rows, schema):
         return parse_flow_csv(write_flow_csv(tmp_path / "f.csv", rows), schema).table
@@ -281,16 +330,6 @@ class TestImputers:
         assert imputation.class_numeric_mean["Benign"]["Dur"] == pytest.approx(2.0)
         apply_imputers(table, imputation, schema, use_labels=True)
         assert table.numeric[DUR, 1] == pytest.approx(2.0)  # filled in place
-
-    def test_fills_only_the_given_rows(self, tmp_path, schema):
-        rows = fixture_rows()
-        rows[1]["Dur"] = rows[2]["Dur"] = rows[3]["Proto"] = rows[4]["Proto"] = ""
-        table = self._table(tmp_path, rows, schema)
-        imputation = fit_imputers(table, schema)
-        apply_imputers(table, imputation, schema, use_labels=True, rows=np.array([2, 4]))
-        assert np.isnan(table.numeric[DUR, 1]) and not np.isnan(table.numeric[DUR, 2])
-        assert table.categorical[PROTO, 3] == -1
-        assert table.categorical[PROTO, 4] >= 0
 
     def test_no_missing_is_identity(self, tmp_path, schema):
         table = self._table(tmp_path, fixture_rows(), schema)
@@ -666,10 +705,14 @@ def rows_30k(tmp_path_factory):
 class TestMemoryPerRow:
     # At 30,000 rows the per-row arrays dominate: the table (43 float64
     # columns, 5 int32 code columns and the labels, 372 B/row) and x (78
-    # float64 values, 624 B/row).  Measured peak: 1,027 B/row under both
-    # protocols, 1,049 with object arrays of strings for the categorical
-    # columns.  Copied split tables, new imputed tables and 8,192-row parse
-    # blocks peaked at 1,464 (leak-free) and 1,855 (verbatim).
+    # float64 values, 624 B/row).  Measured peak, first call in a fresh
+    # process: 886 B/row under both protocols, the parse's own peak, since
+    # the parsed table is released once the train and test tables are taken
+    # from it.  Stages given row positions into the whole table peaked at
+    # 1,089 (leak-free) and 1,085 (verbatim); object arrays of strings for
+    # the categorical columns at 1,049; copied split tables, new imputed
+    # tables and 8,192-row parse blocks at 1,464 (leak-free) and 1,855
+    # (verbatim).
     @pytest.mark.parametrize("protocol", IMPUTATION_PROTOCOLS)
     def test_prepare_dataset_peak_per_row(self, rows_30k, protocol):
         tracemalloc.start()
