@@ -68,7 +68,6 @@ from .model import (
 from .moe import (
     ExpertBank,
     GateDecision,
-    GateInfo,
     MoEHead,
     Router,
     importance_loss,

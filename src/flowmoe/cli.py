@@ -196,11 +196,14 @@ def _parse_grid(text: str):
             continue
         try:
             n, k = chunk.split(":")
-            pairs.append((int(n), int(k)))
+            pair = (int(n), int(k))
         except ValueError as exc:
             raise ConfigError(
                 f"bad --expert-grid entry {chunk!r}; expected n:k pairs like 64:32"
             ) from exc
+        if pair in pairs:  # each pair trains into a directory named after it
+            raise ConfigError(f"--expert-grid repeats the pair {pair[0]}:{pair[1]}")
+        pairs.append(pair)
     if not pairs:
         raise ConfigError("--expert-grid given but no pairs parsed")
     return tuple(pairs)
@@ -300,6 +303,9 @@ def _run_variants(config: RunConfig, variants) -> int:
 
 def cmd_train(config: RunConfig) -> int:
     if config.expert_grid:
+        if config.ablate:
+            raise ConfigError("train takes --ablate or --expert-grid, not both; "
+                              "`flowmoe ablate` runs a variant and a grid together")
         pairs = _parse_grid(config.expert_grid)
         log.info("running expert grid over %s", pairs)
         return _run_variants(config, pairs)

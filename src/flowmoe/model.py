@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 from . import container
 from .errors import ConfigError
 from .layers import CnnBackbone, Dense, Module, backbone_length
-from .moe import GateInfo, MoEHead
+from .moe import MoEHead
 from .tensor import RngState, Tensor
 
 
@@ -146,7 +146,7 @@ class CnnDenseClassifier(Module):
         self.out = Dense(self.backbone.output_dim, config.n_classes, rng)
 
     def forward(self, x: Tensor, rng: RngState | None = None):
-        return self.out(self.backbone(x)), GateInfo()
+        return self.out(self.backbone(x)), None
 
 
 class DenseClassifier(Module):
@@ -161,7 +161,7 @@ class DenseClassifier(Module):
 
     def forward(self, x: Tensor, rng: RngState | None = None):
         flat = x.reshape(x.data.shape[0], self.input_dim)
-        return self.out(flat), GateInfo()
+        return self.out(flat), None
 
 
 CLASSIFIERS = {"cnn_moe": CnnMoEClassifier, "cnn_dense": CnnDenseClassifier,

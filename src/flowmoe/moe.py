@@ -103,7 +103,8 @@ class GateDecision:
     gates has at most top_k nonzeros per row, nonnegative, summing to 1;
     the nonzero columns are exactly selected_indices.  noisy_logits keeps
     the pre-mask scores needed by the load probability; noise_std is None
-    when the noise path was off.
+    when the noise path was off.  importance and load are the balancing
+    terms a train-mode :class:`MoEHead` adds, None where one does not apply.
     """
 
     clean_logits: Tensor
@@ -112,6 +113,8 @@ class GateDecision:
     gates: Tensor
     selected_indices: np.ndarray
     top_k: int
+    importance: Tensor | None = None
+    load: Tensor | None = None
 
 
 def top_k_selection(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -368,19 +371,11 @@ def load_loss(load_p: Tensor, w_load: float = 1.0) -> Tensor:
     return w_load * coefficient_of_variation_sq(load_p.sum(axis=0))
 
 
-@dataclass
-class GateInfo:
-    """What the training loop needs from one MoE forward pass."""
-
-    decision: GateDecision | None = None
-    load_p: Tensor | None = None
-
-
 class MoEHead(Module):
-    """Router plus expert bank, producing class logits from features.
+    """Router plus expert bank, producing class logits and the decision.
 
-    Noise (and therefore the load probability) is active only in train mode;
-    evaluation routes with clean scores and is deterministic.
+    Noise, the load probability and both balancing terms are built only in
+    train mode; evaluation routes with clean scores and is deterministic.
     """
 
     def __init__(self, config: TrainConfig, input_dim: int, rng: RngState | None):
@@ -389,14 +384,15 @@ class MoEHead(Module):
         self.router = Router(config, input_dim)
         self.experts = ExpertBank(config, input_dim, rng)
 
-    def forward(self, x: Tensor, rng: RngState | None = None) -> tuple[Tensor, GateInfo]:
+    def forward(self, x: Tensor, rng: RngState | None = None) -> tuple[Tensor, GateDecision]:
         cfg = self.config
         noise_on = self.training and cfg.noise_enabled
         decision = noisy_gate(self.router, x, cfg.top_k, noise_on, rng)
         logits = moe_forward(self.experts, decision, x)
-        load_p = None
+        if self.training and cfg.w_importance > 0:
+            decision.importance = importance_loss(decision.gates, cfg.w_importance)
         # With k == n every expert is always selected, so the load is
         # constant by construction and the loss term is identically zero.
         if noise_on and cfg.top_k < cfg.n_experts and cfg.w_load > 0:
-            load_p = load_probability(decision, cfg.top_k)
-        return logits, GateInfo(decision=decision, load_p=load_p)
+            decision.load = load_loss(load_probability(decision, cfg.top_k), cfg.w_load)
+        return logits, decision

@@ -19,7 +19,7 @@ from .errors import ConfigError, DegenerateInputError, TrainingDivergedError
 from .layers import Module, cross_entropy
 from .metrics import EvalReport
 from .model import TrainConfig, build_model, check_batch_size
-from .moe import importance_loss, load_loss, load_probability, noise_scale, noisy_gate
+from .moe import GateDecision, load_probability, noise_scale, noisy_gate
 from .pipeline import EncodedDataset, first_non_finite_row
 from .tensor import RngState, Tensor, coefficient_of_variation_sq, no_grad
 
@@ -81,18 +81,16 @@ class Adam:
             p.zero_grad()
 
 
-def total_loss(logits: Tensor, labels, gates: Tensor | None = None,
-               load_p: Tensor | None = None, alpha: float = 0.1,
-               w_importance: float = 1.0, w_load: float = 1.0):
+def total_loss(logits: Tensor, labels, decision: GateDecision | None = None,
+               alpha: float = 0.1):
     """Combined objective: cross-entropy + alpha * (importance + load).
 
     Returns the scalar loss tensor and a dict of the component values for
-    logging.  Absent gate / load inputs contribute exactly zero.
+    logging.  A balancing term that ``decision`` does not carry adds zero.
     """
     ce = cross_entropy(logits, labels)
-    imp = importance_loss(gates, w_importance) if gates is not None and w_importance > 0 \
-        else Tensor(0.0)
-    load = load_loss(load_p, w_load) if load_p is not None and w_load > 0 else Tensor(0.0)
+    terms = (None, None) if decision is None else (decision.importance, decision.load)
+    imp, load = (Tensor(0.0) if term is None else term for term in terms)
     loss = ce + alpha * (imp + load)
     components = {
         "total": float(loss.data),
@@ -125,8 +123,7 @@ def train(model: Module, train_set: EncodedDataset, config: TrainConfig,
         raise ConfigError("training set is empty")
     if len(train_set) == 1:
         raise ConfigError("training set has 1 row; batch norm in train mode needs at least 2")
-    w = model.config
-    check_batch_size(w, config.batch_size)
+    check_batch_size(model.config, config.batch_size)
     if rng is None:
         rng = RngState(config.seed)
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
@@ -147,12 +144,8 @@ def train(model: Module, train_set: EncodedDataset, config: TrainConfig,
             idx = order[start:stop]
             x = Tensor(train_set.x[idx])
             y = train_set.y[idx]
-            logits, info = model(x, rng)
-            gates = info.decision.gates if info.decision is not None else None
-            loss, components = total_loss(
-                logits, y, gates=gates, load_p=info.load_p, alpha=config.alpha,
-                w_importance=w.w_importance, w_load=w.w_load,
-            )
+            logits, decision = model(x, rng)
+            loss, components = total_loss(logits, y, decision, config.alpha)
             _check_finite(components, epoch, step)
             optimizer.zero_grad()
             loss.backward()

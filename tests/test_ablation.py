@@ -65,9 +65,9 @@ class TestVariantArchitectures:
         config = model_config_for(ablation_config(TrainConfig(), "no_moe"))
         model = build_model(config, rng)
         assert not hasattr(model, "head")
-        logits, info = model(Tensor(rng.normal((3, 6, 13))))
+        logits, decision = model(Tensor(rng.normal((3, 6, 13))))
         assert logits.data.shape == (3, 9)
-        assert info.decision is None and info.load_p is None
+        assert decision is None
 
     def test_zero_losses_keeps_architecture(self):
         config = model_config_for(ablation_config(TrainConfig(), "zero_losses"))
@@ -81,8 +81,8 @@ class TestVariantArchitectures:
         assert len(model.head.experts) == 16
         x = Tensor(rng.normal((5, 6, 13)))
         model.eval()
-        _, info = model(x)
-        gates = info.decision.gates.data
+        _, decision = model(x)
+        gates = decision.gates.data
         assert all(np.count_nonzero(row) == 4 for row in gates)
 
 

@@ -165,6 +165,18 @@ class TestTrain:
         assert code == 0
         assert (run_dirs(out)[0] / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("command, message", [
+        (["ablate", "--expert-grid", "4:2, 2:1,04:2"], "repeats the pair 4:2"),
+        (["train", "--ablate", "no_moe", "--expert-grid", "4:2"], "flowmoe ablate"),
+    ])
+    def test_expert_grid_conflicts_exit_2_writing_nothing(self, tmp_path, big_csv, caplog,
+                                                         command, message):
+        out = tmp_path / "runs"
+        code = main([*command, "--dataset", str(big_csv), "--out", str(out), *TINY_TRAIN])
+        assert code == 2
+        assert message in caplog.text
+        assert not out.exists()
+
     def test_expert_grid_runs_per_pair(self, tmp_path, big_csv):
         out = tmp_path / "runs"
         code = main(["train", "--dataset", str(big_csv), "--out", str(out),

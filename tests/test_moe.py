@@ -691,28 +691,45 @@ class TestMoEHead:
         head.router.w_gate.data = rng.normal((6, 4))
         head.eval()
         x = Tensor(rng.normal((3, 6)))
-        first, info = head(x)
+        first, decision = head(x)
         second, _ = head(x)
         np.testing.assert_array_equal(first.data, second.data)
-        assert info.decision.noise_std is None
-        assert info.load_p is None
+        assert decision.noise_std is None
+        assert decision.load is None and decision.importance is None
 
     def test_train_mode_produces_load_p(self, rng):
         head = MoEHead(tiny_config(), 6, rng)
-        logits, info = head(Tensor(rng.normal((3, 6))), RngState(0))
+        logits, decision = head(Tensor(rng.normal((3, 6))), RngState(0))
         assert logits.data.shape == (3, 5)
-        assert info.load_p is not None
-        assert info.load_p.data.shape == (3, 4)
+        assert decision.load is not None
+        assert decision.load.data.shape == ()
 
     def test_k_equals_n_skips_load(self, rng):
         head = MoEHead(tiny_config(n_experts=3, top_k=3), 6, rng)
-        _, info = head(Tensor(rng.normal((2, 6))), RngState(0))
-        assert info.load_p is None
+        _, decision = head(Tensor(rng.normal((2, 6))), RngState(0))
+        assert decision.load is None
 
     def test_zero_weight_skips_load(self, rng):
         head = MoEHead(tiny_config(disable_balancing_losses=True), 6, rng)
-        _, info = head(Tensor(rng.normal((2, 6))), RngState(0))
-        assert info.load_p is None
+        _, decision = head(Tensor(rng.normal((2, 6))), RngState(0))
+        assert decision.load is None and decision.importance is None
+
+    def test_noise_off_carries_importance_but_no_load(self, rng):
+        head = MoEHead(tiny_config(noise_enabled=False), 6, rng)
+        _, decision = head(Tensor(rng.normal((3, 6))))
+        assert decision.importance is not None
+        assert decision.load is None
+
+    def test_terms_equal_the_losses_of_the_same_decision(self, rng):
+        head = MoEHead(tiny_config(), 6, rng)
+        head.router.w_gate.data = rng.normal((6, 4))
+        head.router.w_noise.data = rng.normal((6, 4))
+        _, decision = head(Tensor(rng.normal((5, 6))), RngState(1))
+        importance = importance_loss(decision.gates, 1.0)
+        load = load_loss(load_probability(decision, 2), 1.0)
+        assert decision.importance.data.tobytes() == importance.data.tobytes()
+        assert decision.load.data.tobytes() == load.data.tobytes()
+        assert decision.importance.data > 0 and decision.load.data > 0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +18,17 @@ from flowmoe.errors import (
     DegenerateInputError,
     TrainingDivergedError,
 )
+from flowmoe.layers import cross_entropy
 from flowmoe.metrics import EvalReport, weighted_mean
 from flowmoe.model import build_model
-from flowmoe.moe import MoEHead, Router, moe_forward, noisy_gate
+from flowmoe.moe import (
+    MoEHead,
+    Router,
+    importance_loss,
+    load_loss,
+    moe_forward,
+    noisy_gate,
+)
 from flowmoe.pipeline import EncodedDataset, prepare_dataset, save_dataset_cache
 from flowmoe.synthetic import make_blobs
 from flowmoe.tensor import RngState, Tensor
@@ -52,19 +61,32 @@ def tiny_blob_split(n=540, seed=0):
     return train_set, test_set
 
 
+def carrying(gates, load_p=None):
+    """Stands in for a routing decision: total_loss reads only its
+    importance and load terms, here of unit weight."""
+    return SimpleNamespace(importance=importance_loss(gates),
+                           load=None if load_p is None else load_loss(load_p))
+
+
 class TestTotalLoss:
+    def test_no_decision_is_exactly_cross_entropy(self, rng):
+        logits = Tensor(rng.normal((4, 9)))
+        loss, parts = total_loss(logits, [0, 1, 2, 3], None)
+        assert loss.data == cross_entropy(logits, [0, 1, 2, 3]).data
+        assert parts["importance"] == 0.0 and parts["load"] == 0.0
+
     def test_alpha_zero_is_pure_cross_entropy(self, rng):
         logits = Tensor(rng.normal((4, 9)))
         gates = Tensor(np.abs(rng.normal((4, 3))))
-        loss, parts = total_loss(logits, [0, 1, 2, 3], gates=gates, alpha=0.0)
+        loss, parts = total_loss(logits, [0, 1, 2, 3], carrying(gates), alpha=0.0)
         assert parts["total"] == pytest.approx(parts["cross_entropy"], abs=1e-15)
 
     def test_uniform_statistics_add_nothing(self, rng):
         logits = Tensor(rng.normal((4, 9)))
         gates = Tensor(np.full((4, 8), 1 / 8))
         load_p = Tensor(np.full((4, 8), 0.25))
-        loss, parts = total_loss(logits, [0, 1, 2, 3], gates=gates,
-                                 load_p=load_p, alpha=0.1)
+        loss, parts = total_loss(logits, [0, 1, 2, 3], carrying(gates, load_p),
+                                 alpha=0.1)
         assert parts["importance"] <= 1e-30
         assert parts["load"] <= 1e-30
         assert parts["total"] == pytest.approx(parts["cross_entropy"], abs=1e-12)
@@ -77,7 +99,7 @@ class TestTotalLoss:
         logits = Tensor(np.array([[0.0, c]]))
         gates = Tensor(np.array([[a, 1 - a]]))
         load_p = Tensor(np.array([[a, 1 - a]]))
-        loss, parts = total_loss(logits, [0], gates=gates, load_p=load_p, alpha=0.1)
+        loss, parts = total_loss(logits, [0], carrying(gates, load_p), alpha=0.1)
         assert parts["cross_entropy"] == pytest.approx(1.0, abs=1e-12)
         assert parts["importance"] == pytest.approx(0.5, abs=1e-9)
         assert parts["load"] == pytest.approx(0.5, abs=1e-9)
@@ -87,7 +109,7 @@ class TestTotalLoss:
         logits = Tensor(rng.normal((3, 9)))
         gates = Tensor(np.abs(rng.normal((3, 4))) + 0.1)
         load_p = Tensor(np.abs(rng.normal((3, 4))) + 0.1)
-        loss, parts = total_loss(logits, [1, 2, 3], gates=gates, load_p=load_p,
+        loss, parts = total_loss(logits, [1, 2, 3], carrying(gates, load_p),
                                  alpha=0.37)
         expected = parts["cross_entropy"] + 0.37 * (parts["importance"] + parts["load"])
         assert parts["total"] == pytest.approx(expected, rel=1e-12)
@@ -154,9 +176,9 @@ class TestTrain:
         # the last conv cell; every other remainder keeps its own step
         seen = []
 
-        def spy(logits, labels, **kwargs):
+        def spy(logits, labels, *args):
             seen.append(len(labels))
-            return total_loss(logits, labels, **kwargs)
+            return total_loss(logits, labels, *args)
 
         monkeypatch.setattr("flowmoe.training.total_loss", spy)
         data = make_blobs(n, seed=1)
@@ -524,13 +546,11 @@ class TestFullScaleStep:
         full-scale training step under tracemalloc."""
         config = TrainConfig(seed=3, max_epochs=1)
         model = build_model(model_config_for(config), RngState(3)).train()
-        data, w, rng = make_blobs(1024, seed=3), model.config, RngState(3)
+        data, rng = make_blobs(1024, seed=3), RngState(3)
         tracemalloc.start()
         try:
-            logits, info = model(Tensor(data.x), rng)
-            loss, _ = total_loss(logits, data.y, gates=info.decision.gates,
-                                 load_p=info.load_p, alpha=config.alpha,
-                                 w_importance=w.w_importance, w_load=w.w_load)
+            logits, decision = model(Tensor(data.x), rng)
+            loss, _ = total_loss(logits, data.y, decision, config.alpha)
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             loss.backward()
@@ -563,9 +583,9 @@ class TestFullScaleStep:
 class TestGraphFreeEval:
     def test_full_scale_eval_forward_is_parentless(self, full_scale_model, monkeypatch):
         nodes = record_graph_nodes(monkeypatch)
-        logits, info = full_scale_model.eval()(Tensor(make_blobs(64, seed=23).x))
+        logits, decision = full_scale_model.eval()(Tensor(make_blobs(64, seed=23).x))
         assert not logits.requires_grad and logits._parents == ()
-        assert not info.decision.gates.requires_grad
+        assert not decision.gates.requires_grad
         assert nodes == []
 
     def test_predictions_do_not_depend_on_batch_size(self, full_scale_model):
