@@ -392,17 +392,20 @@ def cmd_gating_report(config: RunConfig) -> int:
 # -- entry point ----------------------------------------------------------
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value config file; flags override it")
+def _common_flags() -> argparse.ArgumentParser:
+    """``--config`` plus one flag per option, as a parent every subcommand shares."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key = value config file; flags override it")
     for option in OPTIONS.values():
         help_text = option.help
         if option.train_field:
             help_text = (f"TrainConfig.{option.train_field} "
                          f"(default {getattr(TrainConfig, option.train_field)})")
-        sub.add_argument("--" + option.name.replace("_", "-"), dest=option.name,
-                         type=option.kind, choices=option.choices,
-                         nargs="?" if option.bare else None, const=option.bare,
-                         help=help_text)
+        common.add_argument("--" + option.name.replace("_", "-"), dest=option.name,
+                            type=option.kind, choices=option.choices,
+                            nargs="?" if option.bare else None, const=option.bare,
+                            help=help_text)
+    return common
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -412,6 +415,7 @@ def make_parser() -> argparse.ArgumentParser:
                     "mixture-of-experts classifier.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    common = _common_flags()
     for name, func, blurb in (
         ("preprocess", cmd_preprocess, "encode a flow CSV into a dataset cache"),
         ("train", cmd_train, "train a model (optionally an ablation variant or grid)"),
@@ -419,9 +423,7 @@ def make_parser() -> argparse.ArgumentParser:
         ("ablate", cmd_ablate, "run the ablation variants and/or expert grid"),
         ("gating-report", cmd_gating_report, "per-expert utilization of a checkpoint"),
     ):
-        sub = commands.add_parser(name, help=blurb)
-        _add_common_flags(sub)
-        sub.set_defaults(func=func)
+        commands.add_parser(name, help=blurb, parents=[common]).set_defaults(func=func)
     return parser
 
 

@@ -28,6 +28,7 @@ from .tensor import (
     Tensor,
     coefficient_of_variation_sq,
     matmul,
+    ndtr_and_gaussian,
     softmax,
     softplus,
     standard_normal_sample,
@@ -329,9 +330,6 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
     / std; each threshold score gets minus the clean term, summed over the
     experts that compared against it.
     """
-    # Imported here: training and the gating report reach this, preprocess and
-    # evaluate never do, so they never load scipy.
-    from scipy.special import ndtr
     if decision.noise_std is None:
         raise ConfigError("load probability requires the noise path (noise_std)")
     noisy = decision.noisy_logits
@@ -355,14 +353,19 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
     threshold_cols = np.where(in_top_k, k1th_col, kth_col)
     clean, std = decision.clean_logits, decision.noise_std
     z = (clean.data - noisy.data[rows, threshold_cols]) / std.data
+    p, gauss = ndtr_and_gaussian(z)
     def _backward(grad):
-        d_clean = _INV_SQRT_2PI * np.exp(-0.5 * z * z) * grad / std.data
+        # phi(z) from the forward's exp(-z^2 / 2), in its buffer: this runs once
+        d_clean = np.multiply(gauss, _INV_SQRT_2PI, out=gauss)
+        d_clean *= grad
+        d_clean /= std.data
         clean.accumulate_grad(d_clean)
-        std.accumulate_grad(-d_clean * z)
+        neg = -d_clean
+        std.accumulate_grad(neg * z)
         flat = (rows * n + threshold_cols).ravel()
-        noisy.accumulate_grad(np.bincount(flat, weights=-d_clean.ravel(),
+        noisy.accumulate_grad(np.bincount(flat, weights=neg.ravel(),
                                           minlength=noisy.data.size).reshape(batch, n))
-    return Tensor.result_of(ndtr(z), (clean, noisy, std), "load_probability") \
+    return Tensor.result_of(p, (clean, noisy, std), "load_probability") \
         .with_backward(_backward)
 
 

@@ -292,16 +292,138 @@ def softplus(t: Tensor) -> Tensor:
     Computed as max(x, 0) + log1p(exp(-|x|)) with numpy's vectorised exp
     and log1p, within two ulps of ``np.logaddexp(0, x)`` (which calls scalar
     libm per element and is several times slower) and exact on 0, +-inf and
-    NaN.
+    NaN.  The backward's sigmoid reuses the forward's exp(-|x|).
     """
     t = _as_tensor(t)
+    decay = np.exp(-np.abs(t.data))
     def _backward(grad):
-        # Imported here: only training runs a backward, so inference never loads scipy.
-        from scipy.special import expit
-        t.accumulate_grad(grad * expit(t.data))
-    data = np.log1p(np.exp(-np.abs(t.data)))
+        # sigmoid(x) without overflow: 1 / (1 + decay) for x >= 0 and
+        # decay / (1 + decay) below; exact on 0, +-inf and NaN
+        sig = np.maximum(decay, t.data >= 0.0)
+        sig /= 1.0 + decay
+        t.accumulate_grad(grad * sig)
+    data = np.log1p(decay)
     data += np.maximum(t.data, 0.0)
     return Tensor.result_of(data, (t,), "softplus").with_backward(_backward)
+
+
+# The rational approximations of Cephes' erf and erfc (S. L. Moshier,
+# ndtr.c), verbatim: T/U for erf on |x| < 1, P/Q for erfc on 1 <= |x| < 8,
+# R/S beyond.  Highest power first; U, Q and S have a leading 1 not listed.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+# erfc(x) is 0 once x^2 exceeds the log of the largest double.
+_MAXLOG = 7.09782712893383996843E2
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x: np.ndarray, coef: tuple, monic: bool = False, out=None) -> np.ndarray:
+    """Horner's rule over ``coef``, highest power first, in place on ``out``
+    (a new array if None); ``monic`` puts an implicit leading 1 before
+    ``coef``."""
+    if monic:
+        out = np.add(x, coef[0], out=out)
+        for c in coef[1:]:
+            out *= x
+            out += c
+    else:
+        out = np.multiply(x, coef[0], out=out)
+        for c in coef[1:-1]:
+            out += c
+            out *= x
+        out += coef[-1]
+    return out
+
+
+def _erf_ratio(x: np.ndarray) -> np.ndarray:
+    """erf(x) for |x| < 1: x T(x^2) / U(x^2).  Overwrites ``x``."""
+    z = np.square(x)
+    out = _polevl(z, _ERF_T)
+    out *= x
+    out /= _polevl(z, _ERF_U, monic=True, out=x)
+    return out
+
+
+def _gather_abs(flat: np.ndarray, mask: np.ndarray):
+    """The flat indices of ``mask``, |x| there (a new array) and x > 0."""
+    index = np.flatnonzero(mask)
+    w = flat[index]
+    positive = w > 0.0
+    return index, np.abs(w, out=w), positive
+
+
+def _put_reflected(flat, index, erfc, positive) -> None:
+    """Write the CDF from erfc(|x|) at ``index``: 1 - erfc/2 where x > 0 and
+    erfc/2 below, as |(x > 0) - erfc/2|.  Overwrites ``erfc``."""
+    erfc *= 0.5
+    np.subtract(positive, erfc, out=erfc)
+    flat[index] = np.abs(erfc, out=erfc)
+
+
+def ndtr_and_gaussian(a) -> tuple[np.ndarray, np.ndarray]:
+    """The standard normal CDF of ``a`` and the Gaussian factor exp(-a^2 / 2).
+
+    A numpy port of Cephes' ``ndtr``: with x = a / sqrt(2), the CDF is
+    (1 + erf(x)) / 2 for |x| < 1/sqrt(2) and erfc(|x|) / 2, reflected for
+    x > 0, beyond.  erfc is 1 - erf below 1, exp(-x^2) times a rational
+    function above, and exactly 0 once x^2 > MAXLOG, so +-inf give 1 and 0;
+    NaN stays NaN.  Within a few ulps of Cephes' own C routine.  The factor
+    exp(-x^2) is the one erfc uses, so phi(a) = factor / sqrt(2 pi) costs
+    nothing more.
+
+    Each region is gathered, evaluated in place and scattered back into the
+    output, which holds x until then.  No other full-size float array is
+    made: in a training step, fresh pages cost more than the arithmetic.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    y = np.multiply(a, _SQRT1_2, out=np.empty_like(a))
+    gauss = np.abs(y, out=np.empty_like(a))
+    beyond = gauss >= _SQRT1_2
+    outer = gauss >= 1.0
+    far = gauss >= 8.0
+    with np.errstate(over="ignore"):
+        np.square(y, out=gauss)
+    under = gauss > _MAXLOG
+    np.negative(gauss, out=gauss)
+    np.exp(gauss, out=gauss)
+    flat, flat_gauss = y.reshape(-1), gauss.reshape(-1)
+    # 1/2 + erf(x)/2; NaN fails every comparison, lands here and stays NaN
+    index = np.flatnonzero(~beyond)
+    erf = _erf_ratio(flat[index])
+    erf *= 0.5
+    erf += 0.5
+    flat[index] = erf
+    index, w, positive = _gather_abs(flat, beyond & ~outer)
+    erfc = _erf_ratio(w)
+    np.subtract(1.0, erfc, out=erfc)
+    _put_reflected(flat, index, erfc, positive)
+    for mask, p, q in ((outer & ~far, _ERFC_P, _ERFC_Q), (far & ~under, _ERFC_R, _ERFC_S)):
+        index, w, positive = _gather_abs(flat, mask)
+        erfc = _polevl(w, p)
+        g = flat_gauss[index]
+        erfc *= g
+        erfc /= _polevl(w, q, monic=True, out=g)
+        _put_reflected(flat, index, erfc, positive)
+    index = np.flatnonzero(under)
+    flat[index] = flat[index] > 0.0
+    return y, gauss
+
+
+def ndtr(a) -> np.ndarray:
+    """The standard normal CDF of ``a``; see :func:`ndtr_and_gaussian`."""
+    return ndtr_and_gaussian(a)[0]
 
 
 # -- linear algebra ----------------------------------------------------------

@@ -297,7 +297,7 @@ class TestAblateCommand:
             assert report["confusion"] is not None
 
 
-# Runs in a fresh interpreter: this test module imports scipy itself.
+# Runs in a fresh interpreter: other test modules import scipy as an oracle.
 FOOTPRINT_SCRIPT = """
 import json, sys
 import flowmoe
@@ -311,13 +311,15 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def test_only_training_paths_load_scipy(tmp_path, big_csv):
+def test_no_path_loads_scipy(tmp_path, big_csv):
     runs = tmp_path / "runs"
     assert main(["train", "--dataset", str(big_csv), "--out", str(runs), *TINY_TRAIN]) == 0
     ckpt = str(run_dirs(runs)[0] / "model.ckpt")
     commands = [
         ("preprocess", ["preprocess", "--dataset", str(big_csv),
                         "--out", str(tmp_path / "pre")]),
+        ("train", ["train", "--dataset", str(big_csv), "--out", str(tmp_path / "train"),
+                   *TINY_TRAIN]),
         ("evaluate", ["evaluate", "--checkpoint", ckpt, "--dataset", str(big_csv),
                       "--out", str(tmp_path / "eval")]),
         ("gating-report", ["gating-report", "--checkpoint", ckpt, "--dataset", str(big_csv),
@@ -328,6 +330,6 @@ def test_only_training_paths_load_scipy(tmp_path, big_csv):
                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                             text=True, timeout=120, check=True)
     report = json.loads(result.stdout.splitlines()[-1])
-    assert report["codes"] == {"preprocess": 0, "evaluate": 0, "gating-report": 0}
-    assert report["loaded"] == {"import": False, "preprocess": False, "evaluate": False,
-                                "gating-report": True}
+    assert report["codes"] == {"preprocess": 0, "train": 0, "evaluate": 0, "gating-report": 0}
+    assert report["loaded"] == {"import": False, "preprocess": False, "train": False,
+                                "evaluate": False, "gating-report": False}

@@ -1,6 +1,8 @@
 """The CLI's option table: every option means the same set by flag or by
 config-file key, and the echoed effective configuration keeps its text."""
 
+import re
+
 import pytest
 
 from flowmoe import cli
@@ -43,6 +45,17 @@ def config_of(argv):
 
 def test_every_option_has_a_sample():
     assert SAMPLES.keys() == cli.OPTIONS.keys()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "ablate",
+                                     "gating-report"])
+def test_every_subcommand_lists_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        make_parser().parse_args([command, "--help"])
+    assert stop.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config"} | {"--" + name.replace("_", "-")
+                                               for name in cli.OPTIONS}
 
 
 def test_default_training_options_are_train_configs():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from flowmoe.errors import ConfigError
 from flowmoe.layers import Dense
@@ -23,7 +22,7 @@ from flowmoe.moe import (
     top_k_mask,
     top_k_selection,
 )
-from flowmoe.tensor import RngState, Tensor, matmul, no_grad, softmax
+from flowmoe.tensor import RngState, Tensor, matmul, ndtr, no_grad, softmax
 
 from conftest import spaced_logits
 from fd import check_gradients

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from flowmoe.errors import DegenerateInputError, DimensionError, GraphReleasedError
 from flowmoe.layers import batch_norm, conv1d, conv_cell, cross_entropy, maxpool1d, relu
@@ -16,6 +17,8 @@ from flowmoe.tensor import (
     coefficient_of_variation_sq,
     is_grad_enabled,
     matmul,
+    ndtr,
+    ndtr_and_gaussian,
     no_grad,
     softmax,
     softplus,
@@ -202,6 +205,71 @@ class TestSoftplus:
             return softplus(t).sum(), [t]
 
         check_gradients(build, [x])
+
+    @staticmethod
+    def sigmoid(x):
+        """softplus's gradient under a unit upstream gradient."""
+        t = Tensor(x, requires_grad=True)
+        softplus(t).sum().backward()
+        return t.grad
+
+    def test_sigmoid_within_ulps_of_expit(self, rng):
+        x = np.concatenate([rng.normal((8192,)) * scale for scale in (1.0, 5.0, 30.0, 300.0)])
+        x = x[np.abs(x) < 700.0]  # expit flushes e^x to 0 near the subnormals
+        got, expected = self.sigmoid(x), special.expit(x)
+        ulps = np.abs(got - expected) / np.spacing(expected)
+        # both compute 1 / (1 + e^-x) above zero; below it expit keeps that
+        # form while softplus takes e^x / (1 + e^x) from its forward's e^-|x|,
+        # and two forms each within 2.5 ulps of exact can differ by 4
+        assert ulps[x >= 0.0].max() <= 2.0
+        assert ulps.max() <= 4.0
+
+    def test_sigmoid_exact_on_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 750.0, -750.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = self.sigmoid(x)
+        np.testing.assert_array_equal(got, [0.5, 0.5, 1.0, 0.0, np.nan, 1.0, 0.0])
+        np.testing.assert_array_equal(got, special.expit(x))
+
+
+class TestNdtr:
+    # One bound per Cephes branch, in x = z / sqrt(2): |x| < 1/sqrt(2) takes
+    # erf's T/U, below 1 erfc = 1 - erf, below 8 exp(-x^2) P/Q, beyond R/S
+    # down to the underflow at z ~ -37.7.
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, math.sqrt(2.0)),
+                                        (math.sqrt(2.0), 8.0 * math.sqrt(2.0)),
+                                        (8.0 * math.sqrt(2.0), 37.7)],
+                             ids=["erf", "one-minus-erf", "erfc-pq", "erfc-rs"])
+    def test_within_four_ulps_of_scipy(self, rng, lo, hi):
+        z = rng.uniform(lo, hi, (200_000,))
+        z = np.concatenate([z, -z])
+        expected = special.ndtr(z)
+        assert np.all(np.abs(ndtr(z) - expected) <= 4 * np.spacing(expected))
+
+    def test_exact_on_special_values(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300])
+        with np.errstate(all="raise"):
+            got = ndtr(z)
+        np.testing.assert_array_equal(got, [0.5, 0.5, 1.0, 0.0, np.nan, 1.0, 0.0])
+        np.testing.assert_array_equal(got, special.ndtr(z))
+
+    def test_exactly_zero_below_underflow(self):
+        # erfc is 0 once (z / sqrt 2)^2 > MAXLOG = 709.78..., at z ~ -37.677
+        z = np.array([-37.68, -37.7, -38.0, -40.0, -1e5, -1e154])
+        np.testing.assert_array_equal(ndtr(z), 0.0)
+        assert 0.0 < ndtr(-37.67) == special.ndtr(-37.67)
+
+    def test_keeps_shape(self):
+        assert ndtr(0.25).shape == ()
+        assert ndtr(0.25) == special.ndtr(0.25)
+        assert ndtr(np.zeros((0, 3))).shape == (0, 3)
+        assert ndtr(np.zeros((2, 3, 4))).shape == (2, 3, 4)
+
+    def test_gaussian_factor(self, rng):
+        z = np.concatenate([rng.normal((4096,)) * 3.0, [0.0, np.inf, -np.inf, -40.0]])
+        p, gauss = ndtr_and_gaussian(z)
+        np.testing.assert_array_equal(p, ndtr(z))
+        np.testing.assert_allclose(gauss, np.exp(-0.5 * z * z), rtol=1e-13, atol=0.0)
 
 
 class TestCoefficientOfVariationSq:
