@@ -30,8 +30,7 @@ from .tensor import (
     matmul,
     ndtr_and_gaussian,
     softmax,
-    softplus,
-    standard_normal_sample,
+    softplus_and_sigmoid,
 )
 from .layers import Module
 
@@ -141,14 +140,6 @@ def top_k_selection(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     return keep, np.take_along_axis(cols, ranked, axis=1)
 
 
-def _masked(values: Tensor, keep: np.ndarray) -> Tensor:
-    """values where ``keep``, -inf elsewhere; gradients pass where kept."""
-    def _backward(grad):
-        values.accumulate_grad(grad * keep)
-    return Tensor.result_of(np.where(keep, values.data, -np.inf), (values,), "top_k_mask") \
-        .with_backward(_backward)
-
-
 def top_k_mask(values: Tensor, k: int) -> Tensor:
     """Keep the k largest entries per row, set the rest to -inf.
 
@@ -160,13 +151,37 @@ def top_k_mask(values: Tensor, k: int) -> Tensor:
     n = values.data.shape[1]
     if not (1 <= k <= n):
         raise DimensionError(f"k must satisfy 1 <= k <= n={n}, got {k}")
-    return _masked(values, top_k_selection(values.data, k)[0])
+    keep = top_k_selection(values.data, k)[0]
+    def _backward(grad):
+        values.accumulate_grad(grad * keep)
+    return Tensor.result_of(np.where(keep, values.data, -np.inf), (values,), "top_k_mask") \
+        .with_backward(_backward)
 
 
 def noise_scale(router: Router, x: Tensor) -> Tensor:
     """Learned, input-dependent noise standard deviation per (sample, expert):
-    softplus(x @ w_noise) plus :data:`NOISE_STD_FLOOR`."""
-    return softplus(matmul(x, router.w_noise)) + NOISE_STD_FLOOR
+    softplus(x @ w_noise) plus :data:`NOISE_STD_FLOOR`.
+
+    One ``noise_scale`` node over x and ``w_noise``, which keeps the sigmoid
+    of ``x @ w_noise`` (softplus's derivative) and no pre-activation.
+    """
+    w_noise = router.w_noise
+    std, sig = softplus_and_sigmoid(x.data @ w_noise.data)
+    std += NOISE_STD_FLOOR
+    def _backward(grad):
+        d_pre = grad * sig
+        x.accumulate_grad(d_pre @ w_noise.data.T)
+        w_noise.accumulate_grad(x.data.T @ d_pre)
+    return Tensor.result_of(std, (x, w_noise), "noise_scale").with_backward(_backward)
+
+
+def _noisy_scores(clean: Tensor, std: Tensor, eps: np.ndarray) -> Tensor:
+    """clean + eps * std."""
+    def _backward(grad):
+        clean.accumulate_grad(grad)
+        std.accumulate_grad(grad * eps)
+    return Tensor.result_of(clean.data + eps * std.data, (clean, std), "noisy_scores") \
+        .with_backward(_backward)
 
 
 def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
@@ -177,14 +192,15 @@ def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
     perturbed by a Gaussian whose standard deviation is :func:`noise_scale`
     (learned, input-dependent).  The perturbed scores are top-k masked and
     softmaxed.  With noise off this is a pure function of (router, x).
+    The noisy scores are one node that keeps the noise draw, and the softmax
+    applies the top-k mask itself, keeping no masked copy of the scores.
     """
     clean = matmul(x, router.w_gate)
     if noise_enabled:
         if rng is None:
             raise ConfigError("noisy gating needs an RngState when noise is enabled")
         std = noise_scale(router, x)
-        eps = standard_normal_sample(rng, clean.data.shape)
-        noisy = clean + eps * std
+        noisy = _noisy_scores(clean, std, rng.normal(clean.data.shape))
     else:
         std = None
         noisy = clean
@@ -193,7 +209,7 @@ def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
         clean_logits=clean,
         noise_std=std,
         noisy_logits=noisy,
-        gates=softmax(_masked(noisy, keep), axis=1),
+        gates=softmax(noisy, axis=1, keep=keep),
         selected_indices=order,
         top_k=k,
     )
@@ -216,10 +232,11 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
 
     With fewer than :data:`DENSE_ROWS_PER_EXPERT` routed rows per expert
     (batch * top_k / n_experts), every expert runs on every row as three
-    products over the stacked bank, and the gates select which outputs are
-    summed: an unrouted expert's output is replaced by zero, not multiplied
-    by it, so a NaN there cannot leak.  Otherwise each expert sees just the
-    rows that routed to it (nonzero gate), in a loop over the experts.  The
+    products over the stacked bank, an unrouted expert's output is replaced
+    by zero, not multiplied by it, so a NaN there cannot leak, and one
+    contraction with the gates sums the outputs.  Otherwise each expert sees
+    just the rows that routed to it (nonzero gate), in a loop over the
+    experts.  The
     two agree to float precision; the choice never looks at grad mode, so a
     ``no_grad`` forward is bit-equal to a tracked one.
 
@@ -227,12 +244,13 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
     stacked parameters.  The backward runs per routed expert on its rows, and
     marks the experts that received rows in each parameter's ``grad_rows``,
     so an expert that receives none is left alone by the optimizer, as if it
-    were not in the layer.  The node keeps each routed expert's rows, hidden
-    activations and outputs, but no copy of its input rows: the backward
-    gathers them from ``x`` again.  An output outside the graph (under
-    ``no_grad``, or with no input requiring grad) keeps nothing for a
-    backward, and its dense evaluation does no per-expert routing
-    bookkeeping at all.
+    were not in the layer.  The node keeps each routed expert's rows and
+    hidden activations, but no outputs and no copy of its input rows: the
+    backward gathers the rows from ``x`` again, and rebuilds each gate's
+    gradient g . y as (g @ w2) . hidden + g @ b2, reusing g @ w2 for the
+    hidden gradient.  An output outside the graph (under ``no_grad``, or
+    with no input requiring grad) keeps nothing for a backward, and its
+    dense evaluation does no per-expert routing bookkeeping at all.
     """
     gates = decision.gates
     weights = gates.data
@@ -240,7 +258,7 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
     parents = (x, gates, w1, b1, w2, b2)
     track = Tensor.joins_graph(parents)
     batch, n_experts = weights.shape
-    routed = []  # per routed expert: (i, rows, hidden, y), what its backward reads
+    routed = []  # per routed expert: (i, rows, hidden), what its backward reads
     if batch * decision.top_k < DENSE_ROWS_PER_EXPERT * n_experts:
         # (E, H, batch) hidden and (E, C, batch) outputs, contiguous per expert
         hidden = (w1.data.reshape(-1, w1.data.shape[2]) @ x.data.T).reshape(
@@ -249,12 +267,11 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
         np.maximum(hidden, 0.0, out=hidden)
         y = w2.data @ hidden
         y += b2.data[:, :, None]
-        weighted = y * weights.T[:, None, :]
-        np.copyto(weighted, 0.0, where=(weights.T == 0)[:, None, :])
-        mixed = np.ascontiguousarray(weighted.sum(axis=0).T)
+        np.copyto(y, 0.0, where=(weights.T == 0)[:, None, :])
+        mixed = np.einsum("ecb,be->bc", y, weights)
         if track:
             active, routes = _routes(weights)
-            routed = [(i, rows, hidden[i][:, rows].T, y[i][:, rows].T) for i, rows in routes]
+            routed = [(i, rows, hidden[i][:, rows].T) for i, rows in routes]
     else:
         active, routes = _routes(weights)
         mixed = np.zeros((batch, w2.data.shape[1]))
@@ -266,19 +283,22 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
             y += b2.data[i]
             mixed[rows] += weights[rows, i, None] * y
             if track:
-                routed.append((i, rows, hidden, y))
+                routed.append((i, rows, hidden))
     def _backward(grad):
         dx = np.zeros_like(x.data)
         dgates = np.zeros_like(weights)
         dw1, db1 = np.zeros_like(w1.data), np.zeros_like(b1.data)
         dw2, db2 = np.zeros_like(w2.data), np.zeros_like(b2.data)
-        for i, rows, hidden, y in routed:
+        for i, rows, hidden in routed:
             g_rows = grad[rows]
-            dgates[rows, i] = (g_rows * y).sum(axis=1)
-            dy = weights[rows, i, None] * g_rows
+            g_w2 = g_rows @ w2.data[i]
+            dgates[rows, i] = (g_w2 * hidden).sum(axis=1) + g_rows @ b2.data[i]
+            gate = weights[rows, i, None]
+            dy = gate * g_rows
             db2[i] = dy.sum(axis=0)
             dw2[i] = dy.T @ hidden
-            dh = (dy @ w2.data[i]) * (hidden > 0.0)
+            dh = np.multiply(g_w2, gate, out=g_w2)
+            dh *= hidden > 0.0
             db1[i] = dh.sum(axis=0)
             dw1[i] = dh.T @ x.data[rows]
             dx[rows] += dh @ w1.data[i]
@@ -328,7 +348,8 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
     and the noise scale.  With z = margin / std, the backward gives the
     clean scores phi(z) * grad / std and the noise scale -phi(z) * grad * z
     / std; each threshold score gets minus the clean term, summed over the
-    experts that compared against it.
+    experts that compared against it; it rebuilds their columns from the
+    top-k mask and the k-th and (k+1)-th columns, not from a kept table.
     """
     if decision.noise_std is None:
         raise ConfigError("load probability requires the noise path (noise_std)")
@@ -350,9 +371,8 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
     # expert's own score.
     kth_col = selected[:, k - 1:]
     k1th_col = _next_ranked(noisy.data, in_top_k, k)[:, None]
-    threshold_cols = np.where(in_top_k, k1th_col, kth_col)
     clean, std = decision.clean_logits, decision.noise_std
-    z = (clean.data - noisy.data[rows, threshold_cols]) / std.data
+    z = (clean.data - noisy.data[rows, np.where(in_top_k, k1th_col, kth_col)]) / std.data
     p, gauss = ndtr_and_gaussian(z)
     def _backward(grad):
         # phi(z) from the forward's exp(-z^2 / 2), in its buffer: this runs once
@@ -362,7 +382,7 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
         clean.accumulate_grad(d_clean)
         neg = -d_clean
         std.accumulate_grad(neg * z)
-        flat = (rows * n + threshold_cols).ravel()
+        flat = (rows * n + np.where(in_top_k, k1th_col, kth_col)).ravel()
         noisy.accumulate_grad(np.bincount(flat, weights=neg.ravel(),
                                           minlength=noisy.data.size).reshape(batch, n))
     return Tensor.result_of(p, (clean, noisy, std), "load_probability") \

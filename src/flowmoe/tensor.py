@@ -286,24 +286,31 @@ class Tensor:
 # -- elementwise functions ---------------------------------------------------
 
 
-def softplus(t: Tensor) -> Tensor:
-    """Overflow-safe ln(1 + e^x); strictly positive for finite input.
+def softplus_and_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overflow-safe ln(1 + e^x) and its derivative, the sigmoid of x.
 
     Computed as max(x, 0) + log1p(exp(-|x|)) with numpy's vectorised exp
     and log1p, within two ulps of ``np.logaddexp(0, x)`` (which calls scalar
     libm per element and is several times slower) and exact on 0, +-inf and
-    NaN.  The backward's sigmoid reuses the forward's exp(-|x|).
+    NaN.  The sigmoid reuses exp(-|x|) without overflow: 1 / (1 + e^-|x|)
+    for x >= 0 and e^-|x| / (1 + e^-|x|) below; exact on 0, +-inf and NaN.
     """
-    t = _as_tensor(t)
-    decay = np.exp(-np.abs(t.data))
-    def _backward(grad):
-        # sigmoid(x) without overflow: 1 / (1 + decay) for x >= 0 and
-        # decay / (1 + decay) below; exact on 0, +-inf and NaN
-        sig = np.maximum(decay, t.data >= 0.0)
-        sig /= 1.0 + decay
-        t.accumulate_grad(grad * sig)
+    decay = np.exp(-np.abs(x))
+    sig = np.maximum(decay, x >= 0.0)
+    sig /= 1.0 + decay
     data = np.log1p(decay)
-    data += np.maximum(t.data, 0.0)
+    data += np.maximum(x, 0.0)
+    return data, sig
+
+
+def softplus(t: Tensor) -> Tensor:
+    """ln(1 + e^x), strictly positive for finite input; see
+    :func:`softplus_and_sigmoid`.  The node keeps the sigmoid for its
+    backward."""
+    t = _as_tensor(t)
+    data, sig = softplus_and_sigmoid(t.data)
+    def _backward(grad):
+        t.accumulate_grad(grad * sig)
     return Tensor.result_of(data, (t,), "softplus").with_backward(_backward)
 
 
@@ -442,24 +449,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor.result_of(a.data @ b.data, (a, b), "matmul").with_backward(_backward)
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
+def softmax(t: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor:
     """Probability-normalized exponentials along `axis`.
 
     Inputs may contain -inf sentinels (masked entries): those map to exactly
-    0 in the output.  A slice that is entirely -inf has no finite mass to
-    normalize and raises :class:`DegenerateInputError`.  Stabilized by
-    max-subtraction, so any finite logits are safe.
+    0 in the output, and so do the entries outside ``keep``, a bool mask of
+    the input's shape, which get no gradient.  A slice that is entirely -inf
+    has no finite mass to normalize and raises :class:`DegenerateInputError`.
+    Stabilized by max-subtraction, so any finite logits are safe.
     """
     t = _as_tensor(t)
-    peak = np.max(t.data, axis=axis, keepdims=True)
+    masked = t.data if keep is None else np.where(keep, t.data, -np.inf)
+    peak = np.max(masked, axis=axis, keepdims=True)
     if np.any(np.isneginf(peak)):
         raise DegenerateInputError("softmax input is -inf along the whole axis")
-    probs = t.data - peak
+    probs = np.subtract(masked, peak, out=None if keep is None else masked)
     np.exp(probs, out=probs)  # exp(-inf) == 0 exactly
     probs /= probs.sum(axis=axis, keepdims=True)
     def _backward(grad):
         inner = (grad * probs).sum(axis=axis, keepdims=True)
-        t.accumulate_grad(probs * (grad - inner))
+        d_t = probs * (grad - inner)
+        t.accumulate_grad(d_t if keep is None else d_t * keep)
     return Tensor.result_of(probs, (t,), "softmax").with_backward(_backward)
 
 

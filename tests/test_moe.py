@@ -18,11 +18,21 @@ from flowmoe.moe import (
     load_loss,
     load_probability,
     moe_forward,
+    noise_scale,
     noisy_gate,
     top_k_mask,
     top_k_selection,
 )
-from flowmoe.tensor import RngState, Tensor, matmul, ndtr, no_grad, softmax
+from flowmoe.tensor import (
+    RngState,
+    Tensor,
+    matmul,
+    ndtr,
+    no_grad,
+    softmax,
+    softplus,
+    standard_normal_sample,
+)
 
 from conftest import spaced_logits
 from fd import check_gradients
@@ -262,6 +272,83 @@ class TestNoisyGate:
         check_gradients(build, [x, w_g])
 
 
+def unfused_gate(router: Router, x: Tensor, k: int, rng: RngState) -> GateDecision:
+    """The gate as separate matmul, softplus, add, mul, top-k mask and
+    softmax nodes: the chain :func:`noisy_gate` fuses."""
+    clean = matmul(x, router.w_gate)
+    std = softplus(matmul(x, router.w_noise)) + NOISE_STD_FLOOR
+    noisy = clean + standard_normal_sample(rng, clean.data.shape) * std
+    return GateDecision(clean_logits=clean, noise_std=std, noisy_logits=noisy,
+                        gates=softmax(top_k_mask(noisy, k), axis=1),
+                        selected_indices=top_k_selection(noisy.data, k)[1], top_k=k)
+
+
+class TestFusedGate:
+    @staticmethod
+    def gate_case(rng, batch=64, dim=32, n=16):
+        router = Router(tiny_config(n_experts=n), dim)
+        router.w_gate.data = rng.normal((dim, n))
+        router.w_noise.data = 0.3 * rng.normal((dim, n))
+        return router, rng.normal((batch, dim)), rng.normal((batch, n))
+
+    def test_four_nodes(self, rng):
+        router, x, _ = self.gate_case(rng)
+        tx = Tensor(x, requires_grad=True)
+        decision = noisy_gate(router, tx, 4, True, RngState(5))
+        std, noisy, gates = decision.noise_std, decision.noisy_logits, decision.gates
+        assert std._op == "noise_scale" and std._parents == (tx, router.w_noise)
+        assert noisy._op == "noisy_scores"
+        assert noisy._parents == (decision.clean_logits, std)
+        assert gates._op == "softmax" and gates._parents == (noisy,)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_matches_the_unfused_chain(self, rng, k):
+        # forward bit-equal on the same noise draw, gradients within 1e-12
+        router, x, probe = self.gate_case(rng)
+        runs = []
+        for fused in (True, False):
+            for p in (router.w_gate, router.w_noise):
+                p.zero_grad()
+            tx = Tensor(x, requires_grad=True)
+            decision = noisy_gate(router, tx, k, True, RngState(9)) if fused \
+                else unfused_gate(router, tx, k, RngState(9))
+            loss = (decision.gates * Tensor(probe)).sum()
+            if k < 16:
+                loss = loss + load_loss(load_probability(decision, k))
+            loss.backward()
+            runs.append((decision, [tx.grad, router.w_gate.grad, router.w_noise.grad]))
+        (fused, fused_grads), (chain, chain_grads) = runs
+        for name in ("clean_logits", "noise_std", "noisy_logits", "gates"):
+            np.testing.assert_array_equal(getattr(fused, name).data,
+                                          getattr(chain, name).data, err_msg=name)
+        np.testing.assert_array_equal(fused.selected_indices, chain.selected_indices)
+        for got, expected in zip(fused_grads, chain_grads):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_noise_scale_gradient(self, rng):
+        router, x, probe = self.gate_case(rng, batch=3, dim=5, n=4)
+
+        def build():
+            router.w_noise.zero_grad()
+            tx = Tensor(x, requires_grad=True)
+            return (noise_scale(router, tx) * Tensor(probe)).sum(), [tx, router.w_noise]
+
+        check_gradients(build, [x, router.w_noise.data])
+
+    def test_noisy_scores_and_gates_gradient(self, rng):
+        router, x, probe = self.gate_case(rng, batch=3, dim=5, n=4)
+
+        def build():
+            for p in (router.w_gate, router.w_noise):
+                p.zero_grad()
+            tx = Tensor(x, requires_grad=True)
+            decision = noisy_gate(router, tx, 2, True, RngState(7))
+            loss = ((decision.noisy_logits + decision.gates) * Tensor(probe)).sum()
+            return loss, [tx, router.w_gate, router.w_noise]
+
+        check_gradients(build, [x, router.w_gate.data, router.w_noise.data])
+
+
 class TestMoEForward:
     def test_single_expert_identity(self, rng):
         config = tiny_config(n_experts=1, top_k=1)
@@ -382,6 +469,23 @@ class TestMoEForward:
             runs.append([loss.data] + [p.grad for p in params])
         for routed, dense in zip(*runs):
             np.testing.assert_allclose(dense, routed, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows_per_expert", [0, np.inf])  # the loop, then dense
+    def test_gate_gradient_is_grad_dot_expert_output(self, rng, monkeypatch,
+                                                     rows_per_expert):
+        monkeypatch.setattr(moe, "DENSE_ROWS_PER_EXPERT", rows_per_expert)
+        bank = MoEHead(tiny_config(), 6, rng).experts
+        x = rng.normal((5, 6))
+        no_noise = np.zeros((5, 4))
+        decision = make_decision(spaced_logits(rng, (5, 4)), no_noise, no_noise, 2)
+        gates = decision.gates = Tensor(decision.gates.data, requires_grad=True)
+        probe = rng.normal((5, 5))
+        (moe_forward(bank, decision, Tensor(x)) * Tensor(probe)).sum().backward()
+        expected = np.zeros((5, 4))
+        for i in range(4):
+            rows = gates.data[:, i] != 0
+            expected[rows, i] = (probe[rows] * numpy_expert_forward(bank, i, x[rows])).sum(axis=1)
+        np.testing.assert_allclose(gates.grad, expected, rtol=1e-12, atol=1e-12)
 
     def test_dense_branch_skips_unrouted_nan_at_full_scale(self, rng):
         config = TrainConfig()

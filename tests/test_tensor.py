@@ -9,7 +9,14 @@ from scipy import special
 from flowmoe.errors import DegenerateInputError, DimensionError, GraphReleasedError
 from flowmoe.layers import batch_norm, conv1d, conv_cell, cross_entropy, maxpool1d, relu
 from flowmoe.model import TrainConfig
-from flowmoe.moe import ExpertBank, GateDecision, load_probability, moe_forward, top_k_mask
+from flowmoe.moe import (
+    ExpertBank,
+    GateDecision,
+    load_probability,
+    moe_forward,
+    top_k_mask,
+    top_k_selection,
+)
 from flowmoe.tensor import (
     CV_EPSILON,
     RngState,
@@ -166,6 +173,37 @@ class TestSoftmax:
         def build():
             t = Tensor(x, requires_grad=True)
             return (softmax(t, axis=1) * Tensor(w)).sum(), [t]
+
+        check_gradients(build, [x])
+
+    def test_keep_matches_softmax_of_masked_copy(self, rng):
+        x = rng.normal((4, 6))
+        keep = top_k_selection(x, 3)[0]
+        probe = rng.normal((4, 6))
+        t, copied = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        out = softmax(t, axis=1, keep=keep)
+        expected = softmax(top_k_mask(copied, 3), axis=1)
+        np.testing.assert_array_equal(out.data, expected.data)
+        assert out._parents == (t,)
+        (out * Tensor(probe)).sum().backward()
+        (expected * Tensor(probe)).sum().backward()
+        np.testing.assert_array_equal(t.grad, copied.grad)
+        assert not t.grad[~keep].any()
+
+    def test_keep_all_masked_raises(self):
+        with pytest.raises(DegenerateInputError):
+            softmax(Tensor([[1.0, 2.0]]), axis=1, keep=np.array([[False, False]]))
+
+    def test_gradient_with_keep(self, rng):
+        x = spaced_logits(rng, (3, 5))
+        keep = np.array([[True, False, True, True, False],
+                         [False, True, False, False, False],
+                         [True, True, True, True, True]])
+        w = rng.normal((3, 5))
+
+        def build():
+            t = Tensor(x, requires_grad=True)
+            return (softmax(t, axis=1, keep=keep) * Tensor(w)).sum(), [t]
 
         check_gradients(build, [x])
 

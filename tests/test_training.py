@@ -534,7 +534,12 @@ class TestFullScaleStep:
         nodes = record_graph_nodes(monkeypatch)
         train(model, EncodedDataset(x=data.x, y=data.y, class_names=data.class_names),
               config, RngState(3))
-        assert len(nodes) <= 25
+        assert len(nodes) <= 21
+        # the gate: the clean scores' matmul, noise_scale, the noisy scores
+        # and the softmax, which masks to the top k itself
+        assert nodes.count("noise_scale") == 1 and nodes.count("noisy_scores") == 1
+        assert nodes.count("matmul") == 1 and nodes.count("softmax") == 1
+        assert not {"softplus", "top_k_mask"} & set(nodes)
         assert nodes.count("conv_cell") == 4 and "batchnorm" not in nodes
         assert nodes.count("expert_mixture") == 1
         assert nodes.count("cv_sq") == 2 and nodes.count("load_probability") == 1
@@ -578,6 +583,18 @@ class TestFullScaleStep:
         mib = 2 ** 20
         assert held <= 36 * mib, f"{held / mib:.1f} MiB held when backward() starts"
         assert peak <= 42 * mib, f"{peak / mib:.1f} MiB at the peak of backward()"
+
+    def test_routing_nodes_keep_only_what_their_backward_reads(self):
+        # noise_scale keeps the sigmoid, the noisy scores the noise draw and
+        # the softmax the bool top-k mask; the expert mixture keeps no expert
+        # outputs and load_probability no threshold-index table: 23.8 MiB
+        # held and a 28.7 MiB peak.  Keeping the pre-activation, softplus's
+        # exp(-|a|) and output, eps * std, the -inf masked copy, the outputs
+        # and the table measures 30.9 and 35.8 MiB.
+        held, peak = self.step_memory()
+        mib = 2 ** 20
+        assert held <= 26 * mib, f"{held / mib:.1f} MiB held when backward() starts"
+        assert peak <= 31 * mib, f"{peak / mib:.1f} MiB at the peak of backward()"
 
 
 class TestGraphFreeEval:
