@@ -5,11 +5,11 @@ The convolutional feature extractor stacks four cells (conv -> batch norm ->
 ReLU -> max pool, the last cell unpooled) with 16/32/64/128 filters, turning
 a (batch, 6, 13) input into a 128-dimensional representation per sample.
 In train mode each cell is one fused graph node (:func:`conv_cell`) that
-rebuilds its im2col columns in the backward instead of keeping them, and
-keeps no conv, batch-norm or ReLU output; in eval mode it is one conv with
-the batch norm folded in, then the max pool, then the ReLU on what the pool
-kept.  Every convolution uses only the kernel taps whose window reaches the
-input, so the last cell, at length 1, multiplies by the centre tap alone.
+keeps its batch statistics and two bool masks and rebuilds x_hat and the
+im2col columns in the backward; in eval mode it is one conv with the batch
+norm folded in, then the max pool, then the ReLU on what the pool kept.
+Every convolution uses only the kernel taps whose window reaches the input,
+so the last cell, at length 1, multiplies by the centre tap alone.
 """
 
 from __future__ import annotations
@@ -337,9 +337,10 @@ def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tens
     :func:`maxpool1d` compute in sequence, with the same expressions in the
     same order, so its output and gradients are bit-identical to that
     chain's.  Returns ``(out, mean, var)`` like :func:`batch_norm`.  For
-    the backward it keeps only ``x_hat``, the batch std and two bool masks
+    the backward it keeps only the batch mean and std and two bool masks
     (ReLU active, and the pool's second element wins); it rebuilds the
-    im2col matrix from ``x`` and stores no conv, batch-norm or ReLU output.
+    im2col matrix and ``x_hat`` from ``x`` and the weights at backward
+    time, as :func:`_conv_backward` reads them, and stores no conv output.
     """
     _check_conv_input(x, weight.data.shape[1], "conv_cell")
     kernel = weight.data.shape[2]
@@ -362,11 +363,16 @@ def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tens
     if pooled:
         data, second_wins = _pool_pairs(data)
     def _backward(grad):
+        # the forward's x_hat, bit for bit: the same conv product, then
+        # _normalize's subtraction and division, in place
+        cols, x_hat = _conv_forward(x.data, weight.data, bias.data, padding)
+        x_hat -= mean
+        x_hat /= std
         if pooled:
             # x_hat has the ReLU output's memory order
             grad = _unpool(grad, second_wins, x_hat)
         dz = _normalize_backward(grad * active, x_hat, std, gamma, beta)
-        _conv_backward(dz, x, weight, bias, _live_cols(x.data, kernel, padding), padding)
+        _conv_backward(dz, x, weight, bias, cols, padding)
     out = Tensor.result_of(data, (x, weight, bias, gamma, beta), "conv_cell") \
         .with_backward(_backward)
     return out, mean.reshape(-1), var.reshape(-1)
@@ -501,9 +507,9 @@ class ConvCell(Module):
     """conv -> batch norm -> ReLU, optionally followed by a 2x max pool.
 
     In train mode the cell is one :func:`conv_cell` graph node, which keeps
-    for its backward only batch norm's ``x_hat`` and std and the ReLU and
-    pool masks as bool arrays; the batch statistics then update the batch
-    norm's running estimates.
+    for its backward only the batch mean and std and the ReLU and pool
+    masks as bool arrays, and rebuilds ``x_hat`` there; the batch
+    statistics then update the batch norm's running estimates.
 
     In eval mode the batch norm is folded into the convolution (Jacob et
     al. 2018, section 3.2): one conv with weight w * s and bias

@@ -411,11 +411,13 @@ class MoEHead(Module):
         cfg = self.config
         noise_on = self.training and cfg.noise_enabled
         decision = noisy_gate(self.router, x, cfg.top_k, noise_on, rng)
-        logits = moe_forward(self.experts, decision, x)
+        # The losses come before the mixture, so load_probability's
+        # temporaries are freed before the mixture's graph is built; neither
+        # draws from the RNG, and the graph fixes the backward's order.
         if self.training and cfg.w_importance > 0:
             decision.importance = importance_loss(decision.gates, cfg.w_importance)
         # With k == n every expert is always selected, so the load is
         # constant by construction and the loss term is identically zero.
         if noise_on and cfg.top_k < cfg.n_experts and cfg.w_load > 0:
             decision.load = load_loss(load_probability(decision, cfg.top_k), cfg.w_load)
-        return logits, decision
+        return moe_forward(self.experts, decision, x), decision

@@ -469,7 +469,7 @@ class TestConvCell:
         assert np.array_equal(out, expected.data, equal_nan=True)
         assert np.isnan(out).any() and (out == 0).any() and (out > 0).any()
 
-    def test_train_mode_is_one_node_keeping_x_hat_std_and_two_masks(self, rng):
+    def test_train_mode_is_one_node_keeping_batch_statistics_and_two_masks(self, rng):
         cell = ConvCell(3, 4, rng, pooled=True)
         x = Tensor(rng.normal((5, 3, 7)), requires_grad=True)
         out = cell(x)
@@ -478,8 +478,45 @@ class TestConvCell:
                                 cell.bn.gamma, cell.bn.beta)
         kept = [c.cell_contents for c in out._backward.__closure__
                 if isinstance(c.cell_contents, np.ndarray)]
+        # the ReLU and pool masks, the batch mean and the std; x_hat and the
+        # im2col matrix are rebuilt in the backward
         assert sorted((a.dtype.kind, a.shape) for a in kept) == [
-            ("b", (5, 4, 3)), ("b", (5, 4, 7)), ("f", (1, 4, 1)), ("f", (5, 4, 7))]
+            ("b", (5, 4, 3)), ("b", (5, 4, 7)), ("f", (1, 4, 1)), ("f", (1, 4, 1))]
+        assert not [a for a in kept if a.dtype.kind == "f" and a.shape == (5, 4, 7)]
+
+    @pytest.mark.parametrize("in_ch, out_ch, length, pooled",
+                             [(6, 16, 13, True), (16, 32, 6, True),
+                              (32, 64, 3, True), (64, 128, 1, False)])
+    def test_backward_rebuilds_the_forward_x_hat_bit_for_bit(
+            self, rng, monkeypatch, in_ch, out_ch, length, pooled):
+        # the backbone's four cells at batch 1024
+        forward, backward = [], []
+        normalize, normalize_backward = layers._normalize, layers._normalize_backward
+
+        def recording_normalize(x, eps):
+            stats = normalize(x, eps)
+            forward.append(stats[3].copy())
+            return stats
+
+        def recording_normalize_backward(grad, x_hat, *args):
+            backward.append(x_hat.copy())
+            return normalize_backward(grad, x_hat, *args)
+
+        monkeypatch.setattr(layers, "_normalize", recording_normalize)
+        monkeypatch.setattr(layers, "_normalize_backward", recording_normalize_backward)
+        bound = 1.0 / np.sqrt(in_ch * 3)
+        tensors = [Tensor(a, requires_grad=True) for a in (
+            rng.normal((1024, in_ch, length)),
+            rng.uniform(-bound, bound, (out_ch, in_ch, 3)),
+            rng.uniform(-bound, bound, (out_ch,)),
+            1.0 + 0.3 * rng.normal((out_ch,)),
+            0.2 * rng.normal((out_ch,)))]
+        out, _, _ = conv_cell(*tensors, pooled=pooled)
+        probe = rng.normal(out.data.shape)
+        (out * Tensor(probe)).sum().backward()
+        assert len(forward) == len(backward) == 1
+        assert backward[0].shape == (1024, out_ch, length)
+        np.testing.assert_array_equal(backward[0], forward[0])
 
     def test_train_mode_updates_running_statistics_like_batch_norm(self, rng):
         fused = ConvCell(3, 4, RngState(5), pooled=False, bn_momentum=0.3)

@@ -546,15 +546,18 @@ class TestFullScaleStep:
         assert not {"gather", "normal_cdf", "/", "**2"} & set(nodes)
 
     @staticmethod
-    def step_memory() -> tuple[int, int]:
+    def step_memory(forward_only: bool = False) -> tuple[int, int]:
         """Bytes held when ``backward()`` starts and at its peak, one
-        full-scale training step under tracemalloc."""
+        full-scale training step under tracemalloc; with ``forward_only``,
+        the bytes held after the train-mode forward and its peak."""
         config = TrainConfig(seed=3, max_epochs=1)
         model = build_model(model_config_for(config), RngState(3)).train()
         data, rng = make_blobs(1024, seed=3), RngState(3)
         tracemalloc.start()
         try:
             logits, decision = model(Tensor(data.x), rng)
+            if forward_only:
+                return tracemalloc.get_traced_memory()
             loss, _ = total_loss(logits, data.y, decision, config.alpha)
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -565,20 +568,21 @@ class TestFullScaleStep:
         return held, peak
 
     def test_step_memory_held_and_peak_in_backward(self):
-        # The backward releases each node once its closure has run, and the
-        # expert mixture keeps no copy of its routed input rows.  A graph
-        # kept whole until the next step, holding those copies, measures
-        # 84.0 MiB held and a 115.0 MiB peak.
+        # The backward releases each node once its closure has run: 18.2
+        # MiB held and a 23.0 MiB peak (23.8 and 28.7 at 3045b36).  Keeping
+        # every node's closure until the backward ends measures a 38.7 MiB
+        # peak (41.9 at 3045b36).
         held, peak = self.step_memory()
         mib = 2 ** 20
         assert held <= 64 * mib, f"{held / mib:.1f} MiB held when backward() starts"
         assert peak <= 72 * mib, f"{peak / mib:.1f} MiB at the peak of backward()"
 
     def test_fused_conv_cells_hold_less(self):
-        # One conv_cell node per cell keeps x_hat, the std and two bool
-        # masks: 28.9 MiB held and a 33.8 MiB peak.  Separate conv1d,
+        # One conv_cell node per cell keeps the batch mean and std and two
+        # bool masks: 18.2 MiB held and a 23.0 MiB peak (23.8 and 28.7 at
+        # 3045b36, where each cell also kept x_hat).  Separate conv1d,
         # batchnorm, relu and maxpool1d nodes, each keeping its own arrays,
-        # measure 51.9 and 56.8 MiB.
+        # measure 45.8 and 50.7 MiB.
         held, peak = self.step_memory()
         mib = 2 ** 20
         assert held <= 36 * mib, f"{held / mib:.1f} MiB held when backward() starts"
@@ -587,14 +591,34 @@ class TestFullScaleStep:
     def test_routing_nodes_keep_only_what_their_backward_reads(self):
         # noise_scale keeps the sigmoid, the noisy scores the noise draw and
         # the softmax the bool top-k mask; the expert mixture keeps no expert
-        # outputs and load_probability no threshold-index table: 23.8 MiB
-        # held and a 28.7 MiB peak.  Keeping the pre-activation, softplus's
-        # exp(-|a|) and output, eps * std, the -inf masked copy, the outputs
-        # and the table measures 30.9 and 35.8 MiB.
+        # outputs and load_probability no threshold-index table: 18.2 MiB
+        # held and a 23.0 MiB peak (23.8 and 28.7 at 3045b36).  Keeping the
+        # pre-activation, softplus's exp(-|a|) and output, eps * std, the
+        # -inf masked copy, the outputs and the table measures 25.3 and 30.2
+        # MiB (30.9 and 35.8 with conv cells that keep x_hat).
         held, peak = self.step_memory()
         mib = 2 ** 20
         assert held <= 26 * mib, f"{held / mib:.1f} MiB held when backward() starts"
         assert peak <= 31 * mib, f"{peak / mib:.1f} MiB at the peak of backward()"
+
+    def test_conv_cells_rebuild_x_hat_in_backward(self):
+        # Each conv cell rebuilds x_hat and its im2col matrix in the
+        # backward: 18.2 MiB held and a 23.0 MiB peak, against 23.8 and 28.7
+        # at 3045b36, where each cell kept x_hat.
+        held, peak = self.step_memory()
+        mib = 2 ** 20
+        assert held <= 20 * mib, f"{held / mib:.1f} MiB held when backward() starts"
+        assert peak <= 25 * mib, f"{peak / mib:.1f} MiB at the peak of backward()"
+
+    def test_train_mode_forward_peak(self):
+        # The head builds both balancing losses before the expert mixture,
+        # so load_probability's temporaries are gone before the mixture's
+        # graph exists, and no conv cell keeps x_hat: an 18.4 MiB peak.
+        # With the losses built last it is 22.6; with cells keeping x_hat,
+        # 24.0; with both, as at 3045b36, 28.2.
+        _, peak = self.step_memory(forward_only=True)
+        mib = 2 ** 20
+        assert peak <= 20 * mib, f"{peak / mib:.1f} MiB at the peak of the forward"
 
 
 class TestGraphFreeEval:
