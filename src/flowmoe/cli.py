@@ -11,7 +11,6 @@ verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+from . import container
 from .ablation import DEFAULT_CLI_GRID, NAMED_VARIANTS, ablation_config, run_ablation
 from .checkpoint import check_input_shape, load_checkpoint, save_checkpoint
 from .errors import (
@@ -44,6 +44,7 @@ from .pipeline import (
     save_dataset_cache,
 )
 from .training import (
+    LOSS_TERMS,
     TrainConfig,
     evaluate,
     expert_utilization,
@@ -209,6 +210,13 @@ def _parse_grid(text: str):
     return tuple(pairs)
 
 
+def _csv_inputs(config: RunConfig) -> tuple:
+    """The inputs that fix a CSV's encoded splits, in the argument order that
+    ``prepare_dataset`` and ``dataset_fingerprint`` share."""
+    return (config.dataset, FlowSchema(label_column=config.label_column),
+            config.imputation, config.train_fraction, config.train.seed)
+
+
 def _start_run(config: RunConfig):
     """A new run directory and the encoded (train, test, stats) from a cache
     file, or from the CSV, whose cache is written into the run directory.
@@ -218,13 +226,9 @@ def _start_run(config: RunConfig):
         return _make_run_dir(config), train, test, header["stats"]
     if not config.dataset:
         raise ConfigError("either --cache or --dataset is required")
-    schema = FlowSchema(label_column=config.label_column)
-    prepared = prepare_dataset(
-        config.dataset, schema, protocol=config.imputation,
-        train_fraction=config.train_fraction, seed=config.train.seed,
-    )
-    fingerprint = dataset_fingerprint(
-        config.dataset, schema, config.imputation, config.train_fraction, config.train.seed)
+    inputs = _csv_inputs(config)
+    prepared = prepare_dataset(*inputs)
+    fingerprint = dataset_fingerprint(*inputs)
     run_dir = _make_run_dir(config)
     save_dataset_cache(run_dir / CACHE_FILENAME, prepared, fingerprint)
     return run_dir, prepared.train, prepared.test, prepared.stats
@@ -235,8 +239,7 @@ def _save_run(run_dir: Path, model, config: TrainConfig, history, stats) -> None
     final = history[-1] if history else {}
     metadata = {
         "epochs_run": len(history),
-        "final_losses": {k: final.get(k) for k in
-                         ("total", "cross_entropy", "importance", "load")},
+        "final_losses": {name: final.get(name) for name in LOSS_TERMS},
         "final_train_accuracy": final.get("accuracy"),
     }
     save_checkpoint(run_dir / "model.ckpt", model, config, stats, metadata)
@@ -250,9 +253,8 @@ def cmd_preprocess(config: RunConfig) -> int:
     if not config.dataset:
         raise ConfigError("preprocess requires --dataset")
     out = Path(config.out)
-    schema = FlowSchema(label_column=config.label_column)
-    fingerprint = dataset_fingerprint(
-        config.dataset, schema, config.imputation, config.train_fraction, config.train.seed)
+    inputs = _csv_inputs(config)
+    fingerprint = dataset_fingerprint(*inputs)
     cache_path = out / CACHE_FILENAME
     if cache_path.exists():
         try:
@@ -264,14 +266,11 @@ def cmd_preprocess(config: RunConfig) -> int:
                      cache_path)
             print(f"cache up to date: {cache_path}")
             return 0
-    prepared = prepare_dataset(
-        config.dataset, schema, protocol=config.imputation,
-        train_fraction=config.train_fraction, seed=config.train.seed,
-    )
+    prepared = prepare_dataset(*inputs)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset_cache(cache_path, prepared, fingerprint)
     (out / STATS_FILENAME).write_text(prepared.stats.to_json())
-    (out / SUMMARY_FILENAME).write_text(json.dumps(prepared.summary, indent=2, sort_keys=True))
+    (out / SUMMARY_FILENAME).write_text(container.json_text(prepared.summary))
     print(f"encoded {prepared.summary['rows_parsed']} rows "
           f"({prepared.summary['train_rows']} train / {prepared.summary['test_rows']} test) "
           f"into {cache_path}")
@@ -377,7 +376,7 @@ def cmd_gating_report(config: RunConfig) -> int:
     summary = expert_utilization(loaded.model, data, batch_size=config.train.batch_size)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "gating_report.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    (out / "gating_report.json").write_text(container.json_text(summary))
     print(f"experts: {summary['n_experts']}  top-k: {summary['top_k']}  "
           f"samples: {summary['samples']}")
     print(f"importance CV^2: {summary['importance_cv_sq']:.6f}  "

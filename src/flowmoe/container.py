@@ -3,7 +3,8 @@ the format version and header length H (little-endian uint32 each), H bytes
 of UTF-8 JSON header with sorted keys, the body, and the SHA-256 of every
 preceding byte.  The body is raw little-endian arrays back to back, whose
 shapes the owning format's header declares.  ``decode`` turns the records a
-header holds back into their dataclasses."""
+header holds back into their dataclasses, and ``json_text`` writes the JSON
+text files of a run."""
 
 import dataclasses
 import functools
@@ -92,6 +93,12 @@ def arrays(body, specs, corrupt_error, writable: bool = False) -> list:
         out.append(view)
         offset += 8 * count
     return out
+
+
+def json_text(value) -> str:
+    """``value`` in the format of a run's JSON text files: indented by 2,
+    keys sorted."""
+    return json.dumps(value, indent=2, sort_keys=True)
 
 
 def decode(kind, value, name: str):

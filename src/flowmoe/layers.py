@@ -73,10 +73,10 @@ class Module:
             child.eval()
         return self
 
-    def state_dict(self, prefix: str = "") -> dict[str, np.ndarray]:
+    def state_dict(self) -> dict[str, np.ndarray]:
         """Named copies of all parameters and buffers, checkpoint-ready."""
         state: dict[str, np.ndarray] = {}
-        for name, (owner, attr) in self._named_slots(prefix).items():
+        for name, (owner, attr) in self._named_slots().items():
             value = getattr(owner, attr)
             state[name] = (value.data if isinstance(value, Tensor) else value).copy()
         return state
@@ -432,15 +432,14 @@ def _uniform_init(rng: RngState | None, shape, fan_in: int) -> Tensor:
 
 
 class Conv1d(Module):
-    def __init__(self, in_channels: int, out_channels: int, rng: RngState | None,
-                 kernel_size: int = 3, padding: int = 1):
+    kernel_size, padding = 3, 1  # "same" length output
+
+    def __init__(self, in_channels: int, out_channels: int, rng: RngState | None):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.padding = padding
-        fan_in = in_channels * kernel_size
-        self.weight = _uniform_init(rng, (out_channels, in_channels, kernel_size), fan_in)
+        fan_in = in_channels * self.kernel_size
+        self.weight = _uniform_init(rng, (out_channels, in_channels, self.kernel_size), fan_in)
         self.bias = _uniform_init(rng, (out_channels,), fan_in)
 
     def forward(self, x: Tensor) -> Tensor:

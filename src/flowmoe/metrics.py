@@ -81,8 +81,8 @@ class EvalReport:
         return {name: value.tolist() if isinstance(value, np.ndarray) else value
                 for name, value in asdict(self).items()}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return container.json_text(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":

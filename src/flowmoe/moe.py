@@ -416,8 +416,8 @@ class MoEHead(Module):
         # draws from the RNG, and the graph fixes the backward's order.
         if self.training and cfg.w_importance > 0:
             decision.importance = importance_loss(decision.gates, cfg.w_importance)
-        # With k == n every expert is always selected, so the load is
-        # constant by construction and the loss term is identically zero.
-        if noise_on and cfg.top_k < cfg.n_experts and cfg.w_load > 0:
-            decision.load = load_loss(load_probability(decision, cfg.top_k), cfg.w_load)
+            # With k == n every expert is always selected, so the load is
+            # constant by construction and the loss term is identically zero.
+            if noise_on and cfg.top_k < cfg.n_experts:
+                decision.load = load_loss(load_probability(decision, cfg.top_k), cfg.w_load)
         return moe_forward(self.experts, decision, x), decision

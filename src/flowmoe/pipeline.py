@@ -397,8 +397,8 @@ class PipelineStats:
     def to_dict(self) -> dict:
         return {**asdict(self), "schema_hash": self.schema_hash}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return container.json_text(self.to_dict())
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineStats":

@@ -473,12 +473,13 @@ def softmax(t: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor
     return Tensor.result_of(probs, (t,), "softmax").with_backward(_backward)
 
 
-def coefficient_of_variation_sq(t: Tensor, eps: float = CV_EPSILON) -> Tensor:
+def coefficient_of_variation_sq(t: Tensor) -> Tensor:
     """Squared coefficient of variation of a vector of batch statistics.
 
-    Uses the population variance and guards the denominator with `eps`, so
-    constant vectors (all-zero included) give zero and the result stays
-    differentiable everywhere.  Equals (Std(v) / (Mean(v) + eps))^2.
+    Uses the population variance and guards the denominator with eps =
+    ``CV_EPSILON``, so constant vectors (all-zero included) give zero and
+    the result stays differentiable everywhere.  Equals
+    (Std(v) / (Mean(v) + eps))^2.
 
     One ``cv_sq`` node.  With c = v - m and d = m + eps its backward is
     (2 / n) * grad * (c / d^2 - var / d^3).
@@ -489,7 +490,7 @@ def coefficient_of_variation_sq(t: Tensor, eps: float = CV_EPSILON) -> Tensor:
     m = flat.sum() * (1.0 / n)
     centered = flat - m
     var = (centered ** 2).sum() * (1.0 / n)
-    d = m + eps
+    d = m + CV_EPSILON
     def _backward(grad):
         dv = (2.0 / n) * grad * (centered / d ** 2 - var / d ** 3)
         t.accumulate_grad(dv.reshape(t.data.shape))

@@ -8,13 +8,13 @@ shuffling, gate noise) is a function of one seed.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 
+from . import container
 from .errors import ConfigError, DegenerateInputError, TrainingDivergedError
 from .layers import Module, cross_entropy
 from .metrics import EvalReport
@@ -24,6 +24,9 @@ from .pipeline import EncodedDataset, first_non_finite_row
 from .tensor import RngState, Tensor, coefficient_of_variation_sq, no_grad
 
 log = logging.getLogger("flowmoe.training")
+
+# The objective's terms as the history and checkpoint name them, root terms first
+LOSS_TERMS = ("cross_entropy", "importance", "load", "total")
 
 
 def model_config_for(config: TrainConfig) -> TrainConfig:
@@ -92,18 +95,12 @@ def total_loss(logits: Tensor, labels, decision: GateDecision | None = None,
     terms = (None, None) if decision is None else (decision.importance, decision.load)
     imp, load = (Tensor(0.0) if term is None else term for term in terms)
     loss = ce + alpha * (imp + load)
-    components = {
-        "total": float(loss.data),
-        "cross_entropy": float(ce.data),
-        "importance": float(imp.data),
-        "load": float(load.data),
-    }
-    return loss, components
+    return loss, {name: float(term.data) for name, term in zip(LOSS_TERMS, (ce, imp, load, loss))}
 
 
 def _check_finite(components: dict, epoch: int, step: int) -> None:
     # name the root component, not the aggregate
-    for name in ("cross_entropy", "importance", "load", "total"):
+    for name in LOSS_TERMS:
         value = components[name]
         if not math.isfinite(value):
             raise TrainingDivergedError(
@@ -137,9 +134,8 @@ def train(model: Module, train_set: EncodedDataset, config: TrainConfig,
     history = []
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
-        sums = {"total": 0.0, "cross_entropy": 0.0, "importance": 0.0, "load": 0.0}
+        sums = dict.fromkeys(LOSS_TERMS, 0.0)
         correct = 0
-        n_batches = 0
         for step, (start, stop) in enumerate(zip(bounds, bounds[1:]), start=1):
             idx = order[start:stop]
             x = Tensor(train_set.x[idx])
@@ -153,8 +149,7 @@ def train(model: Module, train_set: EncodedDataset, config: TrainConfig,
             for key in sums:
                 sums[key] += components[key]
             correct += int((logits.data.argmax(axis=1) == y).sum())
-            n_batches += 1
-        entry = {key: sums[key] / n_batches for key in sums}
+        entry = {key: total / (len(bounds) - 1) for key, total in sums.items()}
         entry["epoch"] = epoch
         entry["accuracy"] = correct / n
         history.append(entry)
@@ -248,6 +243,5 @@ def expert_utilization(model: Module, dataset: EncodedDataset,
     }
 
 
-def history_to_json(history, config: TrainConfig, indent: int = 2) -> str:
-    return json.dumps({"config": config.to_dict(), "epochs": history},
-                      indent=indent, sort_keys=True)
+def history_to_json(history, config: TrainConfig) -> str:
+    return container.json_text({"config": config.to_dict(), "epochs": history})

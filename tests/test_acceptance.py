@@ -454,6 +454,7 @@ def test_c10_ablation_structural():
 
 @criterion(11, "same seed gives bit-identical checkpoints; save/load/evaluate "
                "is bit-exact")
+@pytest.mark.single_thread_blas
 def test_c11_determinism_and_roundtrip(tmp_path):
     data = make_blobs(360, seed=11)
     cut = 240

@@ -109,6 +109,24 @@ class TestPreprocess:
         assert any("up to date" in message for message in caplog.messages)
         assert (out / "dataset.cache").read_bytes() == first_bytes
 
+    def test_rerun_with_a_changed_option_re_encodes(self, tmp_path, big_csv, capsys):
+        out = tmp_path / "pre"
+        args = ["--dataset", str(big_csv), "--seed", "4"]
+        assert main(["preprocess", *args, "--out", str(out)]) == 0
+        first, _, first_header = load_dataset_cache(out / "dataset.cache")
+        capsys.readouterr()
+        args += ["--train-fraction", "0.7"]
+        assert main(["preprocess", *args, "--out", str(out)]) == 0
+        assert "cache up to date" not in capsys.readouterr().out
+        train, _, header = load_dataset_cache(out / "dataset.cache")
+        assert header["fingerprint"] != first_header["fingerprint"]
+        assert len(train) > len(first)
+        # a run from the CSV caches the fingerprint preprocess wrote
+        runs = tmp_path / "runs"
+        assert main(["train", *args, "--out", str(runs), *TINY_TRAIN]) == 0
+        _, _, run_header = load_dataset_cache(run_dirs(runs)[0] / "dataset.cache")
+        assert run_header["fingerprint"] == header["fingerprint"]
+
 
 class TestTrain:
     def test_train_from_cache_writes_artifacts(self, tmp_path, big_csv):
@@ -127,6 +145,7 @@ class TestTrain:
         assert "alpha = 0.1" in text         # untouched defaults echoed
         assert "imputation = leak-free" in text
 
+    @pytest.mark.single_thread_blas
     def test_same_seed_identical_checkpoints(self, tmp_path, big_csv):
         pre = tmp_path / "pre"
         main(["preprocess", "--dataset", str(big_csv), "--out", str(pre),

@@ -148,6 +148,7 @@ class TestConv1d:
 
     @pytest.mark.parametrize("in_ch, out_ch, length",
                              [(6, 16, 13), (16, 32, 6), (32, 64, 3), (4, 5, 2)])
+    @pytest.mark.single_thread_blas
     def test_every_tap_live_keeps_exact_output(self, rng, in_ch, out_ch, length):
         # with every tap live the conv runs the full im2col product unchanged
         assert _live_taps(length, 3, 1) == slice(0, 3)
@@ -415,6 +416,7 @@ class TestConvCell:
     @pytest.mark.parametrize("in_ch, out_ch, length, pooled",
                              [(6, 16, 13, True), (16, 32, 6, True),
                               (32, 64, 3, True), (64, 128, 1, False)])
+    @pytest.mark.single_thread_blas
     def test_matches_unfused_chain_exactly(self, rng, in_ch, out_ch, length, pooled):
         # the backbone's four cells at batch 1024: same bits, not just close
         x = rng.normal((1024, in_ch, length))
@@ -444,6 +446,7 @@ class TestConvCell:
             np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("pooled", [True, False])
+    @pytest.mark.single_thread_blas
     def test_eval_pools_before_relu_bit_equal(self, rng, monkeypatch, pooled):
         # the conv output the cell sees gets NaN, signed zeros and tied
         # pairs in its first pool windows, then the real conv's values
@@ -487,6 +490,7 @@ class TestConvCell:
     @pytest.mark.parametrize("in_ch, out_ch, length, pooled",
                              [(6, 16, 13, True), (16, 32, 6, True),
                               (32, 64, 3, True), (64, 128, 1, False)])
+    @pytest.mark.single_thread_blas
     def test_backward_rebuilds_the_forward_x_hat_bit_for_bit(
             self, rng, monkeypatch, in_ch, out_ch, length, pooled):
         # the backbone's four cells at batch 1024

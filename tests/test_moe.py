@@ -283,6 +283,7 @@ def unfused_gate(router: Router, x: Tensor, k: int, rng: RngState) -> GateDecisi
                         selected_indices=top_k_selection(noisy.data, k)[1], top_k=k)
 
 
+@pytest.mark.single_thread_blas
 class TestFusedGate:
     @staticmethod
     def gate_case(rng, batch=64, dim=32, n=16):
@@ -349,6 +350,7 @@ class TestFusedGate:
         check_gradients(build, [x, router.w_gate.data, router.w_noise.data])
 
 
+@pytest.mark.single_thread_blas
 class TestMoEForward:
     def test_single_expert_identity(self, rng):
         config = tiny_config(n_experts=1, top_k=1)

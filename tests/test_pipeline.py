@@ -621,6 +621,13 @@ class TestCache:
         assert dataset_fingerprint(flow_csv, schema, "leak-free", 0.6, 4) == base
         assert dataset_fingerprint(flow_csv, schema, "verbatim", 0.6, 4) != base
         assert dataset_fingerprint(flow_csv, schema, "leak-free", 0.6, 5) != base
+        assert dataset_fingerprint(flow_csv, schema, "leak-free", 0.7, 4) != base
+        relabelled = FlowSchema(label_column="Label")
+        assert dataset_fingerprint(flow_csv, relabelled, "leak-free", 0.6, 4) != base
+        edited = bytearray(flow_csv.read_bytes())
+        edited[-3] ^= 1  # one byte of the last row
+        (tmp_path / "edited.csv").write_bytes(edited)
+        assert dataset_fingerprint(tmp_path / "edited.csv", schema, "leak-free", 0.6, 4) != base
 
     def test_fingerprint_reads_the_csv_in_chunks(self, tmp_path):
         path = tmp_path / "big.csv"
