@@ -189,30 +189,43 @@ def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: 
     return cols, out
 
 
-def _conv_backward(grad: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor,
-                   cols: np.ndarray, padding: int) -> None:
-    """Accumulate the conv gradients from the output gradient ``grad``
-    (batch, out_ch, out_len) and the forward's live-tap im2col matrix
-    ``cols``; a dead tap's weight gradient is zero."""
+def _conv_weight_backward(grad: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor,
+                          cols: np.ndarray, padding: int) -> np.ndarray:
+    """Accumulate the bias and weight gradients from the output gradient
+    ``grad`` (batch, out_ch, out_len) and the forward's live-tap im2col
+    matrix ``cols``, a dead tap's weight gradient being zero; return
+    ``grad`` as the (batch * out_len, out_ch) matrix that
+    :func:`_conv_input_backward` reads, which needs no ``cols``."""
     out_ch, in_ch, kernel = weight.data.shape
     batch, _, out_len = grad.shape
-    length = x.data.shape[2]
-    taps = _live_taps(length, kernel, padding)
-    live = taps.stop - taps.start
+    taps = _live_taps(x.data.shape[2], kernel, padding)
     bias.accumulate_grad(grad.sum(axis=0).sum(axis=1))
     g2 = grad.transpose(0, 2, 1).reshape(batch * out_len, out_ch)
     d_weight = np.zeros_like(weight.data)
-    d_weight[:, :, taps] = (g2.T @ cols).reshape(out_ch, in_ch, live)
+    d_weight[:, :, taps] = (g2.T @ cols).reshape(out_ch, in_ch, taps.stop - taps.start)
     weight.accumulate_grad(d_weight)
-    if x.requires_grad:
-        # col2im: each live tap's column block adds back at its shift
-        dcols = (g2 @ weight.data[:, :, taps].reshape(out_ch, -1)).reshape(
-            batch, out_len, in_ch, live)
-        grad_padded = np.zeros((batch, out_len + live - 1, in_ch))
-        for k in range(live):
-            grad_padded[:, k:k + out_len] += dcols[:, :, :, k]
-        start = padding - taps.start
-        x.accumulate_grad(grad_padded[:, start:start + length].transpose(0, 2, 1))
+    return g2
+
+
+def _conv_input_backward(g2: np.ndarray, x: Tensor, weight: Tensor, padding: int) -> None:
+    """Accumulate the conv's input gradient from the output gradient as the
+    matrix :func:`_conv_weight_backward` returns."""
+    if not x.requires_grad:
+        return
+    out_ch, in_ch, kernel = weight.data.shape
+    batch, _, length = x.data.shape
+    out_len = g2.shape[0] // batch
+    taps = _live_taps(length, kernel, padding)
+    live = taps.stop - taps.start
+    # col2im: each live tap's column block adds back at its shift
+    dcols = (g2 @ weight.data[:, :, taps].reshape(out_ch, -1)).reshape(
+        batch, out_len, in_ch, live)
+    grad_padded = np.zeros((batch, out_len + live - 1, in_ch))
+    for k in range(live):
+        grad_padded[:, k:k + out_len] += dcols[:, :, :, k]
+    del dcols
+    start = padding - taps.start
+    x.accumulate_grad(grad_padded[:, start:start + length].transpose(0, 2, 1))
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
@@ -230,7 +243,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     _check_conv_input(x, weight.data.shape[1], "conv1d")
     cols, data = _conv_forward(x.data, weight.data, bias.data, padding)
     def _backward(grad):  # grad: (batch, out_ch, out_len)
-        _conv_backward(grad, x, weight, bias, cols, padding)
+        g2 = _conv_weight_backward(grad, x, weight, bias, cols, padding)
+        _conv_input_backward(g2, x, weight, padding)
     return Tensor.result_of(data, (x, weight, bias), "conv1d").with_backward(_backward)
 
 
@@ -300,16 +314,21 @@ def _normalize_backward(grad: np.ndarray, x_hat: np.ndarray, std: np.ndarray,
     """Accumulate the gamma and beta gradients of batch norm and return its
     input gradient (Ioffe & Szegedy 2015, section 3): with
     s = gamma / sqrt(var + eps) and N = batch * length,
-    dx = s * (g - sum(g) / N - x_hat * sum(g * x_hat) / N)."""
+    dx = s * (g - sum(g) / N - x_hat * sum(g * x_hat) / N).
+
+    Computed in place: the result is ``grad``, and ``x_hat`` is overwritten.
+    """
     count = x_hat.shape[0] * x_hat.shape[2]
     shape = (1, -1, 1)
     d_beta = grad.sum(axis=0).sum(axis=1)
     d_gamma = (grad * x_hat).sum(axis=0).sum(axis=1)
     beta.accumulate_grad(d_beta)
     gamma.accumulate_grad(d_gamma)
-    scale = gamma.data.reshape(shape) / std
-    return scale * (grad - (d_beta / count).reshape(shape)
-                    - x_hat * (d_gamma / count).reshape(shape))
+    grad -= (d_beta / count).reshape(shape)
+    x_hat *= (d_gamma / count).reshape(shape)
+    grad -= x_hat
+    grad *= gamma.data.reshape(shape) / std
+    return grad
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
@@ -324,7 +343,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     shape = (1, -1, 1)
     data = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
     def _backward(grad):
-        x.accumulate_grad(_normalize_backward(grad, x_hat, std, gamma, beta))
+        # the incoming gradient is not this node's to overwrite; x_hat is,
+        # as the closure runs once
+        x.accumulate_grad(_normalize_backward(grad.copy(order="K"), x_hat, std, gamma, beta))
     out = Tensor.result_of(data, (x, gamma, beta), "batchnorm").with_backward(_backward)
     return out, mean.reshape(-1), var.reshape(-1)
 
@@ -340,7 +361,9 @@ def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tens
     the backward it keeps only the batch mean and std and two bool masks
     (ReLU active, and the pool's second element wins); it rebuilds the
     im2col matrix and ``x_hat`` from ``x`` and the weights at backward
-    time, as :func:`_conv_backward` reads them, and stores no conv output.
+    time and stores no conv output.  The backward works in the arrays it
+    builds, and drops each once read: x_hat after the batch norm's
+    gradient, the im2col matrix after the weight gradient.
     """
     _check_conv_input(x, weight.data.shape[1], "conv_cell")
     kernel = weight.data.shape[2]
@@ -371,8 +394,14 @@ def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tens
         if pooled:
             # x_hat has the ReLU output's memory order
             grad = _unpool(grad, second_wins, x_hat)
-        dz = _normalize_backward(grad * active, x_hat, std, gamma, beta)
-        _conv_backward(dz, x, weight, bias, cols, padding)
+            grad *= active
+        else:
+            grad = grad * active
+        dz = _normalize_backward(grad, x_hat, std, gamma, beta)
+        del x_hat
+        g2 = _conv_weight_backward(dz, x, weight, bias, cols, padding)
+        del cols
+        _conv_input_backward(g2, x, weight, padding)
     out = Tensor.result_of(data, (x, weight, bias, gamma, beta), "conv_cell") \
         .with_backward(_backward)
     return out, mean.reshape(-1), var.reshape(-1)

@@ -248,7 +248,9 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
     hidden activations, but no outputs and no copy of its input rows: the
     backward gathers the rows from ``x`` again, and rebuilds each gate's
     gradient g . y as (g @ w2) . hidden + g @ b2, reusing g @ w2 for the
-    hidden gradient.  An output outside the graph (under ``no_grad``, or
+    hidden gradient.  The backward frees each expert's hidden rows once it
+    has read them, and fills each bank gradient from the experts' pieces
+    after the loop.  An output outside the graph (under ``no_grad``, or
     with no input requiring grad) keeps nothing for a backward, and its
     dense evaluation does no per-expert routing bookkeeping at all.
     """
@@ -287,24 +289,28 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
     def _backward(grad):
         dx = np.zeros_like(x.data)
         dgates = np.zeros_like(weights)
-        dw1, db1 = np.zeros_like(w1.data), np.zeros_like(b1.data)
-        dw2, db2 = np.zeros_like(w2.data), np.zeros_like(b2.data)
-        for i, rows, hidden in routed:
+        pieces = []  # per routed expert: (i, its w1, b1, w2 and b2 gradients)
+        for j, (i, rows, hidden) in enumerate(routed):
+            routed[j] = None  # this runs once: free each expert's hidden rows as it goes
             g_rows = grad[rows]
             g_w2 = g_rows @ w2.data[i]
             dgates[rows, i] = (g_w2 * hidden).sum(axis=1) + g_rows @ b2.data[i]
             gate = weights[rows, i, None]
             dy = gate * g_rows
-            db2[i] = dy.sum(axis=0)
-            dw2[i] = dy.T @ hidden
+            db2 = dy.sum(axis=0)
+            dw2 = dy.T @ hidden
             dh = np.multiply(g_w2, gate, out=g_w2)
             dh *= hidden > 0.0
-            db1[i] = dh.sum(axis=0)
-            dw1[i] = dh.T @ x.data[rows]
+            db1 = dh.sum(axis=0)
+            dw1 = dh.T @ x.data[rows]
             dx[rows] += dh @ w1.data[i]
+            pieces.append((i, dw1, db1, dw2, db2))
         x.accumulate_grad(dx)
         gates.accumulate_grad(dgates)
-        for param, param_grad in ((w1, dw1), (b1, db1), (w2, dw2), (b2, db2)):
+        for n, param in enumerate((w1, b1, w2, b2), 1):
+            param_grad = np.zeros_like(param.data)
+            for piece in pieces:
+                param_grad[piece[0]] = piece[n]
             param.accumulate_grad(param_grad, rows=active)
     return Tensor.result_of(mixed, parents, "expert_mixture").with_backward(_backward)
 
@@ -380,11 +386,16 @@ def load_probability(decision: GateDecision, k: int) -> Tensor:
         d_clean *= grad
         d_clean /= std.data
         clean.accumulate_grad(d_clean)
-        neg = -d_clean
-        std.accumulate_grad(neg * z)
-        flat = (rows * n + np.where(in_top_k, k1th_col, kth_col)).ravel()
-        noisy.accumulate_grad(np.bincount(flat, weights=neg.ravel(),
-                                          minlength=noisy.data.size).reshape(batch, n))
+        # -d_clean * z, in z's buffer: negation is exact
+        np.multiply(z, d_clean, out=z)
+        std.accumulate_grad(np.negative(z, out=z))
+        flat = np.where(in_top_k, k1th_col, kth_col)
+        flat += rows * n
+        d_noisy = np.bincount(flat.ravel(), weights=d_clean.ravel(), minlength=noisy.data.size)
+        del flat
+        # 0 - sum is the sum of the negated weights to the bit, an empty
+        # bin's +0 included
+        noisy.accumulate_grad(np.subtract(0.0, d_noisy, out=d_noisy).reshape(batch, n))
     return Tensor.result_of(p, (clean, noisy, std), "load_probability") \
         .with_backward(_backward)
 

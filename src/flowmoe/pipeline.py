@@ -230,6 +230,19 @@ def _parse_block(rows: list, lines: list, schema: FlowSchema, position: dict,
                      levels=levels, labels=labels[keep])
 
 
+def _first_non_utf8_line(path) -> int:
+    """The number of the first line of ``path`` that is not UTF-8.  The
+    decoder runs ahead of the CSV reader by a buffer, so the reader's line
+    count can stop short of it."""
+    with Path(path).open("rb") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return 0
+
+
 def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
     """Read and type a flow CSV into a FlowTable, a block of rows at a time.
 
@@ -238,26 +251,35 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
     numeric cell (``inf``, or a value such as ``1e400`` that overflows) or an
     unknown label are skipped with a logged warning and listed in the result
     under the physical line the row ends on; the reason names the first bad
-    numeric cell in feature order, else the label.
+    numeric cell in feature order, else the label.  A file that is not UTF-8
+    text, or that the CSV reader refuses (a cell longer than
+    ``csv.field_size_limit()``), raises :class:`SchemaError` naming the
+    file and the line reached.
     """
     blocks, skipped = [], []
     levels = [{} for _ in schema.categorical_features]  # shared, so blocks join as they are
     with Path(path).open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        required = list(schema.feature_order) + [schema.label_column]
-        for column in required:
-            if column not in header:
-                raise SchemaError(f"CSV is missing required column {column!r}")
-        position = {name: i for i, name in enumerate(header) if name in required}
-        rows, lines = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-            if len(rows) == _BLOCK_ROWS:
-                blocks.append(_parse_block(rows, lines, schema, position, levels, skipped))
-                rows, lines = [], []
+        try:
+            header = next(reader, [])
+            required = list(schema.feature_order) + [schema.label_column]
+            for column in required:
+                if column not in header:
+                    raise SchemaError(f"CSV is missing required column {column!r}")
+            position = {name: i for i, name in enumerate(header) if name in required}
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                if len(rows) == _BLOCK_ROWS:
+                    blocks.append(_parse_block(rows, lines, schema, position, levels, skipped))
+                    rows, lines = [], []
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}, line {_first_non_utf8_line(path)}: not UTF-8 text "
+                              f"({exc.reason})") from None
+        except csv.Error as exc:
+            raise SchemaError(f"{path}, line {reader.line_num}: {exc}") from None
         blocks.append(_parse_block(rows, lines, schema, position, levels, skipped))
     table = FlowTable(numeric=np.concatenate([b.numeric for b in blocks], axis=1),
                       categorical=np.concatenate([b.categorical for b in blocks], axis=1),

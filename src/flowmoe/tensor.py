@@ -468,8 +468,11 @@ def softmax(t: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor
     probs /= probs.sum(axis=axis, keepdims=True)
     def _backward(grad):
         inner = (grad * probs).sum(axis=axis, keepdims=True)
-        d_t = probs * (grad - inner)
-        t.accumulate_grad(d_t if keep is None else d_t * keep)
+        d_t = grad - inner
+        d_t *= probs
+        if keep is not None:
+            d_t *= keep
+        t.accumulate_grad(d_t)
     return Tensor.result_of(probs, (t,), "softmax").with_backward(_backward)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -314,6 +315,42 @@ class TestAblateCommand:
         for name in ("zero_losses", "no_moe", "no_cnn"):
             report = json.loads((run / name / "report.json").read_text())
             assert report["confusion"] is not None
+
+
+class TestHostileCsv:
+    """A flow CSV the reader cannot take ends every command that parses one
+    in a schema error (exit 3) naming the file and the line, before any
+    --out directory is made."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("hostile")
+        source = write_flow_csv(base / "flows.csv", fixture_rows(120))
+        out = base / "runs"
+        assert main(["train", "--dataset", str(source), "--out", str(out), *TINY_TRAIN]) == 0
+        lines = source.read_bytes().split(b"\n")
+        first_cell = lines[30].index(b",")
+        not_utf8 = base / "not_utf8.csv"  # one byte of line 31 changed
+        not_utf8.write_bytes(b"\n".join(lines[:30] + [b"\xff" + lines[30][1:]] + lines[31:]))
+        overlong = base / "overlong.csv"  # line 31's first cell past the reader's limit
+        cell = b'"' + b"9" * (csv.field_size_limit() + 1) + b'"'
+        overlong.write_bytes(b"\n".join(lines[:30] + [cell + lines[30][first_cell:]]
+                                        + lines[31:]))
+        return run_dirs(out)[0] / "model.ckpt", {
+            not_utf8: "line 31: not UTF-8 text",
+            overlong: "line 31: field larger than field limit"}
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "gating-report"])
+    def test_exits_3_naming_the_line_writing_nothing(self, tmp_path, inputs, caplog, command):
+        checkpoint, cases = inputs
+        extra = {"train": TINY_TRAIN, "evaluate": ["--checkpoint", str(checkpoint)],
+                 "gating-report": ["--checkpoint", str(checkpoint)]}.get(command, [])
+        for path, message in cases.items():
+            out = tmp_path / path.stem
+            caplog.clear()
+            assert main([command, "--dataset", str(path), "--out", str(out), *extra]) == 3
+            assert f"schema error: {path}, {message}" in caplog.text
+            assert not out.exists()
 
 
 # Runs in a fresh interpreter: other test modules import scipy as an oracle.

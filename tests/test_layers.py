@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from flowmoe.layers import (
 )
 from flowmoe.tensor import RngState, Tensor
 
-from conftest import spaced_logits
+from conftest import check_shared_incoming_gradient, spaced_logits
 from fd import check_gradients
 
 
@@ -277,6 +279,13 @@ class TestBatchNorm:
         np.testing.assert_array_equal(
             layer.running_var, (1 - m) * before[1] + m * var.reshape(-1))
 
+    def test_leaves_a_shared_incoming_gradient_untouched(self, rng):
+        def arrays():
+            return [rng.normal((4, 3, 5)), rng.normal((3,)) + 1.5, rng.normal((3,))]
+
+        check_shared_incoming_gradient(lambda x, gamma, beta: batch_norm(x, gamma, beta)[0],
+                                       arrays(), arrays(), rng.normal((4, 3, 5)))
+
 
 class TestMaxPool:
     def test_window_maxima(self):
@@ -521,6 +530,42 @@ class TestConvCell:
         assert len(forward) == len(backward) == 1
         assert backward[0].shape == (1024, out_ch, length)
         np.testing.assert_array_equal(backward[0], forward[0])
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_leaves_a_shared_incoming_gradient_untouched(self, rng, pooled):
+        def branch(x, weight, bias, gamma, beta):
+            return conv_cell(x, weight, bias, gamma, beta, pooled=pooled)[0]
+
+        def arrays():
+            return [rng.normal((5, 3, 7)), rng.normal((4, 3, 3)), rng.normal((4,)),
+                    1.0 + 0.3 * rng.normal((4,)), rng.normal((4,))]
+
+        check_shared_incoming_gradient(branch, arrays(), arrays(),
+                                       rng.normal((5, 4, 3 if pooled else 7)))
+
+    def test_backward_allocates_little_beyond_its_gradients(self, rng):
+        # the backbone's second cell at batch 1024: the closure works in the
+        # x_hat and im2col matrix it rebuilds and drops each once read, a
+        # 6.75 MiB peak; at cd2d4e2, where each step of the batch norm's
+        # gradient made a new array and x_hat and the im2col matrix lived
+        # to the end, 10.1
+        bound = 1.0 / np.sqrt(16 * 3)
+        tensors = [Tensor(a, requires_grad=True) for a in (
+            rng.normal((1024, 16, 6)),
+            rng.uniform(-bound, bound, (32, 16, 3)),
+            rng.uniform(-bound, bound, (32,)),
+            1.0 + 0.3 * rng.normal((32,)),
+            0.2 * rng.normal((32,)))]
+        out, _, _ = conv_cell(*tensors, pooled=True)
+        grad = rng.normal(out.data.shape)
+        tracemalloc.start()
+        try:
+            out._backward(grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mib = 2 ** 20
+        assert peak <= 8 * mib, f"{peak / mib:.2f} MiB at the peak of the cell's backward"
 
     def test_train_mode_updates_running_statistics_like_batch_norm(self, rng):
         fused = ConvCell(3, 4, RngState(5), pooled=False, bn_momentum=0.3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,7 @@ from flowmoe.tensor import (
     standard_normal_sample,
 )
 
-from conftest import spaced_logits
+from conftest import check_shared_incoming_gradient, spaced_logits
 from fd import check_gradients
 
 
@@ -461,6 +463,23 @@ class TestMoEForward:
             assert not p.grad[3].any()
         check_gradients(build, arrays)
 
+    @pytest.mark.parametrize("batch", [2 * DENSE_ROWS_PER_EXPERT - 1, 2 * DENSE_ROWS_PER_EXPERT])
+    def test_leaves_a_shared_incoming_gradient_untouched(self, rng, batch):
+        bank = MoEHead(tiny_config(), 4, rng).experts
+
+        def branch(x, logits):
+            # the gates are the leaf's softmax over its top 2, as noisy_gate makes them
+            gates = softmax(logits, axis=1, keep=top_k_selection(logits.data, 2)[0])
+            order = np.argsort(-logits.data, axis=1, kind="stable")[:, :2]
+            return moe_forward(bank, GateDecision(
+                clean_logits=logits, noise_std=None, noisy_logits=logits, gates=gates,
+                selected_indices=order, top_k=2), x)
+
+        def arrays():
+            return [rng.normal((batch, 4)), spaced_logits(rng, (batch, 4))]
+
+        check_shared_incoming_gradient(branch, arrays(), arrays(), rng.normal((batch, 5)))
+
     def test_branches_agree(self, rng, monkeypatch):
         arrays, build = self.mixture_case(rng, 2 * DENSE_ROWS_PER_EXPERT)
         runs = []
@@ -707,6 +726,43 @@ class TestLoadProbability:
             return loss, [decision.clean_logits, decision.noisy_logits, decision.noise_std]
 
         check_gradients(build, [clean, noisy, std])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_leaves_a_shared_incoming_gradient_untouched(self, k):
+        case_rng = RngState(43 + k)
+
+        def branch(clean, noisy, std):
+            order = np.argsort(-noisy.data, axis=1, kind="stable")
+            return load_probability(GateDecision(
+                clean_logits=clean, noise_std=std, noisy_logits=noisy,
+                gates=Tensor(np.zeros_like(noisy.data)), selected_indices=order[:, :k],
+                top_k=k), k)
+
+        def arrays():
+            return [case_rng.normal((3, 6)), spaced_logits(case_rng, (3, 6)),
+                    0.2 + np.abs(case_rng.normal((3, 6)))]
+
+        check_shared_incoming_gradient(branch, arrays(), arrays(), case_rng.normal((3, 6)))
+
+    def test_backward_allocates_little_beyond_its_gradients(self):
+        # full scale: batch 1024, 128 experts, k = 32.  The closure takes the
+        # noise-scale gradient in z's buffer and builds the threshold index
+        # in place, a 2.0 MiB peak; at cd2d4e2, which negated d_clean into a
+        # new array and built the index in two, 4.1
+        case_rng = RngState(45)
+        clean = case_rng.normal((1024, 128))
+        std = 0.2 + np.abs(case_rng.normal((1024, 128)))
+        decision = self.leaf_decision(clean, clean + std * case_rng.normal((1024, 128)), std, 32)
+        p = load_probability(decision, 32)
+        grad = case_rng.normal(p.data.shape)
+        tracemalloc.start()
+        try:
+            p._backward(grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mib = 2 ** 20
+        assert peak <= 3 * mib, f"{peak / mib:.2f} MiB at the peak of the backward"
 
     def test_noisy_gradient_is_add_at_of_entry_terms(self):
         case_rng = RngState(43)

@@ -32,7 +32,7 @@ from flowmoe.tensor import (
     standard_normal_sample,
 )
 
-from conftest import spaced_logits
+from conftest import check_shared_incoming_gradient, spaced_logits
 from fd import check_gradients
 
 
@@ -189,6 +189,14 @@ class TestSoftmax:
         (expected * Tensor(probe)).sum().backward()
         np.testing.assert_array_equal(t.grad, copied.grad)
         assert not t.grad[~keep].any()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_leaves_a_shared_incoming_gradient_untouched(self, rng, masked):
+        def branch(t):
+            return softmax(t, axis=1, keep=top_k_selection(t.data, 3)[0] if masked else None)
+
+        check_shared_incoming_gradient(branch, [rng.normal((4, 6))], [rng.normal((4, 6))],
+                                       rng.normal((4, 6)))
 
     def test_keep_all_masked_raises(self):
         with pytest.raises(DegenerateInputError):
