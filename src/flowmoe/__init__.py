@@ -104,7 +104,6 @@ from .tensor import (
     matmul,
     softmax,
     softplus,
-    standard_normal_sample,
 )
 from .training import (
     Adam,

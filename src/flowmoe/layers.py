@@ -142,14 +142,21 @@ def _im2col(x: np.ndarray, kernel: int, padding: int) -> np.ndarray:
     return cols.reshape(batch * out_len, in_ch * kernel)
 
 
-def _check_conv_input(x: Tensor, in_ch: int, op: str) -> None:
+def _check_conv_input(x: Tensor, weight: Tensor, padding: int, op: str) -> None:
+    """Raise DimensionError naming ``op`` unless ``x`` is (batch, channels,
+    length) with the weight's input channels and a padded length that holds
+    one kernel window."""
     if x.data.ndim != 3:
         raise DimensionError(f"{op} expects (batch, channels, length), got {x.data.shape}")
+    _, in_ch, kernel = weight.data.shape
     if x.data.shape[1] != in_ch:
         raise DimensionError(
             f"{op} channel mismatch: input has {x.data.shape[1]} channels, "
             f"layer expects {in_ch}"
         )
+    padded = x.data.shape[2] + 2 * padding
+    if kernel > padded:
+        raise DimensionError(f"{op} kernel {kernel} is longer than its padded input ({padded})")
 
 
 def _live_taps(length: int, kernel: int, padding: int) -> slice:
@@ -240,7 +247,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     taps whose window reaches the input take part (:func:`_live_taps`): at
     length 1 with kernel 3 and padding 1 that is the centre tap alone.
     """
-    _check_conv_input(x, weight.data.shape[1], "conv1d")
+    _check_conv_input(x, weight, padding, "conv1d")
     cols, data = _conv_forward(x.data, weight.data, bias.data, padding)
     def _backward(grad):  # grad: (batch, out_ch, out_len)
         g2 = _conv_weight_backward(grad, x, weight, bias, cols, padding)
@@ -250,7 +257,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
 
 def _pool_windows(data: np.ndarray):
     """``(first, second)``: views of the two elements of each 2x max-pool
-    window over the last axis; an odd trailing element is dropped."""
+    window over the last axis; an odd trailing element is dropped, and a
+    length below 2 raises DimensionError."""
     length = data.shape[2]
     if length < 2:
         raise DimensionError(f"maxpool1d needs length >= 2, got {length}")
@@ -297,8 +305,13 @@ def maxpool1d(x: Tensor) -> Tensor:
 
 def _normalize(x: np.ndarray, eps: float):
     """``(mean, var, std, x_hat)`` of batch norm over (batch, length), the
-    statistics shaped (1, channels, 1)."""
+    statistics shaped (1, channels, 1); fewer than 2 elements per channel
+    raise DegenerateInputError."""
     count = x.shape[0] * x.shape[2]
+    if count < 2:
+        raise DegenerateInputError(
+            "batch norm in train mode needs at least 2 elements per channel"
+        )
     shape = (1, -1, 1)
     # summing the batch axis first is several times faster than
     # sum(axis=(0, 2)) at short lengths
@@ -365,16 +378,7 @@ def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tens
     builds, and drops each once read: x_hat after the batch norm's
     gradient, the im2col matrix after the weight gradient.
     """
-    _check_conv_input(x, weight.data.shape[1], "conv_cell")
-    kernel = weight.data.shape[2]
-    batch, _, length = x.data.shape
-    out_len = length + 2 * padding - kernel + 1
-    if batch * out_len < 2:
-        raise DegenerateInputError(
-            "batch norm in train mode needs at least 2 elements per channel"
-        )
-    if pooled and out_len < 2:
-        raise DimensionError(f"maxpool1d needs length >= 2, got {out_len}")
+    _check_conv_input(x, weight, padding, "conv_cell")
     mean, var, std, x_hat = _normalize(
         _conv_forward(x.data, weight.data, bias.data, padding)[1], eps)
     shape = (1, -1, 1)
@@ -499,11 +503,6 @@ class BatchNorm1d(Module):
                 f"batchnorm expects (batch, {self.channels}, length), got {x.data.shape}"
             )
         if self.training:
-            batch, _, length = x.data.shape
-            if batch * length < 2:
-                raise DegenerateInputError(
-                    "batch norm in train mode needs at least 2 elements per channel"
-                )
             out, mean, var = batch_norm(x, self.gamma, self.beta, self.eps)
             self.update_running(mean, var)
             return out

@@ -555,7 +555,8 @@ def prepare_dataset(csv_path, schema: FlowSchema | None = None,
     first, fits imputers on the training table, and fills the held-out table
     from the global fallbacks.  Each split is copied into its own table with
     ``FlowTable.take``, so every stage runs on a whole table; scaling and
-    vocabularies always come from the training table alone.
+    vocabularies always come from the training table alone.  A CSV with no
+    rows left after parsing raises :class:`SchemaError`.
     """
     schema = schema or FlowSchema()
     if protocol not in IMPUTATION_PROTOCOLS:
@@ -563,6 +564,8 @@ def prepare_dataset(csv_path, schema: FlowSchema | None = None,
                           f"expected one of {IMPUTATION_PROTOCOLS}")
     parsed = parse_flow_csv(csv_path, schema)
     table = parsed.table
+    if len(table) == 0:
+        raise SchemaError(f"{csv_path}: no data rows ({len(parsed.skipped)} skipped)")
     class_counts = dict.fromkeys(schema.class_names, 0)
     counts = np.bincount(table.labels, minlength=len(schema.class_names))
     for name, count in zip(schema.class_names, counts.tolist()):

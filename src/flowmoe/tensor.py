@@ -428,11 +428,6 @@ def ndtr_and_gaussian(a) -> tuple[np.ndarray, np.ndarray]:
     return y, gauss
 
 
-def ndtr(a) -> np.ndarray:
-    """The standard normal CDF of ``a``; see :func:`ndtr_and_gaussian`."""
-    return ndtr_and_gaussian(a)[0]
-
-
 # -- linear algebra ----------------------------------------------------------
 
 
@@ -526,8 +521,3 @@ class RngState:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-def standard_normal_sample(rng: RngState, shape) -> Tensor:
-    """I.i.d. N(0, 1) draws as a non-differentiable leaf tensor."""
-    return Tensor(rng.normal(shape))

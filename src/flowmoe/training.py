@@ -208,6 +208,8 @@ def expert_utilization(model: Module, dataset: EncodedDataset,
     """
     if not hasattr(model, "head"):
         raise ConfigError("gating report requires a model with an expert head")
+    if len(dataset) == 0:
+        raise ConfigError("gating report dataset is empty")
     _check_input(dataset.x)
     model.eval()
     cfg = model.head.config

@@ -353,6 +353,46 @@ class TestHostileCsv:
             assert not out.exists()
 
 
+class TestCsvWithoutRows:
+    """A flow CSV with a header and no rows left to encode ends preprocess
+    and train in a schema error (exit 3) naming the file and the rows
+    skipped, and a report over it in a configuration error (exit 2), before
+    any --out directory is made."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("rowless")
+        rows = fixture_rows(120)
+        out = base / "runs"
+        assert main(["train", "--dataset", str(write_flow_csv(base / "flows.csv", rows)),
+                     "--out", str(out), *TINY_TRAIN]) == 0
+        for row in rows:
+            row[LABEL_COLUMN] = "not a class"
+        return run_dirs(out)[0] / "model.ckpt", {
+            write_flow_csv(base / "header_only.csv", []): 0,
+            write_flow_csv(base / "all_skipped.csv", rows): 120}
+
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    def test_exits_3_naming_the_file_writing_nothing(self, tmp_path, inputs, caplog, command):
+        extra = TINY_TRAIN if command == "train" else []
+        for path, skipped in inputs[1].items():
+            out = tmp_path / path.stem
+            caplog.clear()
+            assert main([command, "--dataset", str(path), "--out", str(out), *extra]) == 3
+            assert f"schema error: {path}: no data rows ({skipped} skipped)" in caplog.text
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "gating-report"])
+    def test_report_exits_2_writing_nothing(self, tmp_path, inputs, caplog, command):
+        checkpoint, cases = inputs
+        header_only = next(iter(cases))
+        out = tmp_path / "report"
+        assert main([command, "--checkpoint", str(checkpoint), "--dataset", str(header_only),
+                     "--out", str(out)]) == 2
+        assert "is empty" in caplog.text
+        assert not out.exists()
+
+
 # Runs in a fresh interpreter: other test modules import scipy as an oracle.
 FOOTPRINT_SCRIPT = """
 import json, sys

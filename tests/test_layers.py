@@ -71,6 +71,12 @@ class TestConv1d:
         with pytest.raises(DimensionError, match="channel"):
             layer(Tensor(rng.normal((2, 5, 13))))
 
+    def test_kernel_longer_than_padded_input(self, rng):
+        with pytest.raises(DimensionError, match=r"conv1d kernel 3 is longer than its "
+                                                 r"padded input \(1\)"):
+            conv1d(Tensor(rng.normal((2, 3, 1))), Tensor(rng.normal((4, 3, 3))),
+                   Tensor(np.zeros(4)), padding=0)
+
     def test_gradient(self, rng):
         x = rng.normal((2, 2, 5))
         w = rng.normal((3, 2, 3))
@@ -194,10 +200,18 @@ class TestBatchNorm:
         out = layer(Tensor(x))
         np.testing.assert_allclose(out.data, x / np.sqrt(1 + layer.eps), atol=1e-12)
 
-    def test_degenerate_batch(self):
+    def test_degenerate_batch(self, rng):
         layer = BatchNorm1d(2)
+        layer.running_mean, layer.running_var = rng.normal((2,)), 1.0 + rng.uniform(0, 1, (2,))
+        before = (layer.running_mean.copy(), layer.running_var.copy())
         with pytest.raises(DegenerateInputError):
             layer(Tensor(np.zeros((1, 2, 1))))
+        np.testing.assert_array_equal(layer.running_mean, before[0])
+        np.testing.assert_array_equal(layer.running_var, before[1])
+
+    def test_oracle_one_element_per_channel(self):
+        with pytest.raises(DegenerateInputError, match="at least 2 elements"):
+            batch_norm(Tensor(np.zeros((1, 2, 1))), Tensor(np.ones(2)), Tensor(np.zeros(2)))
 
     def test_running_stats_ema(self, rng):
         layer = BatchNorm1d(1, momentum=0.1)
@@ -577,16 +591,40 @@ class TestConvCell:
         np.testing.assert_array_equal(fused.bn.running_mean, chain.bn.running_mean)
         np.testing.assert_array_equal(fused.bn.running_var, chain.bn.running_var)
 
+    @staticmethod
+    def assert_refused_keeping_running_statistics(cell, x, error, message):
+        cell.bn.running_mean = np.arange(4.0)
+        cell.bn.running_var = 1.0 + np.arange(4.0)
+        before = (cell.bn.running_mean.copy(), cell.bn.running_var.copy())
+        with pytest.raises(error, match=message):
+            cell(Tensor(x))
+        np.testing.assert_array_equal(cell.bn.running_mean, before[0])
+        np.testing.assert_array_equal(cell.bn.running_var, before[1])
+
     @pytest.mark.parametrize("pooled", [True, False])
     def test_train_mode_one_element_per_channel(self, rng, pooled):
-        cell = ConvCell(3, 4, rng, pooled=pooled)
-        with pytest.raises(DegenerateInputError, match="at least 2 elements"):
-            cell(Tensor(rng.normal((1, 3, 1))))
+        self.assert_refused_keeping_running_statistics(
+            ConvCell(3, 4, rng, pooled=pooled), rng.normal((1, 3, 1)),
+            DegenerateInputError, "at least 2 elements")
+
+    def test_train_mode_pooled_length_one(self, rng):
+        # two elements per channel satisfy the batch norm, not the pool
+        self.assert_refused_keeping_running_statistics(
+            ConvCell(3, 4, rng, pooled=True), rng.normal((2, 3, 1)),
+            DimensionError, "maxpool1d needs length >= 2, got 1")
 
     def test_train_mode_channel_mismatch(self, rng):
         cell = ConvCell(3, 4, rng, pooled=True)
         with pytest.raises(DimensionError, match="channel"):
             cell(Tensor(rng.normal((2, 5, 7))))
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_kernel_longer_than_padded_input(self, rng, pooled):
+        tensors = [Tensor(a) for a in (rng.normal((2, 3, 1)), rng.normal((4, 3, 3)),
+                                       np.zeros(4), np.ones(4), np.zeros(4))]
+        with pytest.raises(DimensionError, match=r"conv_cell kernel 3 is longer than its "
+                                                 r"padded input \(1\)"):
+            conv_cell(*tensors, pooled=pooled, padding=0)
 
 
 class TestDense:

@@ -29,11 +29,10 @@ from flowmoe.tensor import (
     RngState,
     Tensor,
     matmul,
-    ndtr,
+    ndtr_and_gaussian,
     no_grad,
     softmax,
     softplus,
-    standard_normal_sample,
 )
 
 from conftest import check_shared_incoming_gradient, spaced_logits
@@ -138,7 +137,7 @@ class TestTopKSelection:
                                  selected_indices=order, top_k=k)
             cols = np.where(keep, full[:, [k]], full[:, [k - 1]])
             with np.errstate(invalid="ignore"):
-                expected = ndtr(values - np.take_along_axis(values, cols, axis=1))
+                expected = ndtr_and_gaussian(values - np.take_along_axis(values, cols, axis=1))[0]
                 np.testing.assert_array_equal(load_probability(probe, k).data, expected)
         if finite:
             # the gate and the load probability see the same order
@@ -155,7 +154,7 @@ class TestTopKSelection:
                     noisy_logits=decision.noisy_logits, gates=decision.gates,
                     selected_indices=decision.selected_indices, top_k=k)
                 np.testing.assert_array_equal(load_probability(probe, k).data,
-                                              ndtr(values - thresholds))
+                                              ndtr_and_gaussian(values - thresholds)[0])
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_edge_rows(self, k):
@@ -279,7 +278,7 @@ def unfused_gate(router: Router, x: Tensor, k: int, rng: RngState) -> GateDecisi
     softmax nodes: the chain :func:`noisy_gate` fuses."""
     clean = matmul(x, router.w_gate)
     std = softplus(matmul(x, router.w_noise)) + NOISE_STD_FLOOR
-    noisy = clean + standard_normal_sample(rng, clean.data.shape) * std
+    noisy = clean + Tensor(rng.normal(clean.data.shape)) * std
     return GateDecision(clean_logits=clean, noise_std=std, noisy_logits=noisy,
                         gates=softmax(top_k_mask(noisy, k), axis=1),
                         selected_indices=top_k_selection(noisy.data, k)[1], top_k=k)
@@ -708,7 +707,7 @@ class TestLoadProbability:
         # the gather, subtract, divide and normal-CDF graph the node replaced
         rows = np.broadcast_to(np.arange(5)[:, None], (5, 7))
         thresholds = noisy[rows, self.threshold_cols(noisy, 3)]
-        np.testing.assert_array_equal(p.data, ndtr((clean - thresholds) / std))
+        np.testing.assert_array_equal(p.data, ndtr_and_gaussian((clean - thresholds) / std)[0])
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_gradient_of_each_parent(self, k):

@@ -600,6 +600,20 @@ class TestPrepareDataset:
         dur = prepared.train.x.reshape(len(prepared.train), -1)[:, FEATURE_ORDER.index("Dur")]
         assert (dur.min(), dur.max()) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("protocol", IMPUTATION_PROTOCOLS)
+    def test_no_data_rows_named(self, tmp_path, protocol, caplog):
+        # a header-only file, and one whose every row has an unknown label
+        rows = fixture_rows(20)
+        for row in rows:
+            row[LABEL_COLUMN] = "not a class"
+        for path, skipped in ((write_flow_csv(tmp_path / "header.csv", []), 0),
+                              (write_flow_csv(tmp_path / "skipped.csv", rows), 20)):
+            caplog.clear()
+            with pytest.raises(SchemaError) as raised:
+                prepare_dataset(path, protocol=protocol)
+            assert str(raised.value) == f"{path}: no data rows ({skipped} skipped)"
+            assert "no observed values" not in caplog.text
+
 
 class TestCache:
     def test_roundtrip(self, tmp_path):

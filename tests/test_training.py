@@ -458,6 +458,14 @@ class TestUtilization:
         with pytest.raises(ConfigError):
             expert_utilization(model, make_blobs(10, seed=0))
 
+    def test_empty_set_rejected(self, rng):
+        model = build_model(TrainConfig(cnn_filters=(4, 4, 4, 8), n_experts=4, top_k=2,
+                                        expert_hidden=4), rng)
+        empty = EncodedDataset(x=np.zeros((0, 6, 13)), y=np.zeros(0, dtype=np.int64),
+                               class_names=("a",))
+        with pytest.raises(ConfigError, match="empty"):
+            expert_utilization(model, empty)
+
 
 class TestNonFiniteInput:
     """Inference refuses a sample with a NaN or infinite cell, by its row,
