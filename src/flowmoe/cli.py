@@ -39,7 +39,7 @@ from .pipeline import (
     dataset_fingerprint,
     encode,
     load_dataset_cache,
-    parse_flow_csv,
+    parse_data_rows,
     prepare_dataset,
     save_dataset_cache,
 )
@@ -344,7 +344,7 @@ def _evaluation_data(config: RunConfig):
                 "checkpoint has no pipeline statistics; cannot encode a raw CSV"
             )
         stats = loaded.pipeline_stats
-        table = parse_flow_csv(config.dataset, stats.schema).table
+        table = parse_data_rows(config.dataset, stats.schema).table
         apply_imputers(table, stats.imputation, stats.schema, use_labels=False)
         return loaded, encode(table, stats)
     raise ConfigError("--cache or --dataset is required")

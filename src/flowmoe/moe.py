@@ -1,11 +1,11 @@
 """Sparsely gated mixture of experts with noisy top-k routing.
 
 A linear router scores every expert per sample; input-dependent Gaussian
-noise is added to the scores during training, everything outside the top k
-is masked to -inf, and a softmax over the masked scores produces the gate
-weights.  The class-logit outputs of the k selected experts are combined
-with the gate weights; large batches run each expert on its routed rows
-only, small ones run every expert at once and select (see
+noise is added to the scores during training, and a softmax over each
+row's top k scores produces the gate weights, exactly 0 outside the top k.
+The class-logit outputs of the k selected experts are combined with the
+gate weights; large batches run each expert on its routed rows only, small
+ones run every expert at once and sum only the routed outputs (see
 :func:`moe_forward`).
 
 Two auxiliary losses keep the routing balanced over a batch: one penalizes
@@ -48,8 +48,12 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # mixture evaluates every expert on every row in a few array products, which
 # beats a Python loop over the experts; from here on the loop over each
 # expert's own rows does less arithmetic and wins.  Timed at full scale
-# (128 experts, k = 32) with routing spread over the experts, the crossover
-# lies between batch 192 and 256 (48 and 64 rows per expert).
+# (128 experts, k = 32, 2 vCPUs, OpenBLAS) with routing spread over the
+# experts, 60 interleaved runs per batch from 128 to 320: a tracked forward
+# and backward crosses over between batch 192 and 224 (48 and 56 rows per
+# expert), dense/loop medians 0.98-0.99 at 192 and 1.01-1.05 from 224 on.
+# A no_grad forward still favours the dense branch at 320 (0.76-0.89 from
+# 256 to 320), but the rule is one for both.
 DENSE_ROWS_PER_EXPERT = 48
 
 
@@ -125,19 +129,30 @@ def top_k_selection(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     ties break toward the lower index and NaN ranks below every number.
     One ``np.partition`` finds each row's k-th largest value; a row holds
     its top k exactly when k entries are >= that value.  Only the other
-    rows (a tie at the threshold, or a NaN) take the stable sort.
+    rows (a tie at the threshold, or a NaN) take the stable sort of the
+    whole row.  The k kept values of every row are then ranked by an
+    introsort, and only the rows whose ranked values are not strictly
+    decreasing (a tie among them, or a NaN) are ranked again stably.
     """
     batch, n = values.shape
     threshold = np.partition(values, n - k, axis=1)[:, n - k, None]
     keep = values >= threshold
-    slow = np.flatnonzero(keep.sum(axis=1) != k)
+    slow = np.flatnonzero(np.count_nonzero(keep, axis=1) != k)
     if slow.size:
         keep[slow] = False
         stable = np.argsort(-values[slow], axis=1, kind="stable")[:, :k]
         keep[slow[:, None], stable] = True
-    cols = np.nonzero(keep)[1].reshape(batch, k)  # ascending per row
-    ranked = np.argsort(-np.take_along_axis(values, cols, axis=1), axis=1, kind="stable")
-    return keep, np.take_along_axis(cols, ranked, axis=1)
+    flat = np.flatnonzero(keep).reshape(batch, k)  # ascending per row
+    neg = -values.reshape(-1)[flat]
+    ranked = neg.argsort(axis=1)
+    rows = np.arange(batch)[:, None]
+    ordered = neg[rows, ranked]
+    tied = np.flatnonzero(~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1))
+    if tied.size:
+        ranked[tied] = np.argsort(neg[tied], axis=1, kind="stable")
+    order = flat[rows, ranked]
+    order -= rows * n
+    return keep, order
 
 
 def top_k_mask(values: Tensor, k: int) -> Tensor:
@@ -226,19 +241,36 @@ def _routes(weights: np.ndarray) -> tuple[np.ndarray, list]:
     return active, [(i, row_of[bounds[i]:bounds[i + 1]]) for i in np.flatnonzero(active)]
 
 
+def _sum_routed(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's gate-weighted sum of the (E, C, batch) outputs ``y`` over
+    its routed experts (nonzero gate), in expert order; an unrouted
+    expert's output is never read, so a NaN there cannot leak."""
+    batch, n_experts = weights.shape
+    routed = weights != 0
+    counts = np.count_nonzero(routed, axis=1)
+    flat = np.flatnonzero(routed)  # row-major: grouped by row, experts ascending
+    row_of, expert_of = np.divmod(flat, n_experts)
+    terms = y[expert_of, :, row_of]
+    terms *= weights.reshape(-1)[flat, None]
+    mixed = np.zeros((batch, y.shape[1]))
+    some = counts > 0
+    mixed[some] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[some])
+    return mixed
+
+
 def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
     """Gate-weighted sum of expert outputs, by one of two evaluations chosen
     by shape alone.
 
     With fewer than :data:`DENSE_ROWS_PER_EXPERT` routed rows per expert
     (batch * top_k / n_experts), every expert runs on every row as three
-    products over the stacked bank, an unrouted expert's output is replaced
-    by zero, not multiplied by it, so a NaN there cannot leak, and one
-    contraction with the gates sums the outputs.  Otherwise each expert sees
-    just the rows that routed to it (nonzero gate), in a loop over the
-    experts.  The
-    two agree to float precision; the choice never looks at grad mode, so a
-    ``no_grad`` forward is bit-equal to a tracked one.
+    products over the stacked bank, and each row then gathers and sums only
+    its routed outputs (nonzero gate), in expert order, so an unrouted
+    expert's output, NaN or not, is never read.  Otherwise each expert sees
+    just the rows that routed to it, in a loop over the experts.  The two
+    agree to float precision; the choice never looks at grad mode, so a
+    ``no_grad`` forward is bit-equal to a tracked one.  Only the gates are
+    read, not ``decision.selected_indices``.
 
     One ``expert_mixture`` graph node over x, the gates and the bank's four
     stacked parameters.  The backward runs per routed expert on its rows, and
@@ -269,8 +301,7 @@ def moe_forward(bank: ExpertBank, decision: GateDecision, x: Tensor) -> Tensor:
         np.maximum(hidden, 0.0, out=hidden)
         y = w2.data @ hidden
         y += b2.data[:, :, None]
-        np.copyto(y, 0.0, where=(weights.T == 0)[:, None, :])
-        mixed = np.einsum("ecb,be->bc", y, weights)
+        mixed = _sum_routed(y, weights)
         if track:
             active, routes = _routes(weights)
             routed = [(i, rows, hidden[i][:, rows].T) for i, rows in routes]

@@ -290,6 +290,16 @@ def parse_flow_csv(path, schema: FlowSchema) -> ParseResult:
     return ParseResult(table=table, skipped=skipped, schema=schema)
 
 
+def parse_data_rows(path, schema: FlowSchema) -> ParseResult:
+    """:func:`parse_flow_csv` for a CSV that must hold data: one with no
+    rows left after parsing raises :class:`SchemaError` naming the file and
+    the rows skipped."""
+    parsed = parse_flow_csv(path, schema)
+    if len(parsed.table) == 0:
+        raise SchemaError(f"{path}: no data rows ({len(parsed.skipped)} skipped)")
+    return parsed
+
+
 @dataclass
 class ImputationTable:
     """Per-class means/modes with label-free global fallbacks."""
@@ -562,10 +572,8 @@ def prepare_dataset(csv_path, schema: FlowSchema | None = None,
     if protocol not in IMPUTATION_PROTOCOLS:
         raise ConfigError(f"unknown imputation protocol {protocol!r}; "
                           f"expected one of {IMPUTATION_PROTOCOLS}")
-    parsed = parse_flow_csv(csv_path, schema)
+    parsed = parse_data_rows(csv_path, schema)
     table = parsed.table
-    if len(table) == 0:
-        raise SchemaError(f"{csv_path}: no data rows ({len(parsed.skipped)} skipped)")
     class_counts = dict.fromkeys(schema.class_names, 0)
     counts = np.bincount(table.labels, minlength=len(schema.class_names))
     for name, count in zip(schema.class_names, counts.tolist()):

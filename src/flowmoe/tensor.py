@@ -444,22 +444,52 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor.result_of(a.data @ b.data, (a, b), "matmul").with_backward(_backward)
 
 
+def _exp_kept(data: np.ndarray, axis: int, keep: np.ndarray) -> np.ndarray:
+    """exp(data - row peak) at the ``keep`` entries of a (batch, n) array,
+    the peak taken over the kept entries, and exact zeros elsewhere."""
+    if data.ndim != 2 or axis not in (1, -1) or keep.shape != data.shape:
+        raise DimensionError(f"softmax keep= needs a (batch, n) input and mask along "
+                             f"axis 1, got {data.shape}, {keep.shape}, axis {axis}")
+    counts = np.count_nonzero(keep, axis=1)
+    if not counts.all():
+        raise DegenerateInputError("softmax keeps no entry of a row")
+    flat = np.flatnonzero(keep)  # row-major: each row's kept entries together
+    kept = data.reshape(-1)[flat]
+    peak = np.maximum.reduceat(kept, np.cumsum(counts) - counts)
+    if np.any(np.isneginf(peak)):
+        raise DegenerateInputError("softmax input is -inf along the whole axis")
+    kept -= np.repeat(peak, counts)
+    np.exp(kept, out=kept)  # exp(-inf) == 0 exactly
+    probs = np.zeros(data.shape)
+    probs.reshape(-1)[flat] = kept
+    return probs
+
+
 def softmax(t: Tensor, axis: int = -1, keep: np.ndarray | None = None) -> Tensor:
     """Probability-normalized exponentials along `axis`.
 
     Inputs may contain -inf sentinels (masked entries): those map to exactly
-    0 in the output, and so do the entries outside ``keep``, a bool mask of
-    the input's shape, which get no gradient.  A slice that is entirely -inf
-    has no finite mass to normalize and raises :class:`DegenerateInputError`.
-    Stabilized by max-subtraction, so any finite logits are safe.
+    0 in the output.  A slice that is entirely -inf has no finite mass to
+    normalize and raises :class:`DegenerateInputError`.  Stabilized by
+    max-subtraction, so any finite logits are safe.
+
+    ``keep``, a bool mask of a (batch, n) input softmaxed along axis 1,
+    sets the entries outside it to 0 as well, and they get no gradient.
+    Only the kept scores are exponentiated, less their row's peak, and
+    scattered into a zero output, which is normalized by the same row sum;
+    the zeros add nothing to it, so the output equals the softmax of a copy
+    with -inf outside ``keep`` to the bit.  A row kept nowhere raises
+    :class:`DegenerateInputError`.
     """
     t = _as_tensor(t)
-    masked = t.data if keep is None else np.where(keep, t.data, -np.inf)
-    peak = np.max(masked, axis=axis, keepdims=True)
-    if np.any(np.isneginf(peak)):
-        raise DegenerateInputError("softmax input is -inf along the whole axis")
-    probs = np.subtract(masked, peak, out=None if keep is None else masked)
-    np.exp(probs, out=probs)  # exp(-inf) == 0 exactly
+    if keep is None:
+        peak = np.max(t.data, axis=axis, keepdims=True)
+        if np.any(np.isneginf(peak)):
+            raise DegenerateInputError("softmax input is -inf along the whole axis")
+        probs = t.data - peak
+        np.exp(probs, out=probs)
+    else:
+        probs = _exp_kept(t.data, axis, keep)
     probs /= probs.sum(axis=axis, keepdims=True)
     def _backward(grad):
         inner = (grad * probs).sum(axis=axis, keepdims=True)

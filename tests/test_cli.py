@@ -354,10 +354,9 @@ class TestHostileCsv:
 
 
 class TestCsvWithoutRows:
-    """A flow CSV with a header and no rows left to encode ends preprocess
-    and train in a schema error (exit 3) naming the file and the rows
-    skipped, and a report over it in a configuration error (exit 2), before
-    any --out directory is made."""
+    """A flow CSV with a header and no rows left to encode ends preprocess,
+    train and the reports over it in a schema error (exit 3) naming the file
+    and the rows skipped, before any --out directory is made."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -372,25 +371,18 @@ class TestCsvWithoutRows:
             write_flow_csv(base / "header_only.csv", []): 0,
             write_flow_csv(base / "all_skipped.csv", rows): 120}
 
-    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    @pytest.mark.parametrize("command", ["preprocess", "train", "evaluate", "gating-report"])
     def test_exits_3_naming_the_file_writing_nothing(self, tmp_path, inputs, caplog, command):
-        extra = TINY_TRAIN if command == "train" else []
-        for path, skipped in inputs[1].items():
+        checkpoint, cases = inputs
+        report = ["--checkpoint", str(checkpoint)]
+        extra = {"preprocess": [], "train": TINY_TRAIN, "evaluate": report,
+                 "gating-report": report}[command]
+        for path, skipped in cases.items():
             out = tmp_path / path.stem
             caplog.clear()
             assert main([command, "--dataset", str(path), "--out", str(out), *extra]) == 3
             assert f"schema error: {path}: no data rows ({skipped} skipped)" in caplog.text
             assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["evaluate", "gating-report"])
-    def test_report_exits_2_writing_nothing(self, tmp_path, inputs, caplog, command):
-        checkpoint, cases = inputs
-        header_only = next(iter(cases))
-        out = tmp_path / "report"
-        assert main([command, "--checkpoint", str(checkpoint), "--dataset", str(header_only),
-                     "--out", str(out)]) == 2
-        assert "is empty" in caplog.text
-        assert not out.exists()
 
 
 # Runs in a fresh interpreter: other test modules import scipy as an oracle.

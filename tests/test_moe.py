@@ -104,6 +104,21 @@ def stable_top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return keep, order
 
 
+def full_scale_scores(rng: RngState, batch: int, n: int = 128) -> np.ndarray:
+    """Gate scores of the full-scale shape with heavy ties: a third of the
+    rows integers in [-3, 3] (ties at the top-k threshold), a third integers
+    in [-200, 200] (ties among the kept scores), a third continuous.  Rows
+    0 and 3 are 100 NaN short of numbers, rows 1 and 4 hold 40 +inf, rows 2
+    and 5 40 -inf, and row 6 is all NaN."""
+    values = rng.normal((batch, n))
+    values[0::3] = np.floor(rng.uniform(-3.0, 4.0, values[0::3].shape))
+    values[1::3] = np.floor(rng.uniform(-200.0, 201.0, values[1::3].shape))
+    for row, (cell, count) in enumerate([(np.nan, 100), (np.inf, 40), (-np.inf, 40)] * 2):
+        values[row, rng.permutation(n)[:count]] = cell
+    values[6] = np.nan
+    return values
+
+
 # integer-valued scores force ties; NaN and infinities must rank as in argsort
 SCORE = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([np.nan, np.inf, -np.inf]))
 
@@ -176,6 +191,35 @@ class TestTopKSelection:
     def test_empty_batch(self):
         keep, order = top_k_selection(np.zeros((0, 4)), 2)
         assert keep.shape == (0, 4) and order.shape == (0, 2)
+
+    @pytest.mark.parametrize("batch", [64, 1024])
+    def test_full_scale_with_heavy_ties(self, rng, batch):
+        values = full_scale_scores(rng, batch)
+        k = 32
+        keep, order = stable_top_k(values, k)
+        got_keep, got_order = top_k_selection(values, k)
+        np.testing.assert_array_equal(got_order, order)
+        np.testing.assert_array_equal(got_keep, keep)
+        # rows whose threshold is unique but whose kept values tie: the
+        # introsort ranks them, and only the stable re-rank can order them
+        kth = np.sort(values, axis=1)[:, -k, None]
+        unique_threshold = np.count_nonzero(values >= kth, axis=1) == k
+        kept_sorted = np.sort(np.where(keep, values, np.inf), axis=1)[:, :k]
+        tied = (kept_sorted[:, 1:] == kept_sorted[:, :-1]).any(axis=1)
+        assert np.any(unique_threshold & tied) and np.any(unique_threshold & ~tied)
+
+    @pytest.mark.parametrize("batch", [64, 1024])
+    def test_full_scale_softmax_of_the_kept_scores(self, rng, batch):
+        values = full_scale_scores(rng, batch)
+        values[7] = -np.inf  # all but one entry -inf
+        values[7, 3] = 0.0
+        keep = top_k_selection(values, 32)[0]
+        with np.errstate(invalid="ignore"):
+            got = softmax(Tensor(values), axis=1, keep=keep).data
+            expected = softmax(top_k_mask(Tensor(values), 32), axis=1).data
+        assert got.tobytes() == expected.tobytes()
+        assert np.isnan(got[[0, 1, 3, 4, 6]]).all()  # a NaN among the kept, or inf - inf
+        assert not np.isnan(got[[2, 5, 7]]).any()
 
 
 class TestNoisyGate:
@@ -525,6 +569,36 @@ class TestMoEForward:
             poisoned = moe_forward(bank, decision, x).data
         assert np.all(np.isfinite(poisoned))
         np.testing.assert_array_equal(poisoned, clean)
+
+    def test_dense_branch_adds_an_exact_zero_for_an_underflowed_gate(self, rng):
+        bank = MoEHead(tiny_config(), 6, rng).experts
+        x = Tensor(rng.normal((3, 6)))
+        logits = np.tile([0.0, -800.0, -900.0, -1000.0], (3, 1))  # exp(-800) == 0
+        no_noise = np.zeros_like(logits)
+        decision = make_decision(logits, no_noise, no_noise, 2)
+        assert (decision.selected_indices == [0, 1]).all()
+        assert not decision.gates.data[:, 1].any()
+        clean = moe_forward(bank, decision, x).data
+        bank.b2.data[1] = np.nan  # selected, but its gate is 0
+        poisoned = moe_forward(bank, decision, x).data
+        assert np.all(np.isfinite(poisoned))
+        np.testing.assert_array_equal(poisoned, clean)
+
+    @pytest.mark.parametrize("rows_per_expert", [0, np.inf])  # the loop, then dense
+    def test_reads_only_the_gates(self, rng, monkeypatch, rows_per_expert):
+        monkeypatch.setattr(moe, "DENSE_ROWS_PER_EXPERT", rows_per_expert)
+        bank = MoEHead(tiny_config(), 6, rng).experts
+        x = rng.normal((5, 6))
+        no_noise = np.zeros((5, 4))
+        decision = make_decision(spaced_logits(rng, (5, 4)), no_noise, no_noise, 2)
+        runs = []
+        for selected in (decision.selected_indices, None):
+            gates = Tensor(decision.gates.data, requires_grad=True)
+            out = moe_forward(bank, GateDecision(None, None, None, gates, selected, 2), Tensor(x))
+            out.sum().backward()
+            runs.append((out.data, gates.grad))
+        for with_indices, without in zip(*runs):
+            np.testing.assert_array_equal(without, with_indices)
 
     def test_one_graph_node(self, rng):
         head = MoEHead(tiny_config(), 6, rng)
