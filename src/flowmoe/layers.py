@@ -5,9 +5,9 @@ The convolutional feature extractor stacks four cells (conv -> batch norm ->
 ReLU -> max pool, the last cell unpooled) with 16/32/64/128 filters, turning
 a (batch, 6, 13) input into a 128-dimensional representation per sample.
 In train mode each cell is one fused graph node (:func:`conv_cell`) that
-keeps its batch statistics and two bool masks and rebuilds x_hat and the
-im2col columns in the backward; in eval mode it is one conv with the batch
-norm folded in, then the max pool, then the ReLU on what the pool kept.
+computes in its conv output's buffer, keeps its batch statistics and one
+bool mask, and rebuilds x_hat and the im2col columns in the backward; in
+eval mode it folds the batch norm into one conv, pools, then rectifies.
 Every convolution uses only the kernel taps whose window reaches the input,
 so the last cell, at length 1, multiplies by the centre tap alone.
 """
@@ -219,18 +219,15 @@ def _conv_input_backward(g2: np.ndarray, x: Tensor, weight: Tensor, padding: int
     matrix :func:`_conv_weight_backward` returns."""
     if not x.requires_grad:
         return
-    out_ch, in_ch, kernel = weight.data.shape
-    batch, _, length = x.data.shape
+    batch, in_ch, length = x.data.shape
     out_len = g2.shape[0] // batch
-    taps = _live_taps(length, kernel, padding)
+    taps = _live_taps(length, weight.data.shape[2], padding)
     live = taps.stop - taps.start
-    # col2im: each live tap's column block adds back at its shift
-    dcols = (g2 @ weight.data[:, :, taps].reshape(out_ch, -1)).reshape(
-        batch, out_len, in_ch, live)
+    # col2im: each live tap's input gradient adds back at its shift
     grad_padded = np.zeros((batch, out_len + live - 1, in_ch))
     for k in range(live):
-        grad_padded[:, k:k + out_len] += dcols[:, :, :, k]
-    del dcols
+        grad_padded[:, k:k + out_len] += (g2 @ weight.data[:, :, taps.start + k]).reshape(
+            batch, out_len, in_ch)
     start = padding - taps.start
     x.accumulate_grad(grad_padded[:, start:start + length].transpose(0, 2, 1))
 
@@ -243,9 +240,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
 
     Lowered to one matrix product (im2col): every output position's input
     window becomes a row of ``cols`` (batch * out_len, in_ch * live taps), so
-    the forward pass and both gradients are single BLAS calls.  Only the
-    taps whose window reaches the input take part (:func:`_live_taps`): at
-    length 1 with kernel 3 and padding 1 that is the centre tap alone.
+    the forward pass and the weight gradient are single BLAS calls, the
+    input gradient one per tap.  Only the taps whose window reaches the
+    input take part (:func:`_live_taps`): at length 1 with kernel 3 and
+    padding 1 that is the centre tap alone.
     """
     _check_conv_input(x, weight, padding, "conv1d")
     cols, data = _conv_forward(x.data, weight.data, bias.data, padding)
@@ -306,7 +304,8 @@ def maxpool1d(x: Tensor) -> Tensor:
 def _normalize(x: np.ndarray, eps: float):
     """``(mean, var, std, x_hat)`` of batch norm over (batch, length), the
     statistics shaped (1, channels, 1); fewer than 2 elements per channel
-    raise DegenerateInputError."""
+    raise DegenerateInputError.  Centres and scales ``x`` in place: the
+    x_hat returned is ``x``."""
     count = x.shape[0] * x.shape[2]
     if count < 2:
         raise DegenerateInputError(
@@ -316,10 +315,11 @@ def _normalize(x: np.ndarray, eps: float):
     # summing the batch axis first is several times faster than
     # sum(axis=(0, 2)) at short lengths
     mean = (x.sum(axis=0).sum(axis=1) * (1.0 / count)).reshape(shape)
-    centered = x - mean
-    var = ((centered ** 2).sum(axis=0).sum(axis=1) * (1.0 / count)).reshape(shape)
+    x -= mean
+    var = ((x ** 2).sum(axis=0).sum(axis=1) * (1.0 / count)).reshape(shape)
     std = np.sqrt(var + eps)
-    return mean, var, std, centered / std
+    x /= std
+    return mean, var, std, x
 
 
 def _normalize_backward(grad: np.ndarray, x_hat: np.ndarray, std: np.ndarray,
@@ -352,7 +352,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     Returns ``(out, mean, var)``: the batch statistics come back as plain
     (channels,) arrays for the running estimates.
     """
-    mean, var, std, x_hat = _normalize(x.data, eps)
+    mean, var, std, x_hat = _normalize(x.data.copy(order="K"), eps)
     shape = (1, -1, 1)
     data = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
     def _backward(grad):
@@ -370,26 +370,26 @@ def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tens
     Computes what :func:`conv1d`, :func:`batch_norm`, :func:`relu` and
     :func:`maxpool1d` compute in sequence, with the same expressions in the
     same order, so its output and gradients are bit-identical to that
-    chain's.  Returns ``(out, mean, var)`` like :func:`batch_norm`.  For
-    the backward it keeps only the batch mean and std and two bool masks
-    (ReLU active, and the pool's second element wins); it rebuilds the
-    im2col matrix and ``x_hat`` from ``x`` and the weights at backward
-    time and stores no conv output.  The backward works in the arrays it
-    builds, and drops each once read: x_hat after the batch norm's
-    gradient, the im2col matrix after the weight gradient.
+    chain's.  Returns ``(out, mean, var)`` like :func:`batch_norm`.  The
+    forward computes in the conv output's buffer.  The backward reads ReLU
+    activity as ``out > 0`` and keeps only the batch mean and std and, when
+    pooled, the pool's bool mask; it rebuilds the im2col matrix and x_hat
+    from ``x`` and the weights, works in the arrays it builds, and drops
+    each once read: x_hat after the batch norm's gradient, the im2col
+    matrix after the weight gradient.
     """
     _check_conv_input(x, weight, padding, "conv_cell")
-    mean, var, std, x_hat = _normalize(
+    mean, var, std, data = _normalize(
         _conv_forward(x.data, weight.data, bias.data, padding)[1], eps)
     shape = (1, -1, 1)
-    normed = x_hat * gamma.data.reshape(shape) + beta.data.reshape(shape)
-    active = normed > 0.0
-    data = np.maximum(normed, 0.0)
-    del normed
+    data *= gamma.data.reshape(shape)
+    data += beta.data.reshape(shape)
+    np.maximum(data, 0.0, out=data)
     second_wins = None
     if pooled:
         data, second_wins = _pool_pairs(data)
     def _backward(grad):
+        grad = grad * (data > 0.0)  # the ReLU's active set, from its kept output
         # the forward's x_hat, bit for bit: the same conv product, then
         # _normalize's subtraction and division, in place
         cols, x_hat = _conv_forward(x.data, weight.data, bias.data, padding)
@@ -398,9 +398,6 @@ def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tens
         if pooled:
             # x_hat has the ReLU output's memory order
             grad = _unpool(grad, second_wins, x_hat)
-            grad *= active
-        else:
-            grad = grad * active
         dz = _normalize_backward(grad, x_hat, std, gamma, beta)
         del x_hat
         g2 = _conv_weight_backward(dz, x, weight, bias, cols, padding)
@@ -534,18 +531,19 @@ class ConvCell(Module):
     """conv -> batch norm -> ReLU, optionally followed by a 2x max pool.
 
     In train mode the cell is one :func:`conv_cell` graph node, which keeps
-    for its backward only the batch mean and std and the ReLU and pool
-    masks as bool arrays, and rebuilds ``x_hat`` there; the batch
-    statistics then update the batch norm's running estimates.
+    for its backward only the batch mean and std and the pool's bool mask,
+    reads ReLU activity from its output, and rebuilds ``x_hat`` there; the
+    batch statistics then update the batch norm's running estimates.
 
     In eval mode the batch norm is folded into the convolution (Jacob et
     al. 2018, section 3.2): one conv with weight w * s and bias
-    (b - mean) * s + beta, where s = gamma / sqrt(var + eps).  The folded
-    values are computed on every call, so they never go stale.  The max
-    pool then runs before the ReLU, which is applied in place to the pooled
-    half only: a ReLU is monotone, so it commutes with the max, and the
-    result equals ``maxpool1d(relu(conv))`` (NaN included).  The pool is
-    the plain maximum of each window, as no backward needs its argmax.
+    (b - mean) * s + beta, where s = gamma / sqrt(var + eps), on plain
+    arrays with no graph op.  The folded values are computed on every call,
+    so they never go stale.  The max pool then runs before the ReLU, which
+    is applied in place to the pooled half only: a ReLU is monotone, so it
+    commutes with the max, and the result equals ``maxpool1d(relu(conv))``
+    (NaN included).  The pool is the plain maximum of each window, as no
+    backward needs its argmax.
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: RngState | None,
@@ -562,10 +560,11 @@ class ConvCell(Module):
                                        self.pooled, conv.padding, bn.eps)
             bn.update_running(mean, var)
             return out
+        _check_conv_input(x, conv.weight, conv.padding, "conv_cell")
         scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
-        weight = Tensor(conv.weight.data * scale[:, None, None])
-        bias = Tensor((conv.bias.data - bn.running_mean) * scale + bn.beta.data)
-        out = conv1d(x, weight, bias, conv.padding).data
+        weight = conv.weight.data * scale[:, None, None]
+        bias = (conv.bias.data - bn.running_mean) * scale + bn.beta.data
+        out = _conv_forward(x.data, weight, bias, conv.padding)[1]
         if self.pooled:
             # the window maxima without maxpool1d's argmax mask, which only
             # a backward reads; np.maximum picks the same value, differing

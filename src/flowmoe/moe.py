@@ -232,13 +232,16 @@ def noisy_gate(router: Router, x: Tensor, k: int, noise_enabled: bool,
 
 def _routes(weights: np.ndarray) -> tuple[np.ndarray, list]:
     """The experts with a nonzero gate on some row, as a mask, and each such
-    expert's ``(i, rows)``, rows ascending, experts in index order."""
+    expert's ``(i, rows)``, rows ascending, experts in index order.  Each
+    ``rows`` is its own contiguous array, not a view that would keep all
+    of ``np.nonzero``'s (expert, row) pairs alive."""
     n_experts = weights.shape[1]
     # (expert, row) pairs of the nonzero gates, grouped by expert
     expert_of, row_of = np.nonzero(weights.T != 0)
     bounds = np.searchsorted(expert_of, np.arange(n_experts + 1))
     active = bounds[1:] > bounds[:-1]
-    return active, [(i, row_of[bounds[i]:bounds[i + 1]]) for i in np.flatnonzero(active)]
+    return active, [(i, row_of[bounds[i]:bounds[i + 1]].copy())
+                    for i in np.flatnonzero(active)]
 
 
 def _sum_routed(y: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -529,20 +529,27 @@ def stratified_split(table: FlowTable, train_fraction: float = 0.6, seed: int = 
     the sorted row positions ``(train_idx, test_idx)`` into ``table``.
 
     Each class contributes floor(fraction * count) rows to the training
-    side; the remainder goes to test.
+    side; the remainder goes to test.  A fraction that leaves the training
+    side empty raises StratificationError.
     """
     if not (0.0 < train_fraction < 1.0):
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     rng = RngState(seed)
     in_train = np.zeros(len(table), dtype=bool)
+    largest = 0
     for cls in np.unique(table.labels):
         idx = np.nonzero(table.labels == cls)[0]
         if idx.size < 2:
             raise StratificationError(f"class {cls} has {idx.size} sample(s); "
                                       "need at least 2 to split")
+        largest = max(largest, idx.size)
         shuffled = idx[rng.permutation(idx.size)]
         n_train = int(np.floor(train_fraction * idx.size))
         in_train[shuffled[:n_train]] = True
+    if largest and not in_train.any():
+        raise StratificationError(
+            f"train fraction {train_fraction} gives no class a training row: the "
+            f"largest class has {largest} rows")
     return np.flatnonzero(in_train), np.flatnonzero(~in_train)
 
 

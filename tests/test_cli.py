@@ -385,6 +385,21 @@ class TestCsvWithoutRows:
             assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["preprocess", "train"])
+def test_train_fraction_leaving_no_training_row_exits_3_writing_nothing(
+        tmp_path, caplog, command):
+    # 400 rows over the fixture's classes hold at most 60 rows per class,
+    # and floor(0.01 * 60) = 0
+    source = write_flow_csv(tmp_path / "flows.csv", fixture_rows(400))
+    out = tmp_path / "out"
+    extra = TINY_TRAIN if command == "train" else []
+    assert main([command, "--dataset", str(source), "--out", str(out),
+                 "--train-fraction", "0.01", *extra]) == 3
+    assert ("schema error: train fraction 0.01 gives no class a training row: "
+            "the largest class has 60 rows") in caplog.text
+    assert not out.exists()
+
+
 # Runs in a fresh interpreter: other test modules import scipy as an oracle.
 FOOTPRINT_SCRIPT = """
 import json, sys

@@ -479,12 +479,13 @@ class TestConvCell:
         seen = []
 
         def conv_with_specials(*args):
-            out = conv1d(*args)
-            out.data[:, :, :specials.size] = specials
-            seen.append(out.data.copy())
-            return out
+            cols, out = conv_forward(*args)
+            out[:, :, :specials.size] = specials
+            seen.append(out.copy())
+            return cols, out
 
-        monkeypatch.setattr(layers, "conv1d", conv_with_specials)
+        conv_forward = layers._conv_forward
+        monkeypatch.setattr(layers, "_conv_forward", conv_with_specials)
         cell = ConvCell(3, 4, rng, pooled=pooled)
         cell.bn.running_mean = rng.normal((4,))
         cell.bn.running_var = rng.uniform(0.5, 2.0, (4,))
@@ -495,7 +496,7 @@ class TestConvCell:
         assert np.array_equal(out, expected.data, equal_nan=True)
         assert np.isnan(out).any() and (out == 0).any() and (out > 0).any()
 
-    def test_train_mode_is_one_node_keeping_batch_statistics_and_two_masks(self, rng):
+    def test_train_mode_is_one_node_keeping_batch_statistics_and_one_mask(self, rng):
         cell = ConvCell(3, 4, rng, pooled=True)
         x = Tensor(rng.normal((5, 3, 7)), requires_grad=True)
         out = cell(x)
@@ -504,11 +505,13 @@ class TestConvCell:
                                 cell.bn.gamma, cell.bn.beta)
         kept = [c.cell_contents for c in out._backward.__closure__
                 if isinstance(c.cell_contents, np.ndarray)]
-        # the ReLU and pool masks, the batch mean and the std; x_hat and the
+        # the pool mask, the batch mean and the std, and the node's own
+        # output, from which the backward reads ReLU activity; x_hat and the
         # im2col matrix are rebuilt in the backward
         assert sorted((a.dtype.kind, a.shape) for a in kept) == [
-            ("b", (5, 4, 3)), ("b", (5, 4, 7)), ("f", (1, 4, 1)), ("f", (1, 4, 1))]
-        assert not [a for a in kept if a.dtype.kind == "f" and a.shape == (5, 4, 7)]
+            ("b", (5, 4, 3)), ("f", (1, 4, 1)), ("f", (1, 4, 1)), ("f", (5, 4, 3))]
+        assert [a for a in kept if a.shape == (5, 4, 3) and a.dtype.kind == "f"][0] is out.data
+        assert not [a for a in kept if a.shape == (5, 4, 7)]
 
     @pytest.mark.parametrize("in_ch, out_ch, length, pooled",
                              [(6, 16, 13, True), (16, 32, 6, True),

@@ -545,11 +545,26 @@ class TestStratifiedSplit:
         with pytest.raises(StratificationError):
             stratified_split(self._samples([10, 1]), 0.6, seed=0)
 
+    def test_fraction_giving_no_class_a_training_row_rejected(self):
+        # floor(0.01 * 60) = 0 for every class
+        with pytest.raises(StratificationError, match=r"train fraction 0\.01 gives no class "
+                                                      r"a training row: the largest class "
+                                                      r"has 60 rows"):
+            stratified_split(self._samples([60, 40, 2]), 0.01, seed=0)
+        # one class with a training row is enough
+        train_idx, _ = stratified_split(self._samples([100, 40, 2]), 0.01, seed=0)
+        assert train_idx.size == 1
+
     @given(st.lists(st.integers(2, 40), min_size=1, max_size=6),
            st.floats(0.1, 0.9), st.integers(0, 100))
     @settings(max_examples=50, deadline=None)
     def test_proportions_within_one_sample(self, counts, fraction, seed):
         samples = self._samples(counts)
+        if not any(np.floor(fraction * count) for count in counts):
+            # no class contributes a training row
+            with pytest.raises(StratificationError, match="gives no class a training row"):
+                split_tables(samples, fraction, seed=seed)
+            return
         train, _ = split_tables(samples, fraction, seed=seed)
         train_labels = train.labels.tolist()
         for label, count in enumerate(counts):

@@ -578,9 +578,10 @@ class TestFullScaleStep:
         return held, peak
 
     def test_step_memory_held_and_peak_in_backward(self):
-        # The backward releases each node once its closure has run: 18.2
-        # MiB held and a 20.8 MiB peak (23.0 at cd2d4e2, whose largest
-        # closures allocated more; 23.8 and 28.7 at 3045b36).  Keeping every
+        # The backward releases each node once its closure has run: 17.2
+        # MiB held and a 19.8 MiB peak (18.2 and 20.8 at 0a29d61; a 23.0
+        # peak at cd2d4e2, whose largest closures allocated more; 23.8 and
+        # 28.7 at 3045b36).  Keeping every
         # node's closure until the backward ends measures a 30.8 MiB peak
         # (38.7 at cd2d4e2, 41.9 at 3045b36).
         held, peak = self.step_memory()
@@ -589,9 +590,9 @@ class TestFullScaleStep:
         assert peak <= 28 * mib, f"{peak / mib:.1f} MiB at the peak of backward()"
 
     def test_fused_conv_cells_hold_less(self):
-        # One conv_cell node per cell keeps the batch mean and std and two
-        # bool masks: 18.2 MiB held and a 20.8 MiB peak (23.8 and 28.7 at
-        # 3045b36, where each cell also kept x_hat).  Separate conv1d,
+        # One conv_cell node per cell keeps the batch mean and std and the
+        # pool's bool mask: 17.2 MiB held and a 19.8 MiB peak (23.8 and 28.7
+        # at 3045b36, where each cell also kept x_hat).  Separate conv1d,
         # batchnorm, relu and maxpool1d nodes, each keeping its own arrays,
         # measure 45.8 and 48.4 MiB.
         held, peak = self.step_memory()
@@ -602,8 +603,8 @@ class TestFullScaleStep:
     def test_routing_nodes_keep_only_what_their_backward_reads(self):
         # noise_scale keeps the sigmoid, the noisy scores the noise draw and
         # the softmax the bool top-k mask; the expert mixture keeps no expert
-        # outputs and load_probability no threshold-index table: 18.2 MiB
-        # held and a 20.8 MiB peak (23.8 and 28.7 at 3045b36).  Keeping the
+        # outputs and load_probability no threshold-index table: 17.2 MiB
+        # held and a 19.8 MiB peak (23.8 and 28.7 at 3045b36).  Keeping the
         # pre-activation, softplus's exp(-|a|) and output, eps * std, the
         # -inf masked copy, the outputs and the table measures 25.3 and 30.2
         # MiB (30.9 and 35.8 with conv cells that keep x_hat).
@@ -614,7 +615,7 @@ class TestFullScaleStep:
 
     def test_conv_cells_rebuild_x_hat_in_backward(self):
         # Each conv cell rebuilds x_hat and its im2col matrix in the
-        # backward: 18.2 MiB held and a 20.8 MiB peak.  Cells that keep
+        # backward: 17.2 MiB held and a 19.8 MiB peak.  Cells that keep
         # x_hat, as at 3045b36, measure 23.8 and 26.4.
         held, peak = self.step_memory()
         mib = 2 ** 20
@@ -624,12 +625,25 @@ class TestFullScaleStep:
     def test_train_mode_forward_peak(self):
         # The head builds both balancing losses before the expert mixture,
         # so load_probability's temporaries are gone before the mixture's
-        # graph exists, and no conv cell keeps x_hat: an 18.4 MiB peak.
-        # With the losses built last it is 22.6; with cells keeping x_hat,
-        # 24.0; with both, as at 3045b36, 28.2.
+        # graph exists, and no conv cell keeps x_hat: a 17.4 MiB peak (18.4
+        # at 0a29d61, whose cells normalised into fresh arrays).  With the
+        # losses built last it is 22.6; with cells keeping x_hat, 24.0; with
+        # both, as at 3045b36, 28.2.
         _, peak = self.step_memory(forward_only=True)
         mib = 2 ** 20
         assert peak <= 20 * mib, f"{peak / mib:.1f} MiB at the peak of the forward"
+
+    def test_conv_cells_keep_one_mask_and_routes_own_their_rows(self):
+        # Each conv cell reads ReLU activity from its kept output instead of
+        # keeping a full-size bool mask, normalises inside its conv output
+        # and adds each tap's input gradient at its shift; each expert's
+        # routed rows are their own array, not a view of every (expert,
+        # row) pair: 17.2 MiB held and a 19.8 MiB peak, against 18.2 and
+        # 20.8 at 0a29d61.
+        held, peak = self.step_memory()
+        mib = 2 ** 20
+        assert held <= 17.5 * mib, f"{held / mib:.2f} MiB held when backward() starts"
+        assert peak <= 20.2 * mib, f"{peak / mib:.2f} MiB at the peak of backward()"
 
 
 @pytest.mark.single_thread_blas
