@@ -15,7 +15,9 @@ Byte layout (all integers little-endian):
 Everything but the header's keys is the envelope and array body of
 :mod:`flowmoe.container`, shared with the dataset cache.  A malformed file
 raises ``CheckpointIntegrityError``, another format version
-``CheckpointVersionError``.
+``CheckpointVersionError``.  So does a well-formed file whose values can
+only give garbage: a non-finite array, or a negative batch-norm running
+variance.
 
 The tensors are the full ``state_dict`` (parameters and batch-norm running
 statistics), so ``load(save(model))`` reproduces eval-mode outputs
@@ -74,6 +76,17 @@ def check_input_shape(path, config: TrainConfig, shape, source: str) -> None:
             f"sample shape {list(shape)} of {source}")
 
 
+def _check_values(path, names, tensors) -> None:
+    """Raise ``CheckpointIntegrityError`` naming the first array that holds
+    a non-finite value, or a running variance that holds a negative one."""
+    for name, array in zip(names, tensors):
+        if not np.isfinite(array).all():
+            raise CheckpointIntegrityError(f"{path}: array {name!r} holds a non-finite value")
+        if name.endswith("running_var") and (array < 0).any():
+            raise CheckpointIntegrityError(
+                f"{path}: array {name!r} holds a negative running variance")
+
+
 def load_checkpoint(path) -> LoadedCheckpoint:
     header, body = container.read(path, MAGIC, FORMAT_VERSION,
                                   CheckpointIntegrityError, CheckpointVersionError)
@@ -88,6 +101,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         tensors = container.arrays(
             body, [("<f8", header["shapes"][name]) for name in names],
             lambda message: CheckpointIntegrityError(f"{path}: {message}"))
+        _check_values(path, names, tensors)
         model = build_model(config, None)
         model.load_state_dict(dict(zip(names, tensors)))
     except (LookupError, TypeError, ValueError) as exc:

@@ -6,10 +6,13 @@ ReLU -> max pool, the last cell unpooled) with 16/32/64/128 filters, turning
 a (batch, 6, 13) input into a 128-dimensional representation per sample.
 In train mode each cell is one fused graph node (:func:`conv_cell`) that
 computes in its conv output's buffer, keeps its batch statistics and one
-bool mask, and rebuilds x_hat and the im2col columns in the backward; in
-eval mode it folds the batch norm into one conv, pools, then rectifies.
-Every convolution uses only the kernel taps whose window reaches the input,
-so the last cell, at length 1, multiplies by the centre tap alone.
+bool mask, and rebuilds x_hat and the im2col columns in the backward.  In
+eval mode it is one matrix product by the batch-norm-folded conv unrolled
+over the input length, then a pool and a ReLU; the matrix is built on the
+first eval forward, rebuilt when an array it was folded from is replaced,
+and dropped by ``train()`` and ``eval()``.  Every convolution uses only the
+kernel taps whose window reaches the input, so the last cell, at length 1,
+multiplies by the centre tap alone.
 """
 
 from __future__ import annotations
@@ -253,23 +256,22 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 1) -> Tensor:
     return Tensor.result_of(data, (x, weight, bias), "conv1d").with_backward(_backward)
 
 
-def _pool_windows(data: np.ndarray):
-    """``(first, second)``: views of the two elements of each 2x max-pool
-    window over the last axis; an odd trailing element is dropped, and a
-    length below 2 raises DimensionError."""
-    length = data.shape[2]
+def _check_poolable(length: int) -> None:
     if length < 2:
         raise DimensionError(f"maxpool1d needs length >= 2, got {length}")
-    return data[:, :, 0:length - 1:2], data[:, :, 1:length:2]
 
 
 def _pool_pairs(data: np.ndarray):
-    """``(maxima, second_wins)`` of the 2x max pool over the last axis.
+    """``(maxima, second_wins)`` of the 2x max pool over the last axis; an
+    odd trailing element is dropped, and a length below 2 raises
+    DimensionError.
 
     The argmax of each pair: the second wins only when strictly larger, or
     when it is NaN and the first is not.
     """
-    first, second = _pool_windows(data)
+    length = data.shape[2]
+    _check_poolable(length)
+    first, second = data[:, :, 0:length - 1:2], data[:, :, 1:length:2]
     second_wins = ~(second <= first) & (first == first)
     return np.where(second_wins, second, first), second_wins
 
@@ -408,6 +410,41 @@ def conv_cell(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tens
     return out, mean.reshape(-1), var.reshape(-1)
 
 
+def _unrolled(weight: np.ndarray, bias: np.ndarray, length: int, padding: int,
+              pooled: bool):
+    """``(matrix, bias_row)``: the (in_ch * length, columns) matrix whose
+    product with a flat (batch, in_ch * length) input, plus ``bias_row``, is
+    the conv's output (Chellapilla et al. 2006).  Row ``c * length + p``
+    holds the weights that input position p of channel c meets, so padding
+    and dead taps drop out.
+
+    The columns hold every output channel's positions in order or, when
+    ``pooled``, every channel's even positions and then every channel's odd
+    ones, so a 2x max pool is the maximum of the two halves; an odd trailing
+    position gets no column.  Built with one scatter.
+    """
+    out_ch, in_ch, kernel = weight.shape
+    out_len = length + 2 * padding - kernel + 1
+    halves = 2 if pooled else 1
+    if pooled:
+        _check_poolable(out_len)
+    slots = out_len // halves
+    taps = np.arange(slots * halves)[:, None] + np.arange(kernel) - padding
+    t, k = np.nonzero((taps >= 0) & (taps < length))
+    matrix = np.zeros((in_ch, length, halves, out_ch, slots))
+    matrix[:, t + k - padding, t % halves, :, t // halves] = weight[:, :, k].transpose(2, 1, 0)
+    bias_row = np.broadcast_to(bias[:, None], (halves, out_ch, slots)).reshape(-1)
+    return matrix.reshape(in_ch * length, -1), bias_row
+
+
+def _unrolled_conv(x: np.ndarray, matrix: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The conv output as :func:`_unrolled` lays out its columns:
+    the flat input times ``matrix``, plus ``bias`` in place."""
+    out = x.reshape(x.shape[0], -1) @ matrix
+    out += bias
+    return out
+
+
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map x @ W^T + b for x: (batch, in), weight: (out, in)."""
     return x @ weight.T + bias
@@ -537,13 +574,19 @@ class ConvCell(Module):
 
     In eval mode the batch norm is folded into the convolution (Jacob et
     al. 2018, section 3.2): one conv with weight w * s and bias
-    (b - mean) * s + beta, where s = gamma / sqrt(var + eps), on plain
-    arrays with no graph op.  The folded values are computed on every call,
-    so they never go stale.  The max pool then runs before the ReLU, which
-    is applied in place to the pooled half only: a ReLU is monotone, so it
-    commutes with the max, and the result equals ``maxpool1d(relu(conv))``
-    (NaN included).  The pool is the plain maximum of each window, as no
-    backward needs its argmax.
+    (b - mean) * s + beta, where s = gamma / sqrt(var + eps), unrolled over
+    the input length into one matrix (:func:`_unrolled`), so the
+    cell is one matrix product on plain arrays with no graph op.  The
+    matrix is built on the first eval forward and kept in ``_fold``, a
+    tuple, which ``state_dict`` never reads.  It is rebuilt when the input
+    length changes or any array it was folded from (conv weight and bias,
+    gamma, beta, running mean and variance) is no longer the same object,
+    and dropped by ``train()`` and ``eval()``, so an in-place edit shows
+    after the next mode switch.  The max pool then runs before the ReLU,
+    which is applied in place to the pooled half only: a ReLU is monotone,
+    so it commutes with the max, and the result equals
+    ``maxpool1d(relu(conv))`` (NaN included).  The pool is the plain
+    maximum of each window, as no backward needs its argmax.
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: RngState | None,
@@ -552,6 +595,31 @@ class ConvCell(Module):
         self.conv = Conv1d(in_channels, out_channels, rng)
         self.bn = BatchNorm1d(out_channels, momentum=bn_momentum, eps=bn_eps)
         self.pooled = pooled
+        self._fold = ()
+
+    def train(self) -> "ConvCell":
+        self._fold = ()
+        return super().train()
+
+    def eval(self) -> "ConvCell":
+        self._fold = ()
+        return super().eval()
+
+    def _folded(self, length: int):
+        """``(matrix, bias)`` of the eval product at input ``length``, from
+        ``_fold`` while its sources are the cell's current arrays."""
+        conv, bn = self.conv, self.bn
+        sources = (conv.weight.data, conv.bias.data, bn.gamma.data, bn.beta.data,
+                   bn.running_mean, bn.running_var)
+        if self._fold and self._fold[0] == length and \
+                all(a is b for a, b in zip(self._fold[1], sources)):
+            return self._fold[2:]
+        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+        weight = conv.weight.data * scale[:, None, None]
+        bias = (conv.bias.data - bn.running_mean) * scale + bn.beta.data
+        self._fold = (length, sources) + _unrolled(weight, bias, length, conv.padding,
+                                                   self.pooled)
+        return self._fold[2:]
 
     def forward(self, x: Tensor) -> Tensor:
         conv, bn = self.conv, self.bn
@@ -561,17 +629,16 @@ class ConvCell(Module):
             bn.update_running(mean, var)
             return out
         _check_conv_input(x, conv.weight, conv.padding, "conv_cell")
-        scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
-        weight = conv.weight.data * scale[:, None, None]
-        bias = (conv.bias.data - bn.running_mean) * scale + bn.beta.data
-        out = _conv_forward(x.data, weight, bias, conv.padding)[1]
+        batch, _, length = x.data.shape
+        out = _unrolled_conv(x.data, *self._folded(length))
         if self.pooled:
             # the window maxima without maxpool1d's argmax mask, which only
             # a backward reads; np.maximum picks the same value, differing
             # at most in the sign of a zero tie
-            out = np.maximum(*_pool_windows(out))
+            half = out.shape[1] // 2
+            out = np.maximum(out[:, :half], out[:, half:])
         np.maximum(out, 0.0, out=out)
-        return Tensor(out)
+        return Tensor(out.reshape(batch, conv.out_channels, -1))
 
 
 def backbone_length(seq_len: int, n_cells: int) -> int:

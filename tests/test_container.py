@@ -339,6 +339,48 @@ def test_cli_evaluate_dataset_exits_4_on_checkpoint_stats(tmp_path, edit):
     assert main(argv) == 4
 
 
+# Each leaves a checkpoint, re-saved with a valid checksum, whose values can
+# only give garbage: (array, value written over its first element).
+VALUE_EDITS = {
+    "nan_conv_weight": ("backbone.cells.0.conv.weight", np.nan),
+    "inf_expert_bias": ("head.experts.b1", -np.inf),
+    "negative_running_var": ("backbone.cells.2.bn.running_var", -0.5),
+}
+
+
+def _resave_with(path, name, value):
+    loaded = load_checkpoint(path)
+    state = loaded.model.state_dict()
+    state[name].flat[0] = value
+    loaded.model.load_state_dict(state)
+    save_checkpoint(path, loaded.model, loaded.config, loaded.pipeline_stats,
+                    loaded.metadata)
+
+
+@pytest.mark.parametrize("edit", VALUE_EDITS)
+def test_checkpoint_values_are_checked_on_load(tmp_path, edit):
+    name, value = VALUE_EDITS[edit]
+    path = _write_checkpoint(tmp_path)
+    _resave_with(path, name, value)
+    with pytest.raises(CheckpointIntegrityError, match=rf"array '{name}' holds a"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", VALUE_EDITS)
+@pytest.mark.parametrize("command", ["evaluate", "gating-report"])
+def test_cli_exits_4_on_checkpoint_values_writing_nothing(tmp_path, caplog, command, edit):
+    name, value = VALUE_EDITS[edit]
+    checkpoint = _write_checkpoint_with_stats(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--checkpoint", str(checkpoint),
+            "--dataset", str(tmp_path / "flows.csv"), "--out", str(out)]
+    _resave_with(checkpoint, name, value)
+    with caplog.at_level(logging.ERROR):
+        assert main(argv) == 4
+    assert f"array '{name}' holds a" in caplog.text
+    assert not out.exists()
+
+
 REPORT_EDITS = {
     "ragged_array": (lambda r: r.update(confusion=[[1, 0], [0]]), r"report\.confusion"),
     "string_in_array": (lambda r: r.update(f1=["high", 1.0]), r"report\.f1"),

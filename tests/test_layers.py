@@ -25,6 +25,7 @@ from flowmoe.layers import (
     relu,
 )
 from flowmoe.tensor import RngState, Tensor
+from flowmoe.training import Adam
 
 from conftest import check_shared_incoming_gradient, spaced_logits
 from fd import check_gradients
@@ -383,6 +384,64 @@ class TestConvCell:
         expected = relu(cell.bn(cell.conv(x))).data
         np.testing.assert_allclose(cell(x).data, expected, rtol=1e-12, atol=1e-12)
 
+    @staticmethod
+    def _cell_with_statistics(rng, in_ch, out_ch, pooled):
+        cell = ConvCell(in_ch, out_ch, rng, pooled=pooled)
+        cell.bn.running_mean = rng.normal((out_ch,))
+        cell.bn.running_var = rng.uniform(0.2, 3.0, (out_ch,))
+        cell.bn.gamma.data = rng.normal((out_ch,)) * 1.5
+        cell.bn.beta.data = rng.normal((out_ch,))
+        return cell
+
+    @staticmethod
+    def _fresh_copy(cell):
+        """An eval-mode cell that never ran, loaded with ``cell``'s state."""
+        copy = ConvCell(cell.conv.in_channels, cell.conv.out_channels, None, cell.pooled)
+        copy.load_state_dict(cell.state_dict())
+        return copy.eval()
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("length, pooled", [(13, True), (6, True), (3, True),
+                                                (13, False), (6, False), (3, False),
+                                                (1, False)])
+    def test_unrolled_eval_matches_the_op_chain(self, rng, batch, length, pooled):
+        cell = self._cell_with_statistics(rng, 5, 6, pooled).eval()
+        x = Tensor(rng.normal((batch, 5, length)))
+        out = cell(x).data
+        chain = relu(cell.bn(cell.conv(x)))
+        if pooled:
+            chain = maxpool1d(chain)
+        assert out.shape == chain.data.shape
+        np.testing.assert_allclose(out, chain.data, rtol=1e-12, atol=1e-12)
+
+    def test_fold_is_dropped_by_a_train_eval_round_trip(self, rng):
+        # Adam updates the parameters in place, so no array the fold was
+        # built from changes identity: only the mode switch can drop it
+        cell = self._cell_with_statistics(rng, 3, 4, pooled=True).eval()
+        x = Tensor(rng.normal((6, 3, 13)))
+        before = cell(x).data
+        cell.train()
+        optimizer = Adam(cell.parameters(), lr=0.05)
+        for _ in range(3):
+            for p in cell.parameters():
+                p.grad = rng.normal(p.data.shape)
+            optimizer.step()
+        cell.eval()
+        after = cell(x).data
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, self._fresh_copy(cell)(x).data)
+
+    def test_in_place_edit_shows_after_eval(self, rng):
+        cell = self._cell_with_statistics(rng, 3, 4, pooled=False).eval()
+        x = Tensor(rng.normal((6, 3, 6)))
+        before = cell(x).data
+        cell.conv.weight.data *= 0.5
+        cell.bn.running_var += 1.0
+        cell.eval()
+        after = cell(x).data
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, self._fresh_copy(cell)(x).data)
+
     @pytest.mark.parametrize("pooled, length", [(True, 13), (True, 6), (False, 5), (False, 1)])
     def test_fused_gradient(self, rng, pooled, length):
         # length 13 pools to 6 and drops the last position
@@ -479,13 +538,22 @@ class TestConvCell:
         seen = []
 
         def conv_with_specials(*args):
-            cols, out = conv_forward(*args)
-            out[:, :, :specials.size] = specials
-            seen.append(out.copy())
-            return cols, out
+            out = unrolled_conv(*args)
+            batch = out.shape[0]
+            if pooled:
+                # columns: every channel's even positions, then the odd ones;
+                # as (batch, channel, window, pair) each window is a pair
+                windows = out.reshape(batch, 2, 4, -1).transpose(0, 2, 3, 1)
+                windows[:, :, :len(pairs)] = pairs
+                seen.append(windows.reshape(batch, 4, -1))
+            else:
+                positions = out.reshape(batch, 4, -1)
+                positions[:, :, :specials.size] = specials
+                seen.append(positions.copy())
+            return out
 
-        conv_forward = layers._conv_forward
-        monkeypatch.setattr(layers, "_conv_forward", conv_with_specials)
+        unrolled_conv = layers._unrolled_conv
+        monkeypatch.setattr(layers, "_unrolled_conv", conv_with_specials)
         cell = ConvCell(3, 4, rng, pooled=pooled)
         cell.bn.running_mean = rng.normal((4,))
         cell.bn.running_var = rng.uniform(0.5, 2.0, (4,))

@@ -398,6 +398,21 @@ class TestCheckpoint:
         save_checkpoint(pb, model_b, config, metadata={"epochs_run": len(history_b)})
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_eval_forwards_leave_state_and_checkpoint_unchanged(self, tmp_path):
+        # the eval cells' cached products are not state: no key, no byte
+        config = TrainConfig(seed=2, **TINY)
+        model = build_model(model_config_for(config), RngState(2))
+        keys = list(model.state_dict())
+        before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
+        save_checkpoint(before, model, config)
+        model.eval()
+        x = make_blobs(40, seed=1).x
+        for rows in (1, 7, 40):
+            model(Tensor(x[:rows]))
+        assert list(model.state_dict()) == keys
+        save_checkpoint(after, model, config)
+        assert after.read_bytes() == before.read_bytes()
+
     def test_version_1_rejected(self, tmp_path):
         # a v1 file held one tensor per expert layer, v2 a model and a train
         # config, and v3 length-prefixed tensor blocks; v4 declares the
